@@ -68,7 +68,6 @@ from .errors import (
     LagOutOfRange,
     NonConvergence,
     NonStationaryModel,
-    QuadratureFailure,
     SingularSystem,
     UnknownIndex,
 )

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .channel import ArModel, Autocovariance, NoiseSpec, autocovariance
 from .errors import (
@@ -19,7 +18,6 @@ from .errors import (
     DegenerateCovariance,
     DistortionBelowFloor,
     NonConvergence,
-    QuadratureFailure,
 )
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -111,19 +109,15 @@ def steady_state(approx: Ar1Approx, noise: NoiseSpec, lam: float, sigma_q_sq: fl
     )
 
 
-def _spectral_variance(approx: Ar1Approx, rel_tol: float = 1e-8) -> float:
-    """(1/2pi) integral of sigma_iota^2 / |1 - beta e^{j w}|^2 over [-pi, pi]."""
+def _spectral_variance(approx: Ar1Approx) -> float:
+    """(1/2pi) integral of sigma_iota^2 / |1 - beta e^{j w}|^2 over [-pi, pi].
+
+    The integral has the closed form sigma_iota^2 / (1 - beta^2) for |beta| < 1.
+    """
     beta = approx.beta
-    if not 0.0 < beta < 1.0:
-        raise ValueError("spectral variance needs beta in (0, 1)")
-
-    def spectrum(omega: float) -> float:
-        return approx.iota_var / (1.0 - 2.0 * beta * math.cos(omega) + beta * beta)
-
-    value, abserr = quad(spectrum, -math.pi, math.pi, epsabs=0.0, epsrel=1e-12, limit=200)
-    if value <= 0 or abserr > rel_tol * value:
-        raise QuadratureFailure(f"spectral integral error {abserr} above tolerance")
-    return value / (2.0 * math.pi)
+    if not -1.0 < beta < 1.0:
+        raise ValueError("spectral variance needs |beta| < 1")
+    return approx.iota_var / (1.0 - beta * beta)
 
 
 def _ep_variance_from_approx(approx: Ar1Approx, noise: NoiseSpec) -> float:
@@ -135,10 +129,9 @@ def _ep_variance_from_approx(approx: Ar1Approx, noise: NoiseSpec) -> float:
 def ep_variance(acov: Autocovariance, noise: NoiseSpec) -> float:
     """Variance of the one-step prediction error under the AR(1) approximation.
 
-    kappa_tilde(0) is evaluated by numerical quadrature of the AR(1) spectrum
-    (the closed form sigma_iota^2 / (1 - beta^2) serves as the independent
-    cross-check in the tests), and the scalar Wiener error is
-    kappa_tilde(0) - kappa_tilde(1)^2 / (kappa_tilde(0) + sigma_xi^2).
+    kappa_tilde(0) = sigma_iota^2 / (1 - beta^2) is the variance of the AR(1)
+    spectrum, kappa_tilde(1) = beta kappa_tilde(0), and the scalar Wiener error
+    is kappa_tilde(0) - kappa_tilde(1)^2 / (kappa_tilde(0) + sigma_xi^2).
     """
     return _ep_variance_from_approx(ar1_fit(acov), noise)
 
@@ -175,6 +168,33 @@ def rate_practical(
     return max(0.0, rate) if clamp else rate
 
 
+def kalman_gain(pred_err_var: float, obs_noise_var: float) -> float:
+    """Codec gain E / (E + sigma_xi^2) for prediction-error variance E; 1 without noise."""
+    if obs_noise_var == 0.0:
+        return 1.0
+    return pred_err_var / (pred_err_var + obs_noise_var)
+
+
+def propagate_pred_err(
+    model: ArModel,
+    filtered: list[float],
+    filtered_err_var: float,
+    sigma_q_sq: float,
+) -> float:
+    """One step of the codec's prediction-error recursion.
+
+    Pushes ``filtered_err_var`` into the per-lag ring ``filtered`` (most recent
+    first, updated in place) and returns
+    sigma_psi^2 + sum_m a_m^2 (filtered_m + sigma_Q^2), summed in lag order.
+    """
+    filtered.insert(0, filtered_err_var)
+    filtered.pop()
+    total = model.innovation_var
+    for a, f in zip(model.coeffs, filtered):
+        total += a * a * (f + sigma_q_sq)
+    return total
+
+
 def converged_prediction_state(
     model: ArModel,
     noise: NoiseSpec,
@@ -183,25 +203,18 @@ def converged_prediction_state(
 ) -> tuple[float, float]:
     """Fixed point (gain, prediction-error variance) of the codec recursion.
 
-    Iterates the gain update and the per-lag error propagation used by the
-    encoder until the gain settles to 1e-10.  The filtered variance is bounded
-    by sigma_xi^2, so the iteration converges for every stationary model.
+    Steps the encoder's gain and prediction-error recursion from its initial
+    state until the gain moves by less than 1e-10.  The filtered variance is
+    bounded by sigma_xi^2, so the iteration converges for every stationary
+    model.
     """
     sigma_x_sq = autocovariance(model, model.order).sigma_x_sq
-    coeff_sq = [a * a for a in model.coeffs]
-    sigma_xi_sq = noise.obs_noise_var
-
-    filtered = [sigma_x_sq] * model.order  # most recent first
+    filtered = [sigma_x_sq] * model.order
     pred_var = sigma_x_sq
-    gain = 1.0 if sigma_xi_sq == 0.0 else pred_var / (pred_var + sigma_xi_sq)
+    gain = kalman_gain(pred_var, noise.obs_noise_var)
     for _ in range(max_iter):
-        filtered.insert(0, (1.0 - gain) * pred_var)
-        filtered.pop()
-        pred_var = (
-            sum(c * (f + sigma_q_sq) for c, f in zip(coeff_sq, filtered))
-            + model.innovation_var
-        )
-        new_gain = 1.0 if sigma_xi_sq == 0.0 else pred_var / (pred_var + sigma_xi_sq)
+        pred_var = propagate_pred_err(model, filtered, (1.0 - gain) * pred_var, sigma_q_sq)
+        new_gain = kalman_gain(pred_var, noise.obs_noise_var)
         settled = abs(new_gain - gain) < GAIN_TOL
         gain = new_gain
         if settled:

@@ -68,10 +68,13 @@ class UniformQuantizer:
         return index, (index - half + 0.5) * self.step
 
     def quantize_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized quantize for offline experiments."""
+        """Vectorized quantize for offline experiments; NaN or infinite values raise."""
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("cannot quantize NaN or infinite values")
         half = 1 << (self.bits - 1)
-        indices = np.floor(np.asarray(values, dtype=float) / self.step).astype(np.int64) + half
-        np.clip(indices, 0, self.levels - 1, out=indices)
+        # saturate in float: an out-of-range int64 cast wraps around
+        indices = np.clip(np.floor(values / self.step), -half, half - 1).astype(np.int64) + half
         return indices, (indices - half + 0.5) * self.step
 
     def dequantize(self, index: int) -> float:
@@ -94,7 +97,9 @@ class EncoderState:
 
     Tracks the last L reconstructions, a ring of the last L filtered error
     variances (the per-lag terms of the prediction-error recursion), the
-    current prediction-error variance and the matching gain.
+    current prediction-error variance and the matching gain.  The recursion
+    never reads the data, so once a step leaves it exactly unchanged it has
+    reached its fixed point and is no longer stepped.
     """
 
     def __init__(self, model: ArModel, noise: NoiseSpec, quantizer: UniformQuantizer):
@@ -106,13 +111,8 @@ class EncoderState:
         sigma_x_sq = autocovariance(model, model.order).sigma_x_sq
         self._filtered = [sigma_x_sq] * model.order
         self.pred_err_var = sigma_x_sq
-        self.gain = self._gain_for(self.pred_err_var)
-
-    def _gain_for(self, pred_err_var: float) -> float:
-        sigma_xi_sq = self.noise.obs_noise_var
-        if sigma_xi_sq == 0.0:
-            return 1.0
-        return pred_err_var / (pred_err_var + sigma_xi_sq)
+        self.update_gain()
+        self._settled = False
 
     def predict_from_history(self) -> float:
         """Model-based forecast of the current state from past reconstructions."""
@@ -120,7 +120,7 @@ class EncoderState:
 
     def update_gain(self) -> float:
         """Refresh the gain from the current prediction-error variance."""
-        self.gain = self._gain_for(self.pred_err_var)
+        self.gain = analysis.kalman_gain(self.pred_err_var, self.noise.obs_noise_var)
         return self.gain
 
     def propagate_pred_err(self, filtered_err_var: float) -> float:
@@ -129,14 +129,10 @@ class EncoderState:
         Pushes the newest filtered error variance into the per-lag ring and
         accumulates sum_m a_m^2 (filtered_m + step^2/12) + sigma_psi^2.
         """
-        self._filtered.insert(0, filtered_err_var)
-        self._filtered.pop()
-        quant_var = self.quantizer.noise_var
-        total = self.model.innovation_var
-        for a, f in zip(self._coeffs, self._filtered):
-            total += a * a * (f + quant_var)
-        self.pred_err_var = total
-        return total
+        self.pred_err_var = analysis.propagate_pred_err(
+            self.model, self._filtered, filtered_err_var, self.quantizer.noise_var
+        )
+        return self.pred_err_var
 
     def encode_step(self, y_k: float) -> tuple[int, float]:
         """Encode one noisy observation; returns (codeword index, reconstruction)."""
@@ -147,8 +143,11 @@ class EncoderState:
         reconstruction = prediction + quantized
         self.history.insert(0, reconstruction)
         self.history.pop()
-        self.propagate_pred_err((1.0 - gain) * self.pred_err_var)
-        self.update_gain()
+        if not self._settled:
+            pred_err_var, filtered = self.pred_err_var, list(self._filtered)
+            self.propagate_pred_err((1.0 - gain) * pred_err_var)
+            self.update_gain()
+            self._settled = self.pred_err_var == pred_err_var and self._filtered == filtered
         return index, reconstruction
 
 

@@ -41,9 +41,5 @@ class DegenerateCovariance(CsiFeedbackError):
     """Autocovariance has non-positive variance at lag zero."""
 
 
-class QuadratureFailure(CsiFeedbackError):
-    """Spectral integral did not reach the requested tolerance."""
-
-
 class ConfigError(CsiFeedbackError):
     """Experiment configuration is missing or invalid."""

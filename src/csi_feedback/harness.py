@@ -324,19 +324,10 @@ def _direct_quantization_mse(trace: ChannelTrace, theta: np.ndarray, q) -> float
     return float(np.mean((trace.x[theta.size :] - quantized) ** 2))
 
 
-def _ar1_open_loop_mse(trace: ChannelTrace, beta: float, q) -> float:
-    """Innovation codec that trusts the raw observation (gain pinned to 1)."""
-    reconstruction = 0.0
-    total = 0.0
-    quantize = q.quantize
-    x = trace.x.tolist()
-    for x_k, y_k in zip(x, trace.y.tolist()):
-        prediction = beta * reconstruction
-        _, quantized = quantize(y_k - prediction)
-        reconstruction = prediction + quantized
-        error = x_k - reconstruction
-        total += error * error
-    return total / len(x)
+def _encoder_mse(model: ArModel, noise: NoiseSpec, q, trace: ChannelTrace, start: int = 0) -> float:
+    """Encoder-side reconstruction MSE of a trace from sample ``start`` on; nothing is decoded."""
+    _, recon = codec.encode_sequence(codec.EncoderState(model, noise, q), trace.y)
+    return float(np.mean((trace.x[start:] - recon[start:]) ** 2))
 
 
 def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
@@ -344,13 +335,15 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
 
     Per bit width: (1) direct uniform quantization of the MMSE-predicted
     state, (2) an AR(1) innovation codec that ignores the observation noise,
-    (3) the proposed closed-loop codec.  Each is averaged over ``trials``
-    seeded traces.
+    which is the closed-loop codec run on the AR(1) fit with a gain of 1
+    (``NoiseSpec(0)``), (3) the proposed closed-loop codec.  Each is averaged
+    over ``trials`` seeded traces.
     """
     model, noise = config.model, config.noise
     acov = autocovariance(model, max(config.predictor_order, 1))
     coeffs = mmse_coefficients(acov, noise, config.predictor_order)
     approx = analysis.ar1_fit(acov)
+    open_loop_model = ArModel((approx.beta,), approx.iota_var)
 
     direct_clip = 4.0 * math.sqrt(acov.sigma_x_sq + coeffs.sigma_p_sq)
     # gain-1 innovation is iota + xi - beta * xi (plus quantization residue)
@@ -367,10 +360,8 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
         for trial in range(config.trials):
             trace = generate_trace(model, noise, config.samples_per_trial, config.seed + trial)
             sums[DIRECT_QUANTIZATION] += _direct_quantization_mse(trace, coeffs.theta, direct_q)
-            sums[AR1_OPEN_LOOP] += _ar1_open_loop_mse(trace, approx.beta, open_loop_q)
-            sums[CLOSED_LOOP] += codec.run_codec(
-                model, noise, closed_loop_q, trace.y, trace.x
-            ).empirical_mse
+            sums[AR1_OPEN_LOOP] += _encoder_mse(open_loop_model, NoiseSpec(0.0), open_loop_q, trace)
+            sums[CLOSED_LOOP] += _encoder_mse(model, noise, closed_loop_q, trace)
 
         for scheme, total in sums.items():
             rows.append(
@@ -455,8 +446,7 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
         sigma_q_sq = quantizer.noise_var
         gain = analysis.converged_gain(model, noise, sigma_q_sq)
         predicted = analysis.steady_state(approx, noise, gain, sigma_q_sq).varsigma_inf
-        output = codec.run_codec(model, noise, quantizer, trace.y, trace.x)
-        long_run = float(np.mean((trace.x[warmup:] - output.encoder_recon[warmup:]) ** 2))
+        long_run = _encoder_mse(model, noise, quantizer, trace, warmup)
         entries.append(ValidationEntry(f"varsigma_inf[bits={bits}]", predicted, long_run, 0.15))
 
     return ValidationReport(entries=tuple(entries))

@@ -10,16 +10,20 @@ from csi_feedback import (
     ArModel,
     Autocovariance,
     NoiseSpec,
+    Scheme,
     ar1_fit,
     autocovariance,
     converged_gain,
     converged_prediction_state,
+    default_distortion_grid,
     ep_variance,
     generate_trace,
+    make_scheme_params,
     mmse_coefficients,
     mse_recursion,
     rate_practical,
     steady_state,
+    sweep,
 )
 from csi_feedback.errors import (
     ContractionViolated,
@@ -127,13 +131,22 @@ class TestSteadyState:
 
 
 class TestEpVariance:
-    def test_quadrature_matches_geometric_series(self):
-        # (1/2pi) integral of 1/|1-beta e^{jw}|^2 equals 1/(1-beta^2)
+    def test_spectral_variance_matches_geometric_series(self):
+        # (1/2pi) integral of 1/|1-beta e^{jw}|^2 equals sum_k beta^{2k}
         from csi_feedback.analysis import _spectral_variance
 
-        for beta in (0.3, 0.9, 0.99):
+        for beta in (-0.6, 0.3, 0.9, 0.99):
             value = _spectral_variance(Ar1Approx(beta=beta, iota_var=1.0))
-            assert value == pytest.approx(1.0 / (1.0 - beta * beta), rel=1e-9)
+            series = math.fsum(beta ** (2 * k) for k in range(20_000))
+            assert value == pytest.approx(series, rel=1e-9)
+
+    def test_practical_sweep_with_negative_lag_one_correlation(self, noise):
+        # kappa(1) < 0 gives beta < 0, which the AR(1) spectrum handles like beta > 0
+        params = make_scheme_params(ArModel((-0.5,), 1.0), noise, 1)
+        d_min, d_max = default_distortion_grid(Scheme.PRACTICAL_AR1, params)
+        rates = sweep(Scheme.PRACTICAL_AR1, params, d_min, d_max, 10).rates
+        assert rates.size == 10
+        assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
 
     def test_noiseless_is_drive_variance(self, ar1_acov):
         assert ep_variance(ar1_acov, NoiseSpec(0.0)) == pytest.approx(1.0, rel=1e-9)

@@ -1,5 +1,7 @@
 """Closed-loop innovation codec: quantizer, encoder/decoder, synchrony."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from csi_feedback import (
     autocovariance,
     converged_gain,
     decode_sequence,
+    encode_sequence,
     generate_trace,
     innovation_quantizer,
     pack_indices,
@@ -54,11 +57,17 @@ class TestUniformQuantizer:
     def test_quantize_many_matches_scalar(self):
         q = UniformQuantizer(bits=4, step=0.5)
         rng = np.random.default_rng(18)
-        values = rng.normal(0, 3.0, size=200)
+        values = np.append(rng.normal(0, 3.0, size=200), [1e30, -1e30])
         indices, recons = q.quantize_many(values)
         for v, i, r in zip(values, indices, recons):
             si, sr = q.quantize(float(v))
             assert si == i and sr == r
+
+    def test_quantize_many_rejects_non_finite(self):
+        q = UniformQuantizer(bits=3, step=1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                q.quantize_many(np.array([0.3, bad]))
 
     def test_unknown_index(self):
         q = UniformQuantizer(bits=3, step=1.0)
@@ -167,6 +176,25 @@ class TestEncoderPieces:
 
 
 class TestEncodeStep:
+    @pytest.mark.parametrize(
+        "model, settles",
+        [(ArModel((0.5, 0.2, 0.1, 0.05), 1.0), True), (ArModel((0.9,), 1.0), False)],
+    )
+    def test_gain_path_matches_stepped_recursion(self, model, settles, noise):
+        # the reference AR(4) reaches an exact fixed point, after which encode_step
+        # stops stepping the recursion; the AR(1) ends in an ulp-level limit cycle
+        q = innovation_quantizer(model, noise, 6)
+        state = EncoderState(model, noise, q)
+        reference = EncoderState(model, noise, q)
+        trace = generate_trace(model, noise, 400, seed=31)
+        for y_k in trace.y.tolist():
+            state.encode_step(y_k)
+            reference.propagate_pred_err((1.0 - reference.gain) * reference.pred_err_var)
+            reference.update_gain()
+            assert state.gain == reference.gain
+            assert state.pred_err_var == reference.pred_err_var
+        assert state._settled is settles
+
     def test_zero_innovation_reproduces_half_step(self, ar4, noise):
         q = UniformQuantizer(bits=4, step=0.2)
         state = EncoderState(ar4, noise, q)
@@ -239,6 +267,14 @@ class TestDecoder:
 
 
 class TestErrorOrthogonality:
+    @pytest.fixture(scope="class")
+    def centred_error(self, ar4, noise, ar4_trace_1m):
+        trace = ar4_trace_1m
+        encoder = EncoderState(ar4, noise, innovation_quantizer(ar4, noise, 6))
+        _, recon = encode_sequence(encoder, trace.y)
+        err = (trace.x - recon)[20_000:]
+        return err - err.mean()
+
     @pytest.mark.xfail(
         strict=True,
         reason=(
@@ -248,21 +284,15 @@ class TestErrorOrthogonality:
             "0.26 for the reference codec, far above the 3/sqrt(N) sampling bound"
         ),
     )
-    def test_adjacent_lag_cross_terms_statistically_zero(self, ar4, noise):
-        trace = generate_trace(ar4, noise, 1_000_000, seed=4)
-        out = run_codec(ar4, noise, innovation_quantizer(ar4, noise, 6), trace.y, trace.x)
-        err = (trace.x - out.encoder_recon)[20_000:]
-        err = err - err.mean()
+    def test_adjacent_lag_cross_terms_statistically_zero(self, centred_error):
+        err = centred_error
         bound = 3.0 / np.sqrt(err.size)
         for lag in range(1, 5):
             r = float(np.mean(err[lag:] * err[:-lag]) / np.mean(err * err))
             assert abs(r) < bound, f"lag {lag}"
 
-    def test_distant_lag_cross_terms_statistically_zero(self, ar4, noise):
-        trace = generate_trace(ar4, noise, 1_000_000, seed=4)
-        out = run_codec(ar4, noise, innovation_quantizer(ar4, noise, 6), trace.y, trace.x)
-        err = (trace.x - out.encoder_recon)[20_000:]
-        err = err - err.mean()
+    def test_distant_lag_cross_terms_statistically_zero(self, centred_error):
+        err = centred_error
         bound = 3.0 / np.sqrt(err.size)
         for lag in (50, 80):
             r = float(np.mean(err[lag:] * err[:-lag]) / np.mean(err * err))
