@@ -52,6 +52,7 @@ from .codec import (
     EncoderState,
     UniformQuantizer,
     decode_sequence,
+    encode_batch,
     encode_sequence,
     innovation_quantizer,
     pack_indices,

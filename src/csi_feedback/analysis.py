@@ -168,30 +168,29 @@ def rate_practical(
     return max(0.0, rate) if clamp else rate
 
 
-def kalman_gain(pred_err_var: float, obs_noise_var: float) -> float:
-    """Codec gain E / (E + sigma_xi^2) for prediction-error variance E; 1 without noise."""
-    if obs_noise_var == 0.0:
+def kalman_gain(pred_err_var, obs_noise_var):
+    """Codec gain E / (E + sigma_xi^2) for prediction-error variance E; 1 without noise.
+
+    Also works elementwise on arrays whose noise variances are all positive.
+    """
+    if not isinstance(obs_noise_var, np.ndarray) and obs_noise_var == 0.0:
         return 1.0
     return pred_err_var / (pred_err_var + obs_noise_var)
 
 
-def propagate_pred_err(
-    model: ArModel,
-    filtered: list[float],
-    filtered_err_var: float,
-    sigma_q_sq: float,
-) -> float:
+def propagate_pred_err(coeffs, innovation_var, filtered: list, filtered_err_var, sigma_q_sq):
     """One step of the codec's prediction-error recursion.
 
     Pushes ``filtered_err_var`` into the per-lag ring ``filtered`` (most recent
     first, updated in place) and returns
     sigma_psi^2 + sum_m a_m^2 (filtered_m + sigma_Q^2), summed in lag order.
+    Works on floats for one stream and elementwise on arrays for a batch.
     """
     filtered.insert(0, filtered_err_var)
     filtered.pop()
-    total = model.innovation_var
-    for a, f in zip(model.coeffs, filtered):
-        total += a * a * (f + sigma_q_sq)
+    total = innovation_var
+    for a, f in zip(coeffs, filtered):
+        total = total + a * a * (f + sigma_q_sq)
     return total
 
 
@@ -213,7 +212,9 @@ def converged_prediction_state(
     pred_var = sigma_x_sq
     gain = kalman_gain(pred_var, noise.obs_noise_var)
     for _ in range(max_iter):
-        pred_var = propagate_pred_err(model, filtered, (1.0 - gain) * pred_var, sigma_q_sq)
+        pred_var = propagate_pred_err(
+            model.coeffs, model.innovation_var, filtered, (1.0 - gain) * pred_var, sigma_q_sq
+        )
         new_gain = kalman_gain(pred_var, noise.obs_noise_var)
         settled = abs(new_gain - gain) < GAIN_TOL
         gain = new_gain

@@ -18,6 +18,12 @@ from . import analysis
 from .channel import ArModel, NoiseSpec, autocovariance
 from .errors import UnknownIndex
 
+# widest quantizer: beyond 2^53 the float clip bound 2^(bits-1) - 1 is not exact
+MAX_BITS = 53
+
+# samples per block of encode_batch's per-row observation and index buffers
+_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class UniformQuantizer:
@@ -25,15 +31,15 @@ class UniformQuantizer:
 
     Reproduction values are +-(i + 1/2) * step; there is no zero level, and a
     zero input reproduces +step/2.  Inputs beyond the clip saturate to the
-    outermost level.
+    outermost level.  Widths run from 1 to ``MAX_BITS``.
     """
 
     bits: int
     step: float
 
     def __post_init__(self) -> None:
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must lie in 1..{MAX_BITS}")
         if self.step <= 0:
             raise ValueError("step must be positive")
 
@@ -58,9 +64,17 @@ class UniformQuantizer:
         return self.step * self.step / 12.0
 
     def quantize(self, value: float) -> tuple[int, float]:
-        """Nearest midrise level as (codeword index, reproduction value)."""
+        """Nearest midrise level as (codeword index, reproduction value).
+
+        NaN or infinite values raise ValueError, as in ``quantize_many``.
+        """
         half = 1 << (self.bits - 1)
-        index = int(math.floor(value / self.step)) + half
+        try:
+            index = int(math.floor(value / self.step)) + half
+        except (OverflowError, ValueError):
+            if not math.isfinite(value):
+                raise ValueError("cannot quantize NaN or infinite values") from None
+            index = -1 if value < 0 else self.levels  # value / step overflowed: saturate
         if index < 0:
             index = 0
         elif index >= self.levels:
@@ -73,8 +87,11 @@ class UniformQuantizer:
         if not np.isfinite(values).all():
             raise ValueError("cannot quantize NaN or infinite values")
         half = 1 << (self.bits - 1)
-        # saturate in float: an out-of-range int64 cast wraps around
-        indices = np.clip(np.floor(values / self.step), -half, half - 1).astype(np.int64) + half
+        # saturate in float, where value / step may overflow to inf: an
+        # out-of-range int64 cast wraps around
+        with np.errstate(over="ignore"):
+            levels = np.floor(values / self.step)
+        indices = np.clip(levels, -half, half - 1).astype(np.int64) + half
         return indices, (indices - half + 0.5) * self.step
 
     def dequantize(self, index: int) -> float:
@@ -130,7 +147,11 @@ class EncoderState:
         accumulates sum_m a_m^2 (filtered_m + step^2/12) + sigma_psi^2.
         """
         self.pred_err_var = analysis.propagate_pred_err(
-            self.model, self._filtered, filtered_err_var, self.quantizer.noise_var
+            self._coeffs,
+            self.model.innovation_var,
+            self._filtered,
+            filtered_err_var,
+            self.quantizer.noise_var,
         )
         return self.pred_err_var
 
@@ -188,6 +209,110 @@ def encode_sequence(state: EncoderState, observations) -> tuple[list[int], np.nd
         indices.append(index)
         recon.append(value)
     return indices, np.asarray(recon)
+
+
+def encode_batch(states, observations) -> tuple[np.ndarray, np.ndarray]:
+    """Encode one observation stream per encoder state, every stream in lockstep.
+
+    Returns (indices, reconstructions), both of shape (streams, samples).  Row
+    r is bit-identical to ``encode_sequence(states[r], observations[r])``:
+    each sample is one numpy step over all rows with the arithmetic of
+    ``encode_step``, so one Python iteration serves every stream.  The states
+    are only read, never advanced; pass fresh ones to encode a stream from its
+    start.  Rows may share one observation array, which is then stored once.
+    NaN or infinite values raise ValueError, as in the scalar quantizer.
+    """
+    states = list(states)
+    observations = list(observations)  # holds each stream while ids are compared
+    if len(observations) != len(states):
+        raise ValueError("need one observation stream per encoder state")
+    n_rows = len(states)
+    stream_of: dict[int, int] = {}
+    streams = []
+    row_stream = np.empty(n_rows, dtype=np.intp)
+    for r, obs in enumerate(observations):
+        if id(obs) not in stream_of:
+            stream_of[id(obs)] = len(streams)
+            streams.append(np.asarray(obs, dtype=float))
+        row_stream[r] = stream_of[id(obs)]
+    table = np.stack(streams, axis=1)  # (samples, distinct streams)
+    if table.ndim != 2:
+        raise ValueError("observation streams must be one-dimensional")
+
+    # Lags are zero-padded to the largest order: a padded lag adds an exact
+    # zero to the prediction and to the prediction-error sum.
+    order = max(s.model.order for s in states)
+    n_steps = table.shape[0]
+    recon = np.zeros((order + n_steps, n_rows))  # first `order` rows: initial histories
+    coeffs = np.zeros((order, n_rows))  # coeffs[order - 1 - m] weights lag m + 1
+    for r, s in enumerate(states):
+        coeffs[order - s.model.order :, r] = s._coeffs[::-1]
+        recon[order - s.model.order : order, r] = s.history[::-1]
+    step = np.array([s.quantizer.step for s in states])
+    half = np.array([float(1 << (s.quantizer.bits - 1)) for s in states])
+    low, high = -half, half - 1.0
+    zero, one_half = np.zeros(n_rows), np.full(n_rows, 0.5)
+    gain = np.array([s.gain for s in states])
+
+    # Only noisy rows have a gain that can move: without noise it is exactly 1.
+    moving = [r for r, s in enumerate(states) if s.noise.obs_noise_var > 0.0 and not s._settled]
+    if moving:
+        lag_coeffs = [coeffs[order - 1 - m, moving] for m in range(order)]
+        innovation_var = np.array([states[r].model.innovation_var for r in moving])
+        noise_var = np.array([states[r].noise.obs_noise_var for r in moving])
+        sigma_q_sq = np.array([states[r].quantizer.noise_var for r in moving])
+        pred_err_var = np.array([states[r].pred_err_var for r in moving])
+        ring = np.zeros((order, len(moving)))
+        for j, r in enumerate(moving):
+            ring[: states[r].model.order, j] = states[r]._filtered
+        filtered = list(ring)
+        moving_gain = gain[moving]
+
+    indices = np.empty((n_steps, n_rows), dtype=np.int64)
+    products = np.empty((order, n_rows))
+    terms = list(products[::-1])  # a_1 h_1 first, as in _predict
+    pred, quantized = np.empty(n_rows), np.empty(n_rows)
+    # Per chunk of samples: gather observations per row, keep the quantizer
+    # inputs to check them and the clipped levels to write the indices.
+    weighted = np.empty((_CHUNK, n_rows))
+    levels = np.empty((_CHUNK, n_rows))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, n_steps, _CHUNK):
+            stop = min(start + _CHUNK, n_steps)
+            ys = table[start:stop].take(row_stream, axis=1)
+            for k, y, value, level in zip(range(start, stop), ys, weighted, levels):
+                np.multiply(coeffs, recon[k : k + order], out=products)
+                np.add(zero, terms[0], out=pred)
+                for term in terms[1:]:
+                    np.add(pred, term, out=pred)
+                np.subtract(y, pred, out=value)
+                np.multiply(gain, value, out=value)
+                np.divide(value, step, out=level)
+                np.floor(level, out=level)
+                np.maximum(level, low, out=level)
+                np.minimum(level, high, out=level)
+                np.add(level, one_half, out=quantized)
+                np.multiply(quantized, step, out=quantized)
+                np.add(pred, quantized, out=recon[order + k])
+                if moving:
+                    last_var, last_ring = pred_err_var, list(filtered)
+                    pred_err_var = analysis.propagate_pred_err(
+                        lag_coeffs,
+                        innovation_var,
+                        filtered,
+                        (1.0 - moving_gain) * pred_err_var,
+                        sigma_q_sq,
+                    )
+                    moving_gain = analysis.kalman_gain(pred_err_var, noise_var)
+                    gain[moving] = moving_gain
+                    if (pred_err_var == last_var).all() and all(
+                        (now == then).all() for now, then in zip(filtered, last_ring)
+                    ):
+                        moving = []
+            if not np.isfinite(weighted[: stop - start]).all():
+                raise ValueError("cannot quantize NaN or infinite values")
+            np.add(levels[: stop - start], half, out=indices[start:stop], casting="unsafe")
+    return indices.T, recon[order:].T
 
 
 def decode_sequence(state: DecoderState, indices) -> np.ndarray:

@@ -173,9 +173,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if n_points < 2:
         raise ConfigError("n_points must be >= 2")
 
-    bits_list = tuple(int(b) for b in _parse_float_list(values["quantizer_bits"], "quantizer_bits"))
-    if not bits_list or any(b < 1 for b in bits_list):
-        raise ConfigError("quantizer_bits must list integers >= 1")
+    widths = _parse_float_list(values["quantizer_bits"], "quantizer_bits")
+    if not widths or not all(w.is_integer() and 1 <= w <= codec.MAX_BITS for w in widths):
+        raise ConfigError(f"quantizer_bits must list integers in 1..{codec.MAX_BITS}")
+    bits_list = tuple(int(w) for w in widths)
 
     trials = as_int("trials")
     if trials < 1:
@@ -183,6 +184,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     samples = as_int("samples_per_trial")
     if samples < 10 * order:
         raise ConfigError(f"samples_per_trial must be >= 10 * predictor_order ({10 * order})")
+    seed = as_int("seed")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
 
     return ExperimentConfig(
         model=model,
@@ -195,7 +199,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         quantizer_bits=bits_list,
         trials=trials,
         samples_per_trial=samples,
-        seed=as_int("seed"),
+        seed=seed,
         normalized_bounds=_parse_bool(values["normalized_bounds"], "normalized_bounds"),
         output_path=values["output_path"],
     )
@@ -318,12 +322,6 @@ def _predicted_states(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return _prediction_windows(y, theta.size) @ theta[::-1]
 
 
-def _direct_quantization_mse(trace: ChannelTrace, theta: np.ndarray, q) -> float:
-    predictions = _predicted_states(trace.y, theta)
-    _, quantized = q.quantize_many(predictions)
-    return float(np.mean((trace.x[theta.size :] - quantized) ** 2))
-
-
 def _encoder_mse(model: ArModel, noise: NoiseSpec, q, trace: ChannelTrace, start: int = 0) -> float:
     """Encoder-side reconstruction MSE of a trace from sample ``start`` on; nothing is decoded."""
     _, recon = codec.encode_sequence(codec.EncoderState(model, noise, q), trace.y)
@@ -337,7 +335,8 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     state, (2) an AR(1) innovation codec that ignores the observation noise,
     which is the closed-loop codec run on the AR(1) fit with a gain of 1
     (``NoiseSpec(0)``), (3) the proposed closed-loop codec.  Each is averaged
-    over ``trials`` seeded traces.
+    over ``trials`` seeded traces, each generated once; the two codec schemes
+    of every width and trial are encoded together by one ``encode_batch``.
     """
     model, noise = config.model, config.noise
     acov = autocovariance(model, max(config.predictor_order, 1))
@@ -349,19 +348,34 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     # gain-1 innovation is iota + xi - beta * xi (plus quantization residue)
     open_loop_std = math.sqrt(approx.iota_var + (1.0 + approx.beta**2) * noise.obs_noise_var)
 
-    rows: list[CsvRow] = []
-    n_total = config.trials * config.samples_per_trial
+    traces = [
+        generate_trace(model, noise, config.samples_per_trial, config.seed + trial)
+        for trial in range(config.trials)
+    ]
+    order = coeffs.theta.size
+    predictions = [_predicted_states(trace.y, coeffs.theta) for trace in traces]
+    states, observations = [], []
     for bits in config.quantizer_bits:
-        direct_q = codec.UniformQuantizer.with_clip(bits, direct_clip)
         open_loop_q = codec.UniformQuantizer.with_clip(bits, 4.0 * open_loop_std)
         closed_loop_q = codec.innovation_quantizer(model, noise, bits)
+        for trace in traces:
+            states.append(codec.EncoderState(open_loop_model, NoiseSpec(0.0), open_loop_q))
+            states.append(codec.EncoderState(model, noise, closed_loop_q))
+            observations += [trace.y, trace.y]
+    _, recon = codec.encode_batch(states, observations)
+    # rows run width-major, then trial, then (open loop, closed loop)
+    recon = recon.reshape(len(config.quantizer_bits), config.trials, 2, -1)
 
+    rows: list[CsvRow] = []
+    n_total = config.trials * config.samples_per_trial
+    for bits, streams in zip(config.quantizer_bits, recon):
+        direct_q = codec.UniformQuantizer.with_clip(bits, direct_clip)
         sums = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
-        for trial in range(config.trials):
-            trace = generate_trace(model, noise, config.samples_per_trial, config.seed + trial)
-            sums[DIRECT_QUANTIZATION] += _direct_quantization_mse(trace, coeffs.theta, direct_q)
-            sums[AR1_OPEN_LOOP] += _encoder_mse(open_loop_model, NoiseSpec(0.0), open_loop_q, trace)
-            sums[CLOSED_LOOP] += _encoder_mse(model, noise, closed_loop_q, trace)
+        for trace, predicted, (open_loop, closed_loop) in zip(traces, predictions, streams):
+            _, quantized = direct_q.quantize_many(predicted)
+            sums[DIRECT_QUANTIZATION] += float(np.mean((trace.x[order:] - quantized) ** 2))
+            sums[AR1_OPEN_LOOP] += float(np.mean((trace.x - open_loop) ** 2))
+            sums[CLOSED_LOOP] += float(np.mean((trace.x - closed_loop) ** 2))
 
         for scheme, total in sums.items():
             rows.append(
@@ -461,6 +475,8 @@ def with_overrides(
     """Copy of the config with CLI-level overrides applied."""
     changes = {}
     if seed is not None:
+        if seed < 0:
+            raise ConfigError("seed must be >= 0")
         changes["seed"] = seed
     if output_path is not None:
         changes["output_path"] = output_path

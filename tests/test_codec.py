@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csi_feedback import (
     ArModel,
@@ -15,6 +17,7 @@ from csi_feedback import (
     autocovariance,
     converged_gain,
     decode_sequence,
+    encode_batch,
     encode_sequence,
     generate_trace,
     innovation_quantizer,
@@ -55,13 +58,26 @@ class TestUniformQuantizer:
             assert q.dequantize(index) == recon
 
     def test_quantize_many_matches_scalar(self):
-        q = UniformQuantizer(bits=4, step=0.5)
         rng = np.random.default_rng(18)
-        values = np.append(rng.normal(0, 3.0, size=200), [1e30, -1e30])
-        indices, recons = q.quantize_many(values)
-        for v, i, r in zip(values, indices, recons):
-            si, sr = q.quantize(float(v))
-            assert si == i and sr == r
+        values = np.append(rng.normal(0, 3.0, size=200), [1e30, -1e30, 0.0])
+        # a tiny step makes value / step overflow to inf for finite values
+        for q in (UniformQuantizer(bits=4, step=0.5), UniformQuantizer(bits=3, step=1e-300)):
+            indices, recons = q.quantize_many(values)
+            for v, i, r in zip(values, indices, recons):
+                si, sr = q.quantize(float(v))
+                assert si == i and sr == r
+
+    def test_quantize_rejects_non_finite(self):
+        q = UniformQuantizer(bits=3, step=1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
+                q.quantize(bad)
+
+    def test_widest_quantizer_saturates_exactly(self):
+        q = UniformQuantizer(bits=53, step=1.0)
+        indices, _ = q.quantize_many(np.array([1e30, -1e30]))
+        assert indices.tolist() == [(1 << 53) - 1, 0]
+        assert [q.quantize(v)[0] for v in (1e30, -1e30)] == indices.tolist()
 
     def test_quantize_many_rejects_non_finite(self):
         q = UniformQuantizer(bits=3, step=1.0)
@@ -88,6 +104,8 @@ class TestUniformQuantizer:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             UniformQuantizer(bits=0, step=1.0)
+        with pytest.raises(ValueError):
+            UniformQuantizer(bits=54, step=1.0)
         with pytest.raises(ValueError):
             UniformQuantizer(bits=3, step=0.0)
         with pytest.raises(ValueError):
@@ -218,6 +236,58 @@ class TestEncodeStep:
         predicted = steady_state(ar1_fit(autocovariance(ar4, 4)), noise, lam, q.noise_var)
         mse = float(np.mean((trace.x[10_000:] - out.encoder_recon[10_000:]) ** 2))
         assert abs(mse - predicted.varsigma_inf) / predicted.varsigma_inf < 0.10
+
+
+def _ar_from_pacf(pacf):
+    """Stationary AR coefficients from partial autocorrelations in (-1, 1)."""
+    coeffs = []
+    for k in pacf:
+        coeffs = [a - k * b for a, b in zip(coeffs, reversed(coeffs))] + [k]
+    return tuple(coeffs)
+
+
+_STREAM = st.tuples(
+    st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=6),  # partial autocorrelations
+    st.sampled_from([0.5, 1.0, 2.0]),  # innovation variance
+    st.sampled_from([0.0, 0.3, 1.0]),  # observation noise variance
+    st.integers(1, 16),  # quantizer width
+    st.booleans(),  # encode the first row's observations instead of its own
+)
+
+
+class TestEncodeBatch:
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(streams=st.lists(_STREAM, min_size=1, max_size=6), seed=st.integers(0, 1 << 16))
+    @example(streams=[([-0.6], 1.0, 0.0, 4, False), ([0.9], 1.0, 1.0, 6, True)], seed=5)
+    def test_rows_match_scalar_encoder(self, streams, seed):
+        # mixed orders, noise-free rows, shared streams, AR(1) with beta < 0 and
+        # the AR(1) whose gain recursion ends in a limit cycle
+        states, observations, expected = [], [], []
+        for r, (pacf, innovation_var, noise_var, bits, shared) in enumerate(streams):
+            model = ArModel(_ar_from_pacf(pacf), innovation_var)
+            noise = NoiseSpec(noise_var)
+            q = innovation_quantizer(model, noise, bits)
+            if shared and r > 0:
+                y = observations[0]
+            else:
+                y = generate_trace(model, NoiseSpec(1.0), 400, seed=seed + r).y
+            states.append(EncoderState(model, noise, q))
+            observations.append(y)
+            expected.append(encode_sequence(EncoderState(model, noise, q), y))
+        indices, recon = encode_batch(states, observations)
+        assert indices.shape == recon.shape == (len(streams), 400)
+        for r, (scalar_indices, scalar_recon) in enumerate(expected):
+            assert np.array_equal(indices[r], scalar_indices), r
+            assert np.array_equal(recon[r], scalar_recon), r
+
+    def test_rejects_non_finite_observations(self, ar4, noise):
+        y = generate_trace(ar4, noise, 3000, seed=61).y
+        for bad in (math.nan, math.inf, -math.inf):
+            corrupted = y.copy()
+            corrupted[2500] = bad
+            states = [EncoderState(ar4, noise, innovation_quantizer(ar4, noise, b)) for b in (2, 6)]
+            with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
+                encode_batch(states, [y, corrupted])
 
 
 class TestDecoder:

@@ -92,6 +92,10 @@ class TestConfigParsing:
             "ar_coeffs = 0.9\nquantizer_bits = 0",
             "ar_coeffs = not-a-number",
             "ar_coeffs 0.9",
+            "ar_coeffs = 0.9\nquantizer_bits = 54",
+            "ar_coeffs = 0.9\nquantizer_bits = 4.7",
+            "ar_coeffs = 0.9\nquantizer_bits = nan",
+            "ar_coeffs = 0.9\nseed = -1",
         ],
     )
     def test_invalid_configs_rejected(self, text):
@@ -236,6 +240,32 @@ class TestCodecExperiment:
         for bits, schemes in by_bits.items():
             assert schemes[AR1_OPEN_LOOP] > schemes[CLOSED_LOOP], bits
 
+    def test_codec_rows_match_scalar_encoder(self):
+        from csi_feedback import ArModel, NoiseSpec, ar1_fit, autocovariance, generate_trace
+        from csi_feedback.codec import UniformQuantizer, innovation_quantizer
+        from csi_feedback.harness import _encoder_mse
+
+        config = parse_config_text(
+            make_config(quantizer_bits="2,5", trials=2, samples_per_trial=3000)
+        )
+        model, noise = config.model, config.noise
+        approx = ar1_fit(autocovariance(model, 4))
+        open_loop_model = ArModel((approx.beta,), approx.iota_var)
+        open_loop_std = np.sqrt(approx.iota_var + (1.0 + approx.beta**2) * noise.obs_noise_var)
+        traces = [generate_trace(model, noise, 3000, config.seed + t) for t in range(2)]
+        rows = run_codec_experiment(config)
+        for bits in (2, 5):
+            by_scheme = {r.scheme: r.distortion for r in rows if r.rate_bits == bits}
+            open_loop_q = UniformQuantizer.with_clip(bits, 4.0 * open_loop_std)
+            closed_loop_q = innovation_quantizer(model, noise, bits)
+            open_loop = [
+                _encoder_mse(open_loop_model, NoiseSpec(0.0), open_loop_q, t) for t in traces
+            ]
+            closed_loop = [_encoder_mse(model, noise, closed_loop_q, t) for t in traces]
+            # the harness sums the per-trial MSEs in trial order, then divides
+            assert by_scheme[AR1_OPEN_LOOP] == sum(open_loop) / 2
+            assert by_scheme[CLOSED_LOOP] == sum(closed_loop) / 2
+
     def test_direct_quantization_plateaus_at_prediction_floor(self):
         from csi_feedback import autocovariance, mmse_coefficients, NoiseSpec
 
@@ -343,6 +373,19 @@ class TestCli:
     def test_invalid_config_is_exit_1(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "ar_coeffs = 0.9\nbogus = 1")
         assert cli_main(["validate", "--config", cfg]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("quantizer_bits", "70"), ("quantizer_bits", "4.7"), ("seed", "-1")]
+    )
+    def test_out_of_range_config_is_exit_1(self, tmp_path, capsys, key, value):
+        cfg = self.write(tmp_path, make_config(**{key: value}))
+        assert cli_main(["codec", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_override_is_exit_1(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, make_config())
+        assert cli_main(["codec", "--config", cfg, "--seed", "-1"]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_validate_pass_and_fail_exit_codes(self, tmp_path, capsys):
