@@ -54,6 +54,8 @@ class SchemeParams:
     zh: ZhEstimator
     sigma_nu_sq: float
     log_det_ky: float
+    ar1: analysis.Ar1Approx  # AR(1) fit of the channel behind the practical scheme
+    ar1_gain: float  # its converged codec gain at sigma_Q^2 = 0
 
 
 @dataclass(eq=False)
@@ -89,18 +91,25 @@ def log_det_ky(acov: Autocovariance, noise: NoiseSpec, order: int) -> float:
 
 
 def make_scheme_params(model: ArModel, noise: NoiseSpec, order: int | None = None) -> SchemeParams:
-    """Bundle the derived quantities every bound needs for one model/noise pair."""
+    """Bundle the derived quantities every bound and experiment needs for one model/noise pair.
+
+    The autocovariance reaches max(order, model order), so a predictor of lower
+    order than the channel works.  A channel with zero variance raises
+    DegenerateCovariance.
+    """
     if order is None:
         order = model.order
-    acov = autocovariance(model, max(order, 1))
-    coeffs = mmse_coefficients(acov, noise, order)
+    acov = autocovariance(model, max(order, model.order))
+    ar1 = analysis.ar1_fit(acov)
     return SchemeParams(
         acov=acov,
         noise=noise,
-        coeffs=coeffs,
+        coeffs=mmse_coefficients(acov, noise, order),
         zh=zh_estimator(acov, noise),
         sigma_nu_sq=nu_variance(model, noise),
         log_det_ky=log_det_ky(acov, noise, order),
+        ar1=ar1,
+        ar1_gain=analysis.converged_gain(ArModel((ar1.beta,), ar1.iota_var), noise, sigma_q_sq=0.0),
     )
 
 
@@ -191,20 +200,12 @@ def rate_uniform_aperiodic(
     return max(0.0, rate) if clamp else rate
 
 
-def _practical_context(p: SchemeParams) -> tuple[analysis.Ar1Approx, float]:
-    approx = analysis.ar1_fit(p.acov)
-    ar1 = ArModel(coeffs=(approx.beta,), innovation_var=approx.iota_var)
-    lam = analysis.converged_gain(ar1, p.noise, sigma_q_sq=0.0)
-    return approx, lam
-
-
 def distortion_floor(scheme: Scheme, p: SchemeParams) -> float:
     """Distortion below which the scheme's rate is undefined (diverges)."""
     if scheme is Scheme.APERIODIC_ZH:
         return p.zh.sigma_z_sq
     if scheme is Scheme.PRACTICAL_AR1:
-        approx, lam = _practical_context(p)
-        return analysis.steady_state(approx, p.noise, lam, 0.0).varsigma_inf
+        return analysis.steady_state(p.ar1, p.noise, p.ar1_gain, 0.0).varsigma_inf
     return p.coeffs.sigma_p_sq
 
 
@@ -232,9 +233,6 @@ def sweep(
     if not 0 < d_min < d_max:
         raise ValueError("need 0 < d_min < d_max")
 
-    if scheme is Scheme.PRACTICAL_AR1:
-        approx, lam = _practical_context(params)
-
     def evaluate(d: float) -> float:
         if scheme is Scheme.APERIODIC_PREDICTION:
             return rate_aperiodic_prediction(d, params, normalized)
@@ -244,7 +242,7 @@ def sweep(
             return rate_periodic(d, params)
         if scheme is Scheme.UNIFORM_APERIODIC:
             return rate_uniform_aperiodic(d, params.acov.sigma_x_sq, params.coeffs.sigma_p_sq)
-        return analysis.rate_practical(d, approx, params.noise, lam)
+        return analysis.rate_practical(d, params.ar1, params.noise, params.ar1_gain)
 
     points: list[RdPoint] = []
     skipped = 0

@@ -28,8 +28,9 @@ class ArModel:
     """Order-L autoregressive channel x_k = sum_m a_m x_{k-m} + psi_k.
 
     ``coeffs`` holds (a_1, ..., a_L) and ``innovation_var`` is the variance of
-    the white Gaussian drive psi.  A zero innovation variance is allowed only
-    as a degenerate test drive (the process is then identically zero).
+    the white Gaussian drive psi; all must be finite.  A zero innovation
+    variance is allowed only as a degenerate test drive (the process is then
+    identically zero).  Stationarity is checked where the model is used.
     """
 
     coeffs: tuple[float, ...]
@@ -40,8 +41,10 @@ class ArModel:
         coeffs = tuple(float(a) for a in self.coeffs)
         if len(coeffs) == 0:
             raise ValueError("ArModel needs at least one coefficient")
-        if self.innovation_var < 0:
-            raise ValueError("innovation_var must be non-negative")
+        if not all(math.isfinite(a) for a in coeffs):
+            raise ValueError("ar_coeffs must be finite")
+        if not (math.isfinite(self.innovation_var) and self.innovation_var >= 0):
+            raise ValueError("innovation_var must be finite and non-negative")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "innovation_var", float(self.innovation_var))
         object.__setattr__(self, "order", len(coeffs))
@@ -58,8 +61,8 @@ class NoiseSpec:
     obs_noise_var: float
 
     def __post_init__(self) -> None:
-        if self.obs_noise_var < 0:
-            raise ValueError("obs_noise_var must be non-negative")
+        if not (math.isfinite(self.obs_noise_var) and self.obs_noise_var >= 0):
+            raise ValueError("obs_noise_var must be finite and non-negative")
         object.__setattr__(self, "obs_noise_var", float(self.obs_noise_var))
 
 

@@ -21,6 +21,9 @@ from .errors import UnknownIndex
 # widest quantizer: beyond 2^53 the float clip bound 2^(bits-1) - 1 is not exact
 MAX_BITS = 53
 
+# clip of every uniform quantizer in the experiments, in standard deviations of its input
+CLIP_LOADING = 4.0
+
 # samples per block of encode_batch's per-row observation and index buffers
 _CHUNK = 1024
 
@@ -349,22 +352,16 @@ def run_codec(
     )
 
 
-def innovation_quantizer(
-    model: ArModel,
-    noise: NoiseSpec,
-    bits: int,
-    loading: float = 4.0,
-) -> UniformQuantizer:
+def innovation_quantizer(model: ArModel, noise: NoiseSpec, bits: int) -> UniformQuantizer:
     """Quantizer sized for the codec's steady-state weighted innovation.
 
-    The clip is ``loading`` standard deviations of the weighted innovation
+    The clip is ``CLIP_LOADING`` standard deviations of the weighted innovation
     lambda * (y - prediction) at the quantization-free steady state, which
-    keeps the clip probability below 1e-2 for Gaussian innovations at the
-    default loading of 4.
+    keeps the clip probability below 1e-2 for Gaussian innovations.
     """
     gain, pred_var = analysis.converged_prediction_state(model, noise, sigma_q_sq=0.0)
     zeta_std = gain * math.sqrt(pred_var + noise.obs_noise_var)
-    return UniformQuantizer.with_clip(bits, loading * zeta_std)
+    return UniformQuantizer.with_clip(bits, CLIP_LOADING * zeta_std)
 
 
 def pack_indices(indices, bits: int) -> bytes:

@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bounds, codec
-from .channel import ArModel, ChannelTrace, NoiseSpec, autocovariance, generate_trace
+from .channel import ArModel, ChannelTrace, NoiseSpec, generate_trace
 from .errors import ConfigError
-from .predictor import mmse_coefficients, zh_estimator
 
 log = logging.getLogger(__name__)
 
@@ -339,12 +338,11 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     of every width and trial are encoded together by one ``encode_batch``.
     """
     model, noise = config.model, config.noise
-    acov = autocovariance(model, max(config.predictor_order, 1))
-    coeffs = mmse_coefficients(acov, noise, config.predictor_order)
-    approx = analysis.ar1_fit(acov)
+    params = bounds.make_scheme_params(model, noise, config.predictor_order)
+    coeffs, approx = params.coeffs, params.ar1
     open_loop_model = ArModel((approx.beta,), approx.iota_var)
 
-    direct_clip = 4.0 * math.sqrt(acov.sigma_x_sq + coeffs.sigma_p_sq)
+    direct_clip = codec.CLIP_LOADING * math.sqrt(params.acov.sigma_x_sq + coeffs.sigma_p_sq)
     # gain-1 innovation is iota + xi - beta * xi (plus quantization residue)
     open_loop_std = math.sqrt(approx.iota_var + (1.0 + approx.beta**2) * noise.obs_noise_var)
 
@@ -356,7 +354,7 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     predictions = [_predicted_states(trace.y, coeffs.theta) for trace in traces]
     states, observations = [], []
     for bits in config.quantizer_bits:
-        open_loop_q = codec.UniformQuantizer.with_clip(bits, 4.0 * open_loop_std)
+        open_loop_q = codec.UniformQuantizer.with_clip(bits, codec.CLIP_LOADING * open_loop_std)
         closed_loop_q = codec.innovation_quantizer(model, noise, bits)
         for trace in traces:
             states.append(codec.EncoderState(open_loop_model, NoiseSpec(0.0), open_loop_q))
@@ -439,9 +437,8 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
     forecast, so it fails on fast-varying channels.
     """
     model, noise, order = config.model, config.noise, config.predictor_order
-    acov = autocovariance(model, max(order, 1))
-    coeffs = mmse_coefficients(acov, noise, order)
-    zh = zh_estimator(acov, noise)
+    params = bounds.make_scheme_params(model, noise, order)
+    coeffs, zh = params.coeffs, params.zh
     trace = generate_trace(model, noise, config.samples_per_trial, config.seed)
 
     predictions = _predicted_states(trace.y, coeffs.theta)
@@ -453,13 +450,12 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
         ValidationEntry("sigma_z_sq", zh.sigma_z_sq, empirical_z, 0.02),
     ]
 
-    approx = analysis.ar1_fit(acov)
     warmup = min(config.samples_per_trial // 4, 10_000)
     for bits in config.quantizer_bits:
         quantizer = codec.innovation_quantizer(model, noise, bits)
         sigma_q_sq = quantizer.noise_var
         gain = analysis.converged_gain(model, noise, sigma_q_sq)
-        predicted = analysis.steady_state(approx, noise, gain, sigma_q_sq).varsigma_inf
+        predicted = analysis.steady_state(params.ar1, noise, gain, sigma_q_sq).varsigma_inf
         long_run = _encoder_mse(model, noise, quantizer, trace, warmup)
         entries.append(ValidationEntry(f"varsigma_inf[bits={bits}]", predicted, long_run, 0.15))
 

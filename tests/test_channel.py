@@ -1,5 +1,7 @@
 """Channel model: stationarity checks, Yule-Walker autocovariance, traces."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,12 @@ class TestArModelValidation:
             ArModel((0.5,), -1.0)
         with pytest.raises(ValueError):
             NoiseSpec(-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="ar_coeffs must be finite"):
+            ArModel((0.5, bad), 1.0)
+        with pytest.raises(ValueError, match="innovation_var"):
+            ArModel((0.5,), bad)
+        with pytest.raises(ValueError, match="obs_noise_var"):
+            NoiseSpec(bad)

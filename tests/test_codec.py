@@ -26,7 +26,11 @@ from csi_feedback import (
     steady_state,
     unpack_indices,
 )
+from csi_feedback.codec import MAX_BITS
 from csi_feedback.errors import UnknownIndex
+
+# finite quantizer inputs, with magnitudes whose value / step overflows
+_FINITE_INPUT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e300, -1e300])
 
 
 class TestUniformQuantizer:
@@ -57,16 +61,6 @@ class TestUniformQuantizer:
             assert abs(recon - v) <= q.step / 2 + 1e-12
             assert q.dequantize(index) == recon
 
-    def test_quantize_many_matches_scalar(self):
-        rng = np.random.default_rng(18)
-        values = np.append(rng.normal(0, 3.0, size=200), [1e30, -1e30, 0.0])
-        # a tiny step makes value / step overflow to inf for finite values
-        for q in (UniformQuantizer(bits=4, step=0.5), UniformQuantizer(bits=3, step=1e-300)):
-            indices, recons = q.quantize_many(values)
-            for v, i, r in zip(values, indices, recons):
-                si, sr = q.quantize(float(v))
-                assert si == i and sr == r
-
     def test_quantize_rejects_non_finite(self):
         q = UniformQuantizer(bits=3, step=1.0)
         for bad in (math.nan, math.inf, -math.inf):
@@ -84,6 +78,26 @@ class TestUniformQuantizer:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 q.quantize_many(np.array([0.3, bad]))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        bits=st.integers(1, MAX_BITS),
+        step=st.floats(1e-300, 1e300),
+        values=st.lists(_FINITE_INPUT, min_size=1, max_size=16),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    # a tiny step makes value / step overflow to inf for finite values
+    @example(bits=3, step=1e-300, values=[1e30, -1e30, 0.0, 2.5], bad=math.nan)
+    @example(bits=4, step=0.5, values=[1e30, -1e30, 0.0, -3.7, 0.3], bad=math.inf)
+    def test_quantize_many_matches_scalar(self, bits, step, values, bad):
+        q = UniformQuantizer(bits, step)
+        indices, recons = q.quantize_many(np.array(values))
+        for v, i, r in zip(values, indices, recons):
+            assert q.quantize(v) == (i, r)
+        with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
+            q.quantize(bad)
+        with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
+            q.quantize_many(np.array([*values, bad]))
 
     def test_unknown_index(self):
         q = UniformQuantizer(bits=3, step=1.0)
@@ -370,12 +384,19 @@ class TestErrorOrthogonality:
 
 
 class TestIndexStream:
-    def test_round_trip(self):
-        rng = np.random.default_rng(43)
-        for bits in (1, 3, 6, 8, 11):
-            indices = rng.integers(0, 1 << bits, size=257).tolist()
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_round_trip(self, data):
+        for bits in range(1, MAX_BITS + 1):
+            indices = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=40))
             packed = pack_indices(indices, bits)
+            n_bits = len(indices) * bits
+            assert len(packed) == (n_bits + 7) // 8
+            if n_bits % 8:  # the last byte is zero-padded
+                assert packed[-1] & ((1 << (8 - n_bits % 8)) - 1) == 0
             assert unpack_indices(packed, bits, len(indices)) == indices
+        assert pack_indices([], MAX_BITS) == b""
+        assert unpack_indices(b"", MAX_BITS, 0) == []
 
     def test_msb_first_layout(self):
         # two 3-bit indices 0b101, 0b001 pack as 10100100
@@ -402,7 +423,7 @@ class TestQuantizerSizing:
         from csi_feedback.analysis import converged_prediction_state
 
         gain, pred_var = converged_prediction_state(ar4, noise, 0.0)
-        q = innovation_quantizer(ar4, noise, 6, loading=4.0)
+        q = innovation_quantizer(ar4, noise, 6)
         expected = 4.0 * gain * float(np.sqrt(pred_var + noise.obs_noise_var))
         assert q.clip == pytest.approx(expected, rel=1e-12)
 

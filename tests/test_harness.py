@@ -5,6 +5,7 @@ import pytest
 
 from csi_feedback import (
     CsvRow,
+    Scheme,
     parse_config_text,
     read_csv,
     run_codec_experiment,
@@ -96,6 +97,9 @@ class TestConfigParsing:
             "ar_coeffs = 0.9\nquantizer_bits = 4.7",
             "ar_coeffs = 0.9\nquantizer_bits = nan",
             "ar_coeffs = 0.9\nseed = -1",
+            "ar_coeffs = nan",
+            "ar_coeffs = 0.9\ninnovation_var = nan",
+            "ar_coeffs = 0.9\nobs_noise_var = inf",
         ],
     )
     def test_invalid_configs_rejected(self, text):
@@ -382,6 +386,35 @@ class TestCli:
         cfg = self.write(tmp_path, make_config(**{key: value}))
         assert cli_main(["codec", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["theory", "codec", "validate"])
+    def test_zero_innovation_is_exit_1(self, tmp_path, capsys, command):
+        cfg = self.write(tmp_path, make_config(innovation_var=0))
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "z.csv")]) == 1
+        assert "kappa_x(0) must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["theory", "codec", "validate"])
+    def test_predictor_below_channel_order(self, tmp_path, command):
+        # order-2 predictor on the AR(4) channel: every command derives from
+        # an autocovariance that still reaches the channel's order
+        out = tmp_path / "p2.csv"
+        text = make_config(
+            predictor_order=2,
+            schemes=",".join(s.value for s in Scheme),
+            d_min="auto",
+            d_max="auto",
+            quantizer_bits="2,6",
+            samples_per_trial=3000,
+        )
+        cfg = self.write(tmp_path, text)
+        code = cli_main([command, "--config", cfg, "--out", str(out)])
+        if command == "validate":
+            assert code in (0, 2)
+            return
+        assert code == 0
+        rows = read_csv(out)
+        assert rows
+        assert all(np.isfinite([row.distortion, row.rate_bits]).all() for row in rows)
 
     def test_negative_seed_override_is_exit_1(self, tmp_path, capsys):
         cfg = self.write(tmp_path, make_config())
