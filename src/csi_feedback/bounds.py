@@ -19,12 +19,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import analysis
 from .channel import ArModel, Autocovariance, NoiseSpec, autocovariance
-from .errors import DistortionBelowFloor, SingularSystem
-from .predictor import PredictorCoefficients, ZhEstimator, mmse_coefficients, zh_estimator
+from .errors import DegenerateCovariance, DistortionBelowFloor, SingularSystem
+from .predictor import (
+    PredictorCoefficients,
+    ZhEstimator,
+    mmse_coefficients,
+    symmetric_toeplitz,
+    zh_estimator,
+)
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -84,7 +89,7 @@ def log_det_ky(acov: Autocovariance, noise: NoiseSpec, order: int) -> float:
         raise ValueError(f"autocovariance max_lag {acov.max_lag} < order-1")
     kappa_y = acov.lags[:order].copy()
     kappa_y[0] += noise.obs_noise_var
-    sign, log_det = np.linalg.slogdet(toeplitz(kappa_y))
+    sign, log_det = np.linalg.slogdet(symmetric_toeplitz(kappa_y))
     if sign <= 0:
         raise SingularSystem("kappa_y Toeplitz matrix is not positive definite")
     return float(log_det / math.log(2.0))
@@ -94,13 +99,17 @@ def make_scheme_params(model: ArModel, noise: NoiseSpec, order: int | None = Non
     """Bundle the derived quantities every bound and experiment needs for one model/noise pair.
 
     The autocovariance reaches max(order, model order), so a predictor of lower
-    order than the channel works.  A channel with zero variance raises
-    DegenerateCovariance.
+    order than the channel works.  A channel with zero variance, or one so
+    large that its AR(1) fit overflows, raises DegenerateCovariance.
     """
     if order is None:
         order = model.order
     acov = autocovariance(model, max(order, model.order))
     ar1 = analysis.ar1_fit(acov)
+    if not (math.isfinite(ar1.beta) and math.isfinite(ar1.iota_var)):
+        raise DegenerateCovariance(
+            f"AR(1) fit of the channel overflows: beta={ar1.beta}, sigma_iota^2={ar1.iota_var}"
+        )
     return SchemeParams(
         acov=acov,
         noise=noise,

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
+from . import _kernel
 from .errors import LagOutOfRange, NonStationaryModel, SingularSystem
 
 # A root of modulus 1 - 1e-9 is already uselessly slow to mix; treat it as
@@ -165,6 +165,20 @@ def default_burn_in(model: ArModel) -> int:
     return int(min(MAX_BURN_IN, max(model.order, math.ceil(estimate))))
 
 
+def _ar_filter(coeffs: tuple[float, ...], psi: np.ndarray) -> np.ndarray:
+    """x_k = sum_m a_m x_{k-m} + psi_k from a zero state, bit for bit as lfilter computes it."""
+    lib = _kernel.load()
+    if lib is None:
+        from scipy.signal import lfilter
+
+        return lfilter([1.0], np.concatenate(([1.0], -np.asarray(coeffs))), psi)
+    a = np.array(coeffs)
+    x = np.empty_like(psi)
+    z = np.empty(a.size)
+    lib.ar_trace(psi.size, a.size, a.ctypes.data, psi.ctypes.data, x.ctypes.data, z.ctypes.data)
+    return x
+
+
 def generate_trace(
     model: ArModel,
     noise: NoiseSpec,
@@ -187,7 +201,6 @@ def generate_trace(
 
     rng = np.random.default_rng(seed)
     psi = rng.normal(0.0, math.sqrt(model.innovation_var), size=burn_in + n)
-    denominator = np.concatenate(([1.0], -np.asarray(model.coeffs)))
-    x = lfilter([1.0], denominator, psi)[burn_in:]
+    x = _ar_filter(model.coeffs, psi)[burn_in:]
     xi = rng.normal(0.0, math.sqrt(noise.obs_noise_var), size=n)
     return ChannelTrace(x=x, y=x + xi, seed=seed, model=model, noise=noise)

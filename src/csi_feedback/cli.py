@@ -1,6 +1,7 @@
 """Command line front end: theory sweeps, codec experiments, validation, traces.
 
-Exit codes: 0 success, 1 configuration error, 2 validation failure.
+Exit codes: 0 success, 1 configuration, domain or output error, 2 validation
+failure.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
             output_path=args.out,
             normalized_bounds=args.normalized_bounds,
         )
-    except CsiFeedbackError as exc:
+    except (CsiFeedbackError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
             )
             Path(config.output_path).write_text("\n".join(lines) + "\n")
             print(f"wrote {len(trace.x)} samples to {config.output_path}")
-    except CsiFeedbackError as exc:
+    except (CsiFeedbackError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

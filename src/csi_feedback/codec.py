@@ -9,12 +9,13 @@ makes encoder and decoder states bit-identical when they start equal.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
+from . import _kernel, analysis
 from .channel import ArModel, NoiseSpec, autocovariance
 from .errors import UnknownIndex
 
@@ -23,9 +24,6 @@ MAX_BITS = 53
 
 # clip of every uniform quantizer in the experiments, in standard deviations of its input
 CLIP_LOADING = 4.0
-
-# samples per block of encode_batch's per-row observation and index buffers
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -202,126 +200,157 @@ class CodecOutput:
     empirical_mse: float
 
 
-def encode_sequence(state: EncoderState, observations) -> tuple[list[int], np.ndarray]:
-    """Encode a whole observation stream through one encoder state."""
+def _encode_steps(state: EncoderState, observations: np.ndarray) -> tuple[list[int], list[float]]:
+    """The per-sample encoder loop, run when the compiled kernel is unavailable."""
     indices: list[int] = []
     recon: list[float] = []
     step = state.encode_step
-    for y_k in np.asarray(observations, dtype=float).tolist():
+    for y_k in observations.tolist():
         index, value = step(y_k)
         indices.append(index)
         recon.append(value)
-    return indices, np.asarray(recon)
+    return indices, recon
+
+
+def _encode_rows(states, observations, with_indices: bool = True):
+    """Encode one observation stream per encoder state and advance every state.
+
+    Returns (indices, reconstructions) of shape (streams, samples); indices is
+    None unless ``with_indices``.  The compiled kernel encodes row after row;
+    a non-finite quantizer input raises ValueError with every state advanced
+    up to that sample, as the per-sample loop leaves it.
+    """
+    states = list(states)
+    streams = [np.ascontiguousarray(obs, dtype=float) for obs in observations]
+    if len(streams) != len(states):
+        raise ValueError("need one observation stream per encoder state")
+    n_rows, n = len(states), streams[0].size if streams else 0
+    if any(y.ndim != 1 or y.size != n for y in streams):
+        raise ValueError("observation streams must be one-dimensional and of equal length")
+
+    lib = _kernel.load()
+    if lib is None:
+        rows = [_encode_steps(state, y) for state, y in zip(states, streams)]
+        recon = np.array([values for _, values in rows]).reshape(n_rows, n)
+        if not with_indices:
+            return None, recon
+        return np.array([codes for codes, _ in rows], dtype=np.int64).reshape(n_rows, n), recon
+
+    orders = np.array([s.model.order for s in states], dtype=np.int64)
+    coeffs = np.array([a for s in states for a in s._coeffs])
+    # per-row parameter and state records, in the field order of _kernel.c
+    params = np.array(
+        [
+            [
+                s.quantizer.step,
+                float(1 << (s.quantizer.bits - 1)),
+                s.model.innovation_var,
+                s.noise.obs_noise_var,
+                s.quantizer.noise_var,
+            ]
+            for s in states
+        ]
+    )
+    history = np.array([h for s in states for h in s.history])
+    filtered = np.array([f for s in states for f in s._filtered])
+    record = np.array([[s.pred_err_var, s.gain, s._settled] for s in states], dtype=float)
+    indices = np.empty((n_rows, n), dtype=np.int64) if with_indices else None
+    recon = np.empty((n_rows, n))
+    work = np.empty(4 * int(orders.max(initial=1)))
+    stop = lib.encode_rows(
+        n_rows,
+        n,
+        (ctypes.c_void_p * n_rows)(*[y.ctypes.data for y in streams]),
+        orders.ctypes.data,
+        coeffs.ctypes.data,
+        params.ctypes.data,
+        history.ctypes.data,
+        filtered.ctypes.data,
+        record.ctypes.data,
+        None if indices is None else indices.ctypes.data,
+        recon.ctypes.data,
+        work.ctypes.data,
+    )
+    offset = 0
+    for s, (pred_err_var, gain, settled) in zip(states, record.tolist()):
+        order = s.model.order
+        s.history = history[offset : offset + order].tolist()
+        s._filtered = filtered[offset : offset + order].tolist()
+        s.pred_err_var, s.gain, s._settled = pred_err_var, gain, bool(settled)
+        offset += order
+    if stop < n_rows * n:
+        raise ValueError("cannot quantize NaN or infinite values")
+    return indices, recon
+
+
+def encode_sequence(state: EncoderState, observations) -> tuple[list[int], np.ndarray]:
+    """Encode a whole observation stream through one encoder state.
+
+    Bit-identical to ``encode_step`` per sample, and leaves the state where
+    that loop would, so the stream can go on with either.
+    """
+    indices, recon = _encode_rows([state], [observations])
+    return indices[0].tolist(), recon[0]
 
 
 def encode_batch(states, observations) -> tuple[np.ndarray, np.ndarray]:
-    """Encode one observation stream per encoder state, every stream in lockstep.
+    """Encode one observation stream per encoder state.
 
     Returns (indices, reconstructions), both of shape (streams, samples).  Row
-    r is bit-identical to ``encode_sequence(states[r], observations[r])``:
-    each sample is one numpy step over all rows with the arithmetic of
-    ``encode_step``, so one Python iteration serves every stream.  The states
-    are only read, never advanced; pass fresh ones to encode a stream from its
-    start.  Rows may share one observation array, which is then stored once.
-    NaN or infinite values raise ValueError, as in the scalar quantizer.
+    r is bit-identical to ``encode_sequence(states[r], observations[r])`` and
+    advances ``states[r]`` as that call would; pass fresh states to encode the
+    streams from their start.  The streams must have equal lengths; rows may
+    share one observation array.  NaN or infinite values raise ValueError, as
+    in the scalar quantizer.
     """
-    states = list(states)
-    observations = list(observations)  # holds each stream while ids are compared
-    if len(observations) != len(states):
-        raise ValueError("need one observation stream per encoder state")
-    n_rows = len(states)
-    stream_of: dict[int, int] = {}
-    streams = []
-    row_stream = np.empty(n_rows, dtype=np.intp)
-    for r, obs in enumerate(observations):
-        if id(obs) not in stream_of:
-            stream_of[id(obs)] = len(streams)
-            streams.append(np.asarray(obs, dtype=float))
-        row_stream[r] = stream_of[id(obs)]
-    table = np.stack(streams, axis=1)  # (samples, distinct streams)
-    if table.ndim != 2:
-        raise ValueError("observation streams must be one-dimensional")
-
-    # Lags are zero-padded to the largest order: a padded lag adds an exact
-    # zero to the prediction and to the prediction-error sum.
-    order = max(s.model.order for s in states)
-    n_steps = table.shape[0]
-    recon = np.zeros((order + n_steps, n_rows))  # first `order` rows: initial histories
-    coeffs = np.zeros((order, n_rows))  # coeffs[order - 1 - m] weights lag m + 1
-    for r, s in enumerate(states):
-        coeffs[order - s.model.order :, r] = s._coeffs[::-1]
-        recon[order - s.model.order : order, r] = s.history[::-1]
-    step = np.array([s.quantizer.step for s in states])
-    half = np.array([float(1 << (s.quantizer.bits - 1)) for s in states])
-    low, high = -half, half - 1.0
-    zero, one_half = np.zeros(n_rows), np.full(n_rows, 0.5)
-    gain = np.array([s.gain for s in states])
-
-    # Only noisy rows have a gain that can move: without noise it is exactly 1.
-    moving = [r for r, s in enumerate(states) if s.noise.obs_noise_var > 0.0 and not s._settled]
-    if moving:
-        lag_coeffs = [coeffs[order - 1 - m, moving] for m in range(order)]
-        innovation_var = np.array([states[r].model.innovation_var for r in moving])
-        noise_var = np.array([states[r].noise.obs_noise_var for r in moving])
-        sigma_q_sq = np.array([states[r].quantizer.noise_var for r in moving])
-        pred_err_var = np.array([states[r].pred_err_var for r in moving])
-        ring = np.zeros((order, len(moving)))
-        for j, r in enumerate(moving):
-            ring[: states[r].model.order, j] = states[r]._filtered
-        filtered = list(ring)
-        moving_gain = gain[moving]
-
-    indices = np.empty((n_steps, n_rows), dtype=np.int64)
-    products = np.empty((order, n_rows))
-    terms = list(products[::-1])  # a_1 h_1 first, as in _predict
-    pred, quantized = np.empty(n_rows), np.empty(n_rows)
-    # Per chunk of samples: gather observations per row, keep the quantizer
-    # inputs to check them and the clipped levels to write the indices.
-    weighted = np.empty((_CHUNK, n_rows))
-    levels = np.empty((_CHUNK, n_rows))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, n_steps, _CHUNK):
-            stop = min(start + _CHUNK, n_steps)
-            ys = table[start:stop].take(row_stream, axis=1)
-            for k, y, value, level in zip(range(start, stop), ys, weighted, levels):
-                np.multiply(coeffs, recon[k : k + order], out=products)
-                np.add(zero, terms[0], out=pred)
-                for term in terms[1:]:
-                    np.add(pred, term, out=pred)
-                np.subtract(y, pred, out=value)
-                np.multiply(gain, value, out=value)
-                np.divide(value, step, out=level)
-                np.floor(level, out=level)
-                np.maximum(level, low, out=level)
-                np.minimum(level, high, out=level)
-                np.add(level, one_half, out=quantized)
-                np.multiply(quantized, step, out=quantized)
-                np.add(pred, quantized, out=recon[order + k])
-                if moving:
-                    last_var, last_ring = pred_err_var, list(filtered)
-                    pred_err_var = analysis.propagate_pred_err(
-                        lag_coeffs,
-                        innovation_var,
-                        filtered,
-                        (1.0 - moving_gain) * pred_err_var,
-                        sigma_q_sq,
-                    )
-                    moving_gain = analysis.kalman_gain(pred_err_var, noise_var)
-                    gain[moving] = moving_gain
-                    if (pred_err_var == last_var).all() and all(
-                        (now == then).all() for now, then in zip(filtered, last_ring)
-                    ):
-                        moving = []
-            if not np.isfinite(weighted[: stop - start]).all():
-                raise ValueError("cannot quantize NaN or infinite values")
-            np.add(levels[: stop - start], half, out=indices[start:stop], casting="unsafe")
-    return indices.T, recon[order:].T
+    return _encode_rows(states, observations)
 
 
 def decode_sequence(state: DecoderState, indices) -> np.ndarray:
-    """Decode a whole index stream through one decoder state."""
-    step = state.decode_step
-    return np.asarray([step(int(i)) for i in indices])
+    """Decode a whole index stream through one decoder state.
+
+    Bit-identical to ``decode_step`` per index, and leaves the state where
+    that loop would; an index outside the codebook raises UnknownIndex after
+    the indices before it are decoded.
+    """
+    lib = _kernel.load()
+    if lib is None:
+        step = state.decode_step
+        return np.asarray([step(int(i)) for i in indices])
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+    try:
+        codes = np.ascontiguousarray(indices, dtype=np.int64)
+    except OverflowError:  # an index beyond int64, so outside the codebook
+        levels = state.quantizer.levels
+        first = next(k for k, i in enumerate(indices) if not 0 <= int(i) < levels)
+        decode_sequence(state, indices[:first])
+        state.quantizer.dequantize(int(indices[first]))  # raises UnknownIndex
+    if codes.ndim != 1:
+        raise ValueError("index stream must be one-dimensional")
+    order = np.array([state.model.order], dtype=np.int64)
+    coeffs = np.array(state._coeffs)
+    step = np.array([state.quantizer.step])
+    half = np.array([float(1 << (state.quantizer.bits - 1))])
+    history = np.array(state.history, dtype=float)
+    recon = np.empty(codes.size)
+    work = np.empty(2 * state.model.order)
+    stop = lib.decode_rows(
+        1,
+        codes.size,
+        (ctypes.c_void_p * 1)(codes.ctypes.data),
+        order.ctypes.data,
+        coeffs.ctypes.data,
+        step.ctypes.data,
+        half.ctypes.data,
+        history.ctypes.data,
+        recon.ctypes.data,
+        work.ctypes.data,
+    )
+    state.history = history.tolist()
+    if stop < codes.size:
+        state.quantizer.dequantize(int(codes[stop]))  # raises UnknownIndex
+    return recon
 
 
 def run_codec(
@@ -364,40 +393,38 @@ def innovation_quantizer(model: ArModel, noise: NoiseSpec, bits: int) -> Uniform
     return UniformQuantizer.with_clip(bits, CLIP_LOADING * zeta_std)
 
 
+def _check_width(bits: int) -> None:
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"bits must lie in 1..{MAX_BITS}")
+
+
 def pack_indices(indices, bits: int) -> bytes:
-    """Pack codeword indices into bytes, most significant bit first."""
-    accumulator = 0
-    pending = 0
-    out = bytearray()
-    mask = (1 << bits) - 1
-    for index in indices:
-        index = int(index)
-        if not 0 <= index <= mask:
-            raise UnknownIndex(f"index {index} does not fit in {bits} bits")
-        accumulator = (accumulator << bits) | index
-        pending += bits
-        while pending >= 8:
-            pending -= 8
-            out.append((accumulator >> pending) & 0xFF)
-            accumulator &= (1 << pending) - 1
-    if pending:
-        out.append((accumulator << (8 - pending)) & 0xFF)
-    return bytes(out)
+    """Pack codeword indices into bytes, most significant bit first.
+
+    Each index is cut to its low ``bits`` bits of a big-endian 64-bit word, one
+    row of an (indices, bits) bit matrix that np.packbits packs row after row;
+    the last byte is zero-padded.
+    """
+    _check_width(bits)
+    try:
+        values = np.asarray(indices, dtype=np.int64).reshape(-1)
+        outside = (values < 0) | (values >> bits != 0)
+    except OverflowError:  # an index beyond int64
+        outside = None
+    if outside is None or outside.any():
+        index = next(int(i) for i in indices if not 0 <= int(i) < 1 << bits)
+        raise UnknownIndex(f"index {index} does not fit in {bits} bits")
+    words = values.astype(">u8").view(np.uint8).reshape(-1, 8)
+    return np.packbits(np.unpackbits(words, axis=1)[:, 64 - bits :]).tobytes()
 
 
 def unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
     """Recover ``count`` codeword indices from an MSB-first packed stream."""
-    accumulator = 0
-    pending = 0
-    out: list[int] = []
-    mask = (1 << bits) - 1
-    for byte in data:
-        accumulator = (accumulator << 8) | byte
-        pending += 8
-        while pending >= bits and len(out) < count:
-            pending -= bits
-            out.append((accumulator >> pending) & mask)
-            accumulator &= (1 << pending) - 1
-    if len(out) < count:
-        raise ValueError(f"stream too short: got {len(out)} of {count} indices")
-    return out
+    _check_width(bits)
+    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    count = max(count, 0)
+    if stream.size < count * bits:
+        raise ValueError(f"stream too short: got {stream.size // bits} of {count} indices")
+    matrix = np.zeros((count, 64), dtype=np.uint8)
+    matrix[:, 64 - bits :] = stream[: count * bits].reshape(count, bits)
+    return np.packbits(matrix, axis=1).view(">u8").reshape(-1).tolist()

@@ -38,7 +38,7 @@ class ContractionViolated(CsiFeedbackError):
 
 
 class DegenerateCovariance(CsiFeedbackError):
-    """Autocovariance has non-positive variance at lag zero."""
+    """Autocovariance has non-positive variance at lag zero, or a fit of it overflows."""
 
 
 class ConfigError(CsiFeedbackError):

@@ -88,6 +88,9 @@ _DEFAULTS = {
 
 _KNOWN_KEYS = set(_DEFAULTS) | {"ar_coeffs", "predictor_order"}
 
+# grid points per theory curve; each point costs memory in every scheme's rows
+MAX_POINTS = 10_000
+
 
 def _parse_bool(raw: str, key: str) -> bool:
     lowered = raw.strip().lower()
@@ -169,8 +172,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("need 0 < d_min < d_max")
 
     n_points = as_int("n_points")
-    if n_points < 2:
-        raise ConfigError("n_points must be >= 2")
+    if not 2 <= n_points <= MAX_POINTS:
+        raise ConfigError(f"n_points must lie in 2..{MAX_POINTS}")
 
     widths = _parse_float_list(values["quantizer_bits"], "quantizer_bits")
     if not widths or not all(w.is_integer() and 1 <= w <= codec.MAX_BITS for w in widths):
@@ -323,7 +326,7 @@ def _predicted_states(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def _encoder_mse(model: ArModel, noise: NoiseSpec, q, trace: ChannelTrace, start: int = 0) -> float:
     """Encoder-side reconstruction MSE of a trace from sample ``start`` on; nothing is decoded."""
-    _, recon = codec.encode_sequence(codec.EncoderState(model, noise, q), trace.y)
+    _, (recon,) = codec._encode_rows([codec.EncoderState(model, noise, q)], [trace.y], False)
     return float(np.mean((trace.x[start:] - recon[start:]) ** 2))
 
 
@@ -335,7 +338,8 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     which is the closed-loop codec run on the AR(1) fit with a gain of 1
     (``NoiseSpec(0)``), (3) the proposed closed-loop codec.  Each is averaged
     over ``trials`` seeded traces, each generated once; the two codec schemes
-    of every width and trial are encoded together by one ``encode_batch``.
+    of every width and trial are encoded together by one kernel call, which
+    keeps no indices.
     """
     model, noise = config.model, config.noise
     params = bounds.make_scheme_params(model, noise, config.predictor_order)
@@ -360,7 +364,7 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
             states.append(codec.EncoderState(open_loop_model, NoiseSpec(0.0), open_loop_q))
             states.append(codec.EncoderState(model, noise, closed_loop_q))
             observations += [trace.y, trace.y]
-    _, recon = codec.encode_batch(states, observations)
+    _, recon = codec._encode_rows(states, observations, with_indices=False)
     # rows run width-major, then trial, then (open loop, closed loop)
     recon = recon.reshape(len(config.quantizer_bits), config.trials, 2, -1)
 

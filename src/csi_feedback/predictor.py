@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .channel import Autocovariance, NoiseSpec
 from .errors import DimensionMismatch, SingularSystem
@@ -41,6 +40,12 @@ class ZhEstimator:
         return self.alpha * y_k
 
 
+def symmetric_toeplitz(c: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with first column ``c``: entry (i, j) is c[|i - j|]."""
+    lags = np.arange(c.size)
+    return c[np.abs(lags[:, None] - lags[None, :])]
+
+
 def mmse_coefficients(acov: Autocovariance, noise: NoiseSpec, order: int) -> PredictorCoefficients:
     """Solve the normal equations K theta = r for the one-step predictor.
 
@@ -54,7 +59,7 @@ def mmse_coefficients(acov: Autocovariance, noise: NoiseSpec, order: int) -> Pre
 
     kappa_y = acov.lags[:order].copy()
     kappa_y[0] += noise.obs_noise_var
-    gram = toeplitz(kappa_y)
+    gram = symmetric_toeplitz(kappa_y)
     r = acov.lags[1 : order + 1]
     try:
         theta = np.linalg.solve(gram, r)

@@ -19,6 +19,7 @@ from csi_feedback.harness import (
     AR1_OPEN_LOOP,
     CLOSED_LOOP,
     DIRECT_QUANTIZATION,
+    MAX_POINTS,
     format_csv,
     parse_config,
 )
@@ -87,6 +88,7 @@ class TestConfigParsing:
             "ar_coeffs = 0.9\nschemes = nonsense",
             "ar_coeffs = 0.9\ntrials = 0",
             "ar_coeffs = 0.9\nn_points = 1",
+            f"ar_coeffs = 0.9\nn_points = {MAX_POINTS + 1}",  # parsed, never run
             "ar_coeffs = 0.9\nsamples_per_trial = 5",
             "ar_coeffs = 0.9\nd_min = 3\nd_max = 2",
             "ar_coeffs = 0.9\nnormalized_bounds = maybe",
@@ -392,6 +394,20 @@ class TestCli:
         cfg = self.write(tmp_path, make_config(innovation_var=0))
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "z.csv")]) == 1
         assert "kappa_x(0) must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["theory", "codec", "validate"])
+    def test_overflowing_ar1_fit_is_exit_1(self, tmp_path, capsys, command):
+        # finite, but kappa_x(1)^2 overflows in the AR(1) fit
+        cfg = self.write(tmp_path, make_config(innovation_var=1e200))
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert "AR(1) fit of the channel overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["theory", "codec", "trace"])
+    def test_unwritable_out_is_exit_1(self, tmp_path, capsys, command):
+        cfg = self.write(tmp_path, make_config())
+        out = tmp_path / "missing-dir" / "x.csv"
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["theory", "codec", "validate"])
     def test_predictor_below_channel_order(self, tmp_path, command):
