@@ -176,7 +176,7 @@ def run_everything():
 
 
 def test_fallback_without_compiler_gives_the_same_bits(monkeypatch, caplog):
-    compiled = run_everything()
+    compiled = run_everything()  # the Python loops too when this host cannot build the kernel
 
     def no_compiler():
         raise FileNotFoundError("no C compiler")
