@@ -168,23 +168,25 @@ def rate_practical(
     return max(0.0, rate) if clamp else rate
 
 
-def kalman_gain(pred_err_var, obs_noise_var):
+def kalman_gain(pred_err_var: float, obs_noise_var: float) -> float:
     """Codec gain E / (E + sigma_xi^2) for prediction-error variance E; 1 without noise.
 
-    Also works elementwise on arrays whose noise variances are all positive.
+    ``_kernel.c`` repeats this arithmetic; change both together.
     """
-    if not isinstance(obs_noise_var, np.ndarray) and obs_noise_var == 0.0:
+    if obs_noise_var == 0.0:
         return 1.0
     return pred_err_var / (pred_err_var + obs_noise_var)
 
 
-def propagate_pred_err(coeffs, innovation_var, filtered: list, filtered_err_var, sigma_q_sq):
+def propagate_pred_err(
+    coeffs, innovation_var: float, filtered: list, filtered_err_var: float, sigma_q_sq: float
+) -> float:
     """One step of the codec's prediction-error recursion.
 
     Pushes ``filtered_err_var`` into the per-lag ring ``filtered`` (most recent
     first, updated in place) and returns
     sigma_psi^2 + sum_m a_m^2 (filtered_m + sigma_Q^2), summed in lag order.
-    Works on floats for one stream and elementwise on arrays for a batch.
+    ``_kernel.c`` repeats this arithmetic; change both together.
     """
     filtered.insert(0, filtered_err_var)
     filtered.pop()

@@ -157,7 +157,11 @@ class EncoderState:
         return self.pred_err_var
 
     def encode_step(self, y_k: float) -> tuple[int, float]:
-        """Encode one noisy observation; returns (codeword index, reconstruction)."""
+        """Encode one noisy observation; returns (codeword index, reconstruction).
+
+        ``_kernel.c`` repeats this arithmetic operation by operation; change
+        both together.
+        """
         prediction = self.predict_from_history()
         gain = self.gain
         innovation = y_k - prediction
@@ -183,7 +187,11 @@ class DecoderState:
         self.history = [0.0] * model.order
 
     def decode_step(self, index: int) -> float:
-        """Reconstruct one channel state from a codeword index."""
+        """Reconstruct one channel state from a codeword index.
+
+        ``_kernel.c`` repeats this arithmetic operation by operation; change
+        both together.
+        """
         value = _predict(self._coeffs, self.history) + self.quantizer.dequantize(index)
         self.history.insert(0, value)
         self.history.pop()
