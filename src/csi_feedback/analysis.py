@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArModel, Autocovariance, NoiseSpec, autocovariance
+from .channel import ArModel, Autocovariance, NoiseSpec
 from .errors import (
     ContractionViolated,
     DegenerateCovariance,
@@ -72,7 +72,7 @@ def mse_recursion(
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lam must lie in (0, 1]")
-    sigma_x_sq = autocovariance(model, model.order).sigma_x_sq
+    sigma_x_sq = model.sigma_x_sq
     shrink = (1.0 - lam) ** 2
     constant = shrink * model.innovation_var + lam * lam * noise.obs_noise_var + sigma_q_sq
     coeff_sq = [a * a for a in model.coeffs]
@@ -81,7 +81,11 @@ def mse_recursion(
     trajectory = [sigma_x_sq]
     for _ in range(steps):
         previous = trajectory[-1]
-        value = shrink * sum(c * v for c, v in zip(coeff_sq, ring)) + constant
+        # left to right from 0.0: builtin sum() compensates float sums since Python 3.12
+        total = 0.0
+        for c, v in zip(coeff_sq, ring):
+            total += c * v
+        value = shrink * total + constant
         trajectory.append(value)
         ring.insert(0, value)
         ring.pop()
@@ -209,7 +213,7 @@ def converged_prediction_state(
     bounded by sigma_xi^2, so the iteration converges for every stationary
     model.
     """
-    sigma_x_sq = autocovariance(model, model.order).sigma_x_sq
+    sigma_x_sq = model.sigma_x_sq
     filtered = [sigma_x_sq] * model.order
     pred_var = sigma_x_sq
     gain = kalman_gain(pred_var, noise.obs_noise_var)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis
+from .analysis import TWO_PI_E
 from .channel import ArModel, Autocovariance, NoiseSpec, autocovariance
 from .errors import DegenerateCovariance, DistortionBelowFloor, SingularSystem
 from .predictor import (
@@ -30,8 +31,6 @@ from .predictor import (
     symmetric_toeplitz,
     zh_estimator,
 )
-
-TWO_PI_E = 2.0 * math.pi * math.e
 
 
 class Scheme(enum.Enum):
@@ -61,6 +60,11 @@ class SchemeParams:
     log_det_ky: float
     ar1: analysis.Ar1Approx  # AR(1) fit of the channel behind the practical scheme
     ar1_gain: float  # its converged codec gain at sigma_Q^2 = 0
+    # sum_l log2 theta_l^2 of the predictor weights, read at every grid point
+    log2_theta_sq_sum: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "log2_theta_sq_sum", _sum_log2_theta_sq(self.coeffs))
 
 
 @dataclass(eq=False)
@@ -143,7 +147,7 @@ def rate_aperiodic_prediction(
     if d_x <= floor:
         raise DistortionBelowFloor(f"D={d_x} <= sigma_P^2={floor}")
     order = p.coeffs.order
-    log_weights = _sum_log2_theta_sq(p.coeffs)
+    log_weights = p.log2_theta_sq_sum
     gap = -0.5 * math.log2(d_x - floor)
     if normalized:
         rate = (p.log_det_ky + log_weights) / (2.0 * order) + gap
@@ -182,10 +186,12 @@ def nu_variance(model: ArModel, noise: NoiseSpec) -> float:
     sigma_nu^2 = (sigma_x^2 sigma_xi^2 / (sigma_x^2 + sigma_xi^2)) * sum_m a_m^2
                + sigma_psi^2 + sigma_xi^2
     """
-    sigma_x_sq = autocovariance(model, model.order).sigma_x_sq
+    sigma_x_sq = model.sigma_x_sq
     total = sigma_x_sq + noise.obs_noise_var
     filter_mse = sigma_x_sq * noise.obs_noise_var / total if total > 0 else 0.0
-    sum_a_sq = sum(a * a for a in model.coeffs)
+    sum_a_sq = 0.0  # left to right, as in analysis.mse_recursion
+    for a in model.coeffs:
+        sum_a_sq += a * a
     return filter_mse * sum_a_sq + model.innovation_var + noise.obs_noise_var
 
 
@@ -194,7 +200,7 @@ def rate_periodic(d_x: float, p: SchemeParams, clamp: bool = True) -> float:
     floor = p.coeffs.sigma_p_sq
     if d_x <= floor:
         raise DistortionBelowFloor(f"D={d_x} <= sigma_P^2={floor}")
-    rate = 0.5 * math.log2(p.sigma_nu_sq / (d_x - floor)) + 0.5 * _sum_log2_theta_sq(p.coeffs)
+    rate = 0.5 * math.log2(p.sigma_nu_sq / (d_x - floor)) + 0.5 * p.log2_theta_sq_sum
     return max(0.0, rate) if clamp else rate
 
 

@@ -8,6 +8,7 @@ here and by its exact autocovariance sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,9 @@ class ArModel:
     ``coeffs`` holds (a_1, ..., a_L) and ``innovation_var`` is the variance of
     the white Gaussian drive psi; all must be finite.  A zero innovation
     variance is allowed only as a degenerate test drive (the process is then
-    identically zero).  Stationarity is checked where the model is used.
+    identically zero).  Stationarity is checked where the model is used: the
+    first use checks it and solves for kappa_x(0..L), which the instance then
+    keeps, so every later use reads the same head.
     """
 
     coeffs: tuple[float, ...]
@@ -52,6 +55,24 @@ class ArModel:
     def characteristic_roots(self) -> np.ndarray:
         """Roots of z^L - a_1 z^{L-1} - ... - a_L."""
         return np.roots([1.0, *(-a for a in self.coeffs)])
+
+    @functools.cached_property
+    def _acov_head(self) -> np.ndarray:
+        # kappa_x(0..L), read-only; an error is raised again on every access
+        head = _solve_yule_walker(self)
+        head.flags.writeable = False
+        return head
+
+    @property
+    def sigma_x_sq(self) -> float:
+        """Channel variance kappa_x(0); raises as ``autocovariance`` does."""
+        return float(self._acov_head[0])
+
+    def __getstate__(self) -> dict:
+        # the head is derived from the fields: pickle and copy only those
+        state = dict(self.__dict__)
+        state.pop("_acov_head", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -100,23 +121,10 @@ def validate_stationarity(model: ArModel) -> bool:
     return bool(np.max(np.abs(roots)) < 1.0 - STATIONARITY_MARGIN)
 
 
-def autocovariance(model: ArModel, max_lag: int) -> Autocovariance:
-    """Solve the extended Yule-Walker system for kappa_x(0..max_lag).
-
-    The solve is exact for AR processes: lags 0..L come from the linear system
-
-        kappa(tau) - sum_m a_m kappa(|tau - m|) = sigma_psi^2 * [tau == 0]
-
-    and higher lags follow the recursion kappa(tau) = sum_m a_m kappa(tau - m).
-
-    Raises NonStationaryModel if the model fails the stationarity check and
-    SingularSystem if the linear solve is numerically singular.
-    """
+def _solve_yule_walker(model: ArModel) -> np.ndarray:
+    """Check stationarity, then solve the Yule-Walker system for kappa_x(0..L)."""
     if not validate_stationarity(model):
         raise NonStationaryModel(f"characteristic roots not inside unit circle: {model.coeffs}")
-    if max_lag < model.order:
-        raise ValueError(f"max_lag ({max_lag}) must be >= model order ({model.order})")
-
     order = model.order
     a = model.coeffs
     system = np.eye(order + 1)
@@ -126,10 +134,31 @@ def autocovariance(model: ArModel, max_lag: int) -> Autocovariance:
     rhs = np.zeros(order + 1)
     rhs[0] = model.innovation_var
     try:
-        head = np.linalg.solve(system, rhs)
+        return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("Yule-Walker system is singular") from exc
 
+
+def autocovariance(model: ArModel, max_lag: int) -> Autocovariance:
+    """Exact kappa_x(0..max_lag) from the extended Yule-Walker system.
+
+    The solve is exact for AR processes: lags 0..L come from the linear system
+
+        kappa(tau) - sum_m a_m kappa(|tau - m|) = sigma_psi^2 * [tau == 0]
+
+    and higher lags follow the recursion kappa(tau) = sum_m a_m kappa(tau - m).
+    The model solves the system once and keeps lags 0..L; each call returns a
+    new array.
+
+    Raises NonStationaryModel if the model fails the stationarity check and
+    SingularSystem if the linear solve is numerically singular, on every call.
+    """
+    head = model._acov_head
+    if max_lag < model.order:
+        raise ValueError(f"max_lag ({max_lag}) must be >= model order ({model.order})")
+
+    order = model.order
+    a = model.coeffs
     lags = np.empty(max_lag + 1)
     lags[: order + 1] = head
     for tau in range(order + 1, max_lag + 1):

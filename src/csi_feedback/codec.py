@@ -9,6 +9,7 @@ makes encoder and decoder states bit-identical when they start equal.
 
 from __future__ import annotations
 
+import array
 import ctypes
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel, analysis
-from .channel import ArModel, NoiseSpec, autocovariance
+from .channel import ArModel, NoiseSpec
 from .errors import UnknownIndex
 
 # widest quantizer: beyond 2^53 the float clip bound 2^(bits-1) - 1 is not exact
@@ -24,6 +25,8 @@ MAX_BITS = 53
 
 # clip of every uniform quantizer in the experiments, in standard deviations of its input
 CLIP_LOADING = 4.0
+
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,11 @@ class UniformQuantizer:
         return indices, (indices - half + 0.5) * self.step
 
     def dequantize(self, index: int) -> float:
-        """Reproduction value of a codeword index."""
+        """Reproduction value of a codeword index; UnknownIndex unless an integer in range."""
         if not 0 <= index < self.levels:
             raise UnknownIndex(f"index {index} outside [0, {self.levels})")
+        if index != int(index):
+            raise UnknownIndex(f"index {index} is not an integer")
         return (index - (1 << (self.bits - 1)) + 0.5) * self.step
 
 
@@ -126,7 +131,7 @@ class EncoderState:
         self.quantizer = quantizer
         self._coeffs = model.coeffs
         self.history = [0.0] * model.order  # most recent reconstruction first
-        sigma_x_sq = autocovariance(model, model.order).sigma_x_sq
+        sigma_x_sq = model.sigma_x_sq
         self._filtered = [sigma_x_sq] * model.order
         self.pred_err_var = sigma_x_sq
         self.update_gain()
@@ -314,28 +319,63 @@ def encode_batch(states, observations) -> tuple[np.ndarray, np.ndarray]:
     return _encode_rows(states, observations)
 
 
+def _is_int64(value) -> bool:
+    try:
+        return _INT64.min <= value <= _INT64.max and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _codewords(indices) -> tuple[np.ndarray, object]:
+    """A one-dimensional codeword stream as int64, cut at its first entry that is not an integer.
+
+    Returns that array and the entry (None if there is none); an integer
+    beyond int64 counts as such an entry.  A list of ints or an integer array
+    needs no check per entry.
+    """
+    if isinstance(indices, np.ndarray):
+        values = indices
+    else:
+        if not isinstance(indices, list):
+            indices = list(indices)
+        try:  # a float raises TypeError, an int beyond int64 OverflowError
+            return np.frombuffer(array.array("q", indices), dtype=np.int64), None
+        except (TypeError, OverflowError):
+            values = np.asarray(indices)
+    if values.ndim != 1:
+        raise ValueError("index stream must be one-dimensional")
+    if np.can_cast(values.dtype, np.int64):
+        return np.ascontiguousarray(values, dtype=np.int64), None
+    # check the entries themselves: numpy turns a list that mixes int64
+    # values with larger ints into floats
+    entries = values.tolist() if values is indices else indices
+    for k, entry in enumerate(entries):
+        if not _is_int64(entry):
+            return np.array(entries[:k], dtype=np.int64), entry
+    return np.array(entries, dtype=np.int64), None
+
+
 def decode_sequence(state: DecoderState, indices) -> np.ndarray:
     """Decode a whole index stream through one decoder state.
 
     Bit-identical to ``decode_step`` per index, and leaves the state where
-    that loop would; an index outside the codebook raises UnknownIndex after
-    the indices before it are decoded.
+    that loop would; an index outside the codebook or not an integer raises
+    UnknownIndex after the indices before it are decoded.
     """
+    codes, bad = _codewords(indices)
     lib = _kernel.load()
     if lib is None:
         step = state.decode_step
-        return np.asarray([step(int(i)) for i in indices])
-    if not isinstance(indices, np.ndarray):
-        indices = list(indices)
-    try:
-        codes = np.ascontiguousarray(indices, dtype=np.int64)
-    except OverflowError:  # an index beyond int64, so outside the codebook
-        levels = state.quantizer.levels
-        first = next(k for k, i in enumerate(indices) if not 0 <= int(i) < levels)
-        decode_sequence(state, indices[:first])
-        state.quantizer.dequantize(int(indices[first]))  # raises UnknownIndex
-    if codes.ndim != 1:
-        raise ValueError("index stream must be one-dimensional")
+        recon = np.asarray([step(i) for i in codes.tolist()])
+    else:
+        recon = _decode_row(lib, state, codes)
+    if bad is not None:
+        state.quantizer.dequantize(bad)  # raises UnknownIndex
+    return recon
+
+
+def _decode_row(lib, state: DecoderState, codes: np.ndarray) -> np.ndarray:
+    """``decode_sequence`` of int64 codewords through the compiled kernel."""
     order = np.array([state.model.order], dtype=np.int64)
     coeffs = np.array(state._coeffs)
     step = np.array([state.quantizer.step])
@@ -414,14 +454,13 @@ def pack_indices(indices, bits: int) -> bytes:
     the last byte is zero-padded.
     """
     _check_width(bits)
-    try:
-        values = np.asarray(indices, dtype=np.int64).reshape(-1)
-        outside = (values < 0) | (values >> bits != 0)
-    except OverflowError:  # an index beyond int64
-        outside = None
-    if outside is None or outside.any():
-        index = next(int(i) for i in indices if not 0 <= int(i) < 1 << bits)
-        raise UnknownIndex(f"index {index} does not fit in {bits} bits")
+    if isinstance(indices, np.ndarray):
+        indices = indices.reshape(-1)
+    values, bad = _codewords(indices)
+    outside = (values < 0) | (values >> bits != 0)
+    if outside.any() or bad is not None:
+        index = values[outside][0] if outside.any() else bad
+        raise UnknownIndex(f"index {index} is not a {bits}-bit codeword")
     words = values.astype(">u8").view(np.uint8).reshape(-1, 8)
     return np.packbits(np.unpackbits(words, axis=1)[:, 64 - bits :]).tobytes()
 

@@ -18,6 +18,7 @@ from csi_feedback import (
     default_distortion_grid,
     ep_variance,
     generate_trace,
+    innovation_quantizer,
     make_scheme_params,
     mmse_coefficients,
     mse_recursion,
@@ -81,6 +82,31 @@ class TestMseRecursion:
         constant = shrink * ar4.innovation_var + lam**2 * noise.obs_noise_var + sigma_q_sq
         fixed_point = constant / (1 - shrink * sum_a_sq)
         assert trajectory[-1] == pytest.approx(fixed_point, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "model, noise_var, bits",
+        [
+            (ArModel((0.5, 0.2, 0.1, 0.05), 1.0), 1.0, 2),
+            (ArModel((1.2, -0.5, 0.3, -0.2, 0.1, 0.05, -0.03, 0.02), 0.7), 1.0, 6),
+        ],
+    )
+    def test_trajectory_summed_left_to_right(self, model, noise_var, bits):
+        # Python 3.12's builtin sum() compensates, and moves both trajectories
+        noise = NoiseSpec(noise_var)
+        sigma_q_sq = innovation_quantizer(model, noise, bits).noise_var
+        lam = converged_gain(model, noise, sigma_q_sq)
+        shrink = (1.0 - lam) ** 2
+        constant = shrink * model.innovation_var + lam * lam * noise.obs_noise_var + sigma_q_sq
+        ring = [autocovariance(model, model.order).sigma_x_sq] * model.order
+        expected = [ring[0]]
+        while len(expected) < 2 or abs(expected[-1] - expected[-2]) >= 1e-10 * expected[-2]:
+            total = 0.0
+            for a, v in zip(model.coeffs, ring):
+                total += a * a * v
+            expected.append(shrink * total + constant)
+            ring = [expected[-1]] + ring[:-1]
+        trajectory = mse_recursion(model, noise, lam, sigma_q_sq, steps=10_000)
+        assert trajectory.tolist() == expected
 
     def test_divergent_gain_raises(self, noise):
         # stationary model with sum a_m^2 > 1; a tiny gain breaks the contraction

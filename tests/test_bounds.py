@@ -21,8 +21,10 @@ from csi_feedback import (
     rate_uniform_aperiodic,
     sweep,
 )
+from csi_feedback.bounds import _sum_log2_theta_sq
 from csi_feedback.errors import DistortionBelowFloor
 from test_channel import AR1_KAPPA0, random_stationary_model
+from test_codec import _ar_from_pacf
 from test_predictor import AR1_SIGMA_P_SQ, AR1_SIGMA_Z_SQ
 
 # frozen from an arbitrary-precision evaluation of the bound formulas on the
@@ -134,7 +136,29 @@ class TestAperiodicZh:
             rate_aperiodic_zh(AR1_SIGMA_Z_SQ - 0.01, ar1_params)
 
 
+class TestLogWeightSum:
+    def test_stored_sum_matches_the_weights(self, ar1_params, ar1_params_l2, ar4_params):
+        for params in (ar1_params, ar1_params_l2, ar4_params):
+            assert params.log2_theta_sq_sum == _sum_log2_theta_sq(params.coeffs)
+
+    def test_zero_weight_gives_minus_infinity(self):
+        params = make_scheme_params(ArModel((0.0, 0.0), 1.0), NoiseSpec(0.5))
+        assert params.log2_theta_sq_sum == -math.inf == _sum_log2_theta_sq(params.coeffs)
+
+
 class TestNuVariance:
+    def test_summed_left_to_right(self):
+        # Python 3.12's compensated sum() of these a_m^2 moves sigma_nu^2
+        model = ArModel(_ar_from_pacf((-0.1, 0.4, -0.49, 0.8, 0.72, -0.84, -0.85)), 1.0)
+        noise = NoiseSpec(1.0)
+        sigma_x_sq = autocovariance(model, model.order).sigma_x_sq
+        sum_a_sq = 0.0
+        for a in model.coeffs:
+            sum_a_sq += a * a
+        filter_mse = sigma_x_sq * noise.obs_noise_var / (sigma_x_sq + noise.obs_noise_var)
+        expected = filter_mse * sum_a_sq + model.innovation_var + noise.obs_noise_var
+        assert nu_variance(model, noise) == expected
+
     def test_noiseless_reduces_to_drive(self, ar1):
         assert nu_variance(ar1, NoiseSpec(0.0)) == pytest.approx(1.0, rel=1e-12)
 

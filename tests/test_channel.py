@@ -1,20 +1,27 @@
 """Channel model: stationarity checks, Yule-Walker autocovariance, traces."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from csi_feedback import (
     ArModel,
+    EncoderState,
     NoiseSpec,
     autocovariance,
+    converged_gain,
     cross_autocovariance,
     default_burn_in,
     generate_trace,
+    innovation_quantizer,
+    make_scheme_params,
+    mse_recursion,
     obs_autocovariance,
     validate_stationarity,
 )
+from csi_feedback import channel
 from csi_feedback.errors import LagOutOfRange, NonStationaryModel
 
 # closed forms for AR(1) a=0.9, sigma_psi^2=1: kappa0 = 1/(1-a^2), kappa1 = a*kappa0
@@ -207,3 +214,72 @@ class TestArModelValidation:
             ArModel((0.5,), bad)
         with pytest.raises(ValueError, match="obs_noise_var"):
             NoiseSpec(bad)
+
+
+class TestModelSolvedOnce:
+    """An ArModel checks stationarity and solves Yule-Walker once, on first use."""
+
+    def test_one_solve_per_model(self, monkeypatch):
+        solved = []
+
+        def counting(model):
+            solved.append(model)
+            return validate_stationarity(model)
+
+        monkeypatch.setattr(channel, "validate_stationarity", counting)
+        model = ArModel((0.5, 0.2, 0.1, 0.05), 1.0)  # fresh: nothing cached yet
+        noise = NoiseSpec(0.5)
+        params = make_scheme_params(model, noise)
+        for bits in (2, 5, 8):
+            quantizer = innovation_quantizer(model, noise, bits)
+            gain = converged_gain(model, noise, quantizer.noise_var)
+            mse_recursion(model, noise, gain, quantizer.noise_var, 100_000)
+        EncoderState(model, noise, innovation_quantizer(model, noise, 4))
+        autocovariance(model, 12)
+        # the model itself, then the AR(1) fit behind the practical scheme
+        assert len(solved) == 2
+        assert solved[0] is model
+        assert solved[1] == ArModel((params.ar1.beta,), params.ar1.iota_var)
+
+    def test_failures_are_raised_on_every_use(self):
+        model = ArModel((1.2, -0.1), 1.0)
+        for _ in range(2):
+            with pytest.raises(NonStationaryModel):
+                autocovariance(model, 2)
+            with pytest.raises(NonStationaryModel):
+                model.sigma_x_sq
+        # the stationarity error comes before the max_lag check
+        with pytest.raises(NonStationaryModel):
+            autocovariance(model, 0)
+
+    def test_equality_hash_repr_and_pickle_ignore_the_cache(self):
+        used = ArModel((0.6, -0.2), 0.8)
+        autocovariance(used, 5)
+        fresh = ArModel((0.6, -0.2), 0.8)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == used
+        assert restored.sigma_x_sq == used.sigma_x_sq
+
+    def test_head_read_only_and_lags_fresh(self, ar4):
+        model = ArModel(ar4.coeffs, ar4.innovation_var)
+        first = autocovariance(model, 8)
+        head = model._acov_head
+        assert not head.flags.writeable
+        with pytest.raises(ValueError):
+            head[0] = 0.0
+        second = autocovariance(model, 8)
+        assert first.lags is not second.lags
+        assert first.lags.flags.writeable and second.lags.flags.writeable
+        first.lags[:] = -1.0
+        assert np.array_equal(autocovariance(model, 8).lags, second.lags)
+        assert model.sigma_x_sq == second.sigma_x_sq
+
+    def test_cached_head_is_the_solve(self):
+        model = ArModel((0.9, -0.3, 0.2), 1.7)
+        solved = channel._solve_yule_walker(ArModel(model.coeffs, model.innovation_var))
+        assert autocovariance(model, 3).lags.tobytes() == solved.tobytes()
+        assert model.sigma_x_sq == float(solved[0])

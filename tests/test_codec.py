@@ -322,6 +322,19 @@ class TestDecoder:
         with pytest.raises(UnknownIndex):
             decoder.decode_step(8)
 
+    def test_non_integral_index_rejected(self):
+        # AR(1) beta = 0.5, noise 0.1, 3 bits: 2.7 used to decode to an off-codebook -0.772
+        model, noise = ArModel((0.5,), 1.0), NoiseSpec(0.1)
+        q = innovation_quantizer(model, noise, 3)
+        decoder = DecoderState(model, q)
+        for bad in (2.7, -0.5, math.nan):
+            with pytest.raises(UnknownIndex):
+                q.dequantize(bad)
+            with pytest.raises(UnknownIndex):
+                decoder.decode_step(bad)
+        assert decoder.history == [0.0]
+        assert q.dequantize(2.0) == q.dequantize(2)
+
     def test_corruption_divergence_decays(self, ar4, noise):
         trace = generate_trace(ar4, noise, 4000, seed=37)
         q = innovation_quantizer(ar4, noise, 6)

@@ -29,6 +29,7 @@ from csi_feedback import (
     encode_sequence,
     generate_trace,
     innovation_quantizer,
+    pack_indices,
 )
 from csi_feedback import _kernel, channel
 from csi_feedback.codec import MAX_BITS
@@ -163,6 +164,52 @@ def test_unknown_index_stops_where_the_step_loop_stops(bad):
     with pytest.raises(UnknownIndex, match=f"index {bad} outside"):
         decode_sequence(decoder, indices)
     assert decoder.history == oracle.history
+
+
+@pytest.fixture(params=["kernel", "fallback"])
+def decode_path(request, monkeypatch):
+    """Run the test through the compiled kernel and through the no-compiler fallback."""
+    if request.param == "fallback":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    return request.param
+
+
+@pytest.mark.parametrize("bad", [2.7, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_non_integral_index_stops_where_the_step_loop_stops(decode_path, bad, as_array):
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 6)
+    y = generate_trace(REF_AR4, UNIT_NOISE, 400, seed=89).y
+    indices, _ = encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), y)
+    corrupted = [float(i) for i in indices]
+    corrupted[250] = bad
+    if as_array:
+        corrupted = np.array(corrupted)
+
+    oracle = DecoderState(REF_AR4, quantizer)
+    step_decode(oracle, indices[:250])
+    with pytest.raises(UnknownIndex):
+        oracle.decode_step(bad)
+    decoder = DecoderState(REF_AR4, quantizer)
+    with pytest.raises(UnknownIndex, match=f"index {bad} "):
+        decode_sequence(decoder, corrupted)
+    assert decoder.history == oracle.history
+
+
+def test_integral_floats_decode_like_ints(decode_path):
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 5)
+    y = generate_trace(REF_AR4, UNIT_NOISE, 300, seed=97).y
+    indices, _ = encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), y)
+    expected = decode_sequence(DecoderState(REF_AR4, quantizer), indices)
+    for stream in ([float(i) for i in indices], np.array(indices, dtype=float)):
+        assert same_bits(decode_sequence(DecoderState(REF_AR4, quantizer), stream), expected)
+
+
+def test_pack_rejects_non_integral_indices(decode_path):
+    for stream in ([2.7, 5.9], np.array([2.7, 5.9]), [2, 5.9], [2, 5, np.nan]):
+        with pytest.raises(UnknownIndex, match="is not a 3-bit codeword"):
+            pack_indices(stream, 3)
+    assert pack_indices(np.array([5.0, 1.0]), 3) == pack_indices([5, 1], 3)
+    assert pack_indices([5.0, 1], 3) == pack_indices(np.array([5, 1], dtype=np.uint8), 3)
 
 
 def run_everything():
