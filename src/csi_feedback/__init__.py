@@ -94,5 +94,3 @@ from .predictor import (
 )
 
 __version__ = "0.1.0"
-
-REFERENCE_AR4 = ArModel(coeffs=(0.5, 0.2, 0.1, 0.05), innovation_var=1.0)

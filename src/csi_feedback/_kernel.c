@@ -1,12 +1,17 @@
-/* Compiled loops of the closed-loop codec and of the AR trace filter.
+/* Compiled loops of the closed-loop codec, of its steady-state analysis and
+ * of the AR trace filter.
  *
  * Each loop repeats the arithmetic of its Python counterpart operation by
  * operation, in the same order, so its outputs are bit-identical to it:
  * encode_rows to EncoderState.encode_step, decode_rows to
- * DecoderState.decode_step and ar_trace to scipy.signal.lfilter([1], [1, -a]).
- * That holds only without floating-point contraction: build with
- * -ffp-contract=off, since a fused multiply-add rounds once where the Python
- * code rounds twice.  _kernel.py compiles and loads this file.
+ * DecoderState.decode_step, gain_fixed_point to the loop of
+ * analysis.converged_prediction_state, mse_trajectory to the loop of
+ * analysis.mse_recursion and ar_trace to scipy.signal.lfilter([1], [1, -a]).
+ * The encoder's settle loop and gain_fixed_point share one gain recursion,
+ * propagate_pred_err and kalman_gain.  Bit-identity holds only without
+ * floating-point contraction: build with -ffp-contract=off, since a fused
+ * multiply-add rounds once where the Python code rounds twice.  _kernel.py
+ * compiles and loads this file.
  *
  * Rows are independent streams.  Per-row arrays of length `order` (AR
  * coefficients, histories, per-lag error variances) are concatenated in row
@@ -51,6 +56,26 @@ static double predict(const double *a, const double *window, int64_t order)
     return total;
 }
 
+/* Codec gain E / (E + sigma_xi^2) for prediction-error variance E; 1 without
+ * noise.  As analysis.kalman_gain. */
+static double kalman_gain(double pred_err_var, double noise_var)
+{
+    return noise_var == 0.0 ? 1.0 : pred_err_var / (pred_err_var + noise_var);
+}
+
+/* The prediction-error variance after a step of the recursion, as
+ * analysis.propagate_pred_err: sigma_psi^2 + sum_m a_m^2 (f_m + sigma_Q^2),
+ * summed in lag order over the per-lag filtered variances f, most recent
+ * first, into which the step has pushed its filtered variance. */
+static double propagate_pred_err(const double *a, int64_t order, double innovation_var,
+                                 double sigma_q_sq, const double *f)
+{
+    double total = innovation_var;
+    for (int64_t m = 0; m < order; m++)
+        total = total + a[m] * a[m] * (f[m] + sigma_q_sq);
+    return total;
+}
+
 /* Encode one row.  Returns n, or the sample whose quantizer input is not
  * finite; the state then stands as the samples before it left it. */
 static int64_t encode_row(int64_t n, const double *y, int64_t order, const double *a,
@@ -92,12 +117,10 @@ static int64_t encode_row(int64_t n, const double *y, int64_t order, const doubl
         for (int64_t m = 0; m < order; m++)
             same &= f[fh + m] == pushed;
         fh = ring_push(f, fh, order, pushed);
-        double total = p[P_INNOVATION_VAR];
-        for (int64_t m = 0; m < order; m++)
-            total = total + a[m] * a[m] * (f[fh + m] + p[P_SIGMA_Q_SQ]);
+        double total = propagate_pred_err(a, order, p[P_INNOVATION_VAR], p[P_SIGMA_Q_SQ], f + fh);
         settled = total == pred_err_var && same;
         pred_err_var = total;
-        gain = p[P_NOISE_VAR] == 0.0 ? 1.0 : pred_err_var / (pred_err_var + p[P_NOISE_VAR]);
+        gain = kalman_gain(pred_err_var, p[P_NOISE_VAR]);
     }
     ring_store(history, h, hh, order);
     ring_store(filtered, f, fh, order);
@@ -126,6 +149,61 @@ int64_t encode_rows(int64_t n_rows, int64_t n, const double *const *observations
         offset += orders[r];
     }
     return n_rows * n;
+}
+
+/* The fixed point of the gain recursion, as analysis.converged_prediction_state:
+ * from per-lag filtered variances and prediction-error variance sigma_x^2,
+ * step propagate_pred_err until the gain moves by less than `tol`.  Writes
+ * (gain, prediction-error variance) to `out` and returns the steps taken, or
+ * returns 0 if the gain has not settled after max_iter steps.  `work` has
+ * room for one ring, 2 * order doubles. */
+int64_t gain_fixed_point(int64_t order, const double *a, double innovation_var, double noise_var,
+                         double sigma_q_sq, double sigma_x_sq, double tol, int64_t max_iter,
+                         double *out, double *work)
+{
+    int64_t head = 0;
+    double pred_var = sigma_x_sq, gain = kalman_gain(pred_var, noise_var);
+    for (int64_t m = 0; m < 2 * order; m++)
+        work[m] = sigma_x_sq;
+    for (int64_t k = 1; k <= max_iter; k++) {
+        head = ring_push(work, head, order, (1.0 - gain) * pred_var);
+        pred_var = propagate_pred_err(a, order, innovation_var, sigma_q_sq, work + head);
+        double new_gain = kalman_gain(pred_var, noise_var);
+        int settled = fabs(new_gain - gain) < tol;
+        gain = new_gain;
+        if (settled) {
+            out[0] = gain;
+            out[1] = pred_var;
+            return k;
+        }
+    }
+    return 0;
+}
+
+/* The long-term MSE recursion, as analysis.mse_recursion:
+ * v_k = shrink * sum_m c_m v_{k-1-m} + constant, summed in lag order from 0.0,
+ * with v_j = v_0 for j < 0.  `v` holds order - 1 copies of v_0 and then the
+ * trajectory v_0, v_1, ..., of which `done` values are filled.  Fills on
+ * until v_k is within rtol * max(|v_{k-1}|, min_scale) of v_{k-1} or
+ * `capacity` values are filled.  A NaN v_{k-1} never passes: Python's
+ * max(NaN, min_scale) is NaN, where fmax would give min_scale.  Returns the
+ * trajectory length, negated unless its last value passed. */
+int64_t mse_trajectory(int64_t order, const double *c, double shrink, double constant,
+                       double rtol, double min_scale, double *v, int64_t done, int64_t capacity)
+{
+    double *t = v + order - 1;
+    for (int64_t k = done; k < capacity; k++) {
+        double total = 0.0;
+        for (int64_t m = 0; m < order; m++)
+            total += c[m] * t[k - 1 - m];
+        t[k] = shrink * total + constant;
+        double previous = t[k - 1], scale = fabs(previous);
+        if (min_scale > scale)
+            scale = min_scale;
+        if (fabs(t[k] - previous) < rtol * scale)
+            return k + 1;
+    }
+    return -capacity;
 }
 
 /* Decode n indices of every row, row after row, with quantizer steps `step`

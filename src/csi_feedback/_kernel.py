@@ -1,10 +1,16 @@
-"""Build and load the compiled codec and AR trace loops of ``_kernel.c``.
+"""Build and load the compiled loops of ``_kernel.c``.
+
+Those are the codec's encode and decode loops, the fixed point of its gain
+recursion, the long-term MSE recursion and the AR trace filter.
 
 ``load()`` compiles ``_kernel.c`` on first use with the system C compiler
 into a per-user cache, ``~/.cache/csi_feedback``, under a name keyed by the
 sha256 of the source and the compiler command, and loads it through ctypes.
 When that fails it logs one warning and returns None, and the callers run the
-per-sample Python loops instead, whose outputs are the same bits.
+Python loops instead, whose outputs are the same bits.  Every non-static
+function of ``_kernel.c`` has its ctypes signature in ``_SIGNATURES``:
+without one, a float argument fails at call time and an int64 result is cut
+to a C int.
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # no contraction: a fused multiply-add would round differently from the Python loops
 COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "encode_rows": (_I64, [_I64, _I64] + [_PTR] * 10),
     "decode_rows": (_I64, [_I64, _I64] + [_PTR] * 8),
+    "gain_fixed_point": (_I64, [_I64, _PTR] + [_F64] * 5 + [_I64, _PTR, _PTR]),
+    "mse_trajectory": (_I64, [_I64, _PTR] + [_F64] * 4 + [_PTR, _I64, _I64]),
     "ar_trace": (None, [_I64, _I64] + [_PTR] * 4),
 }
 

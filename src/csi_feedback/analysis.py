@@ -3,15 +3,21 @@
 Covers the long-term MSE recursion, its AR(1) approximation (beta, sigma_iota^2,
 varsigma_inf), the innovation variance entering the high-resolution rate
 formula, and the practical rate R_u at a target long-term MSE.
+
+The gain fixed point and the long-term MSE recursion run in the compiled
+kernel when it builds, else in the Python loops here, which give the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .channel import ArModel, Autocovariance, NoiseSpec
 from .errors import (
     ContractionViolated,
@@ -23,6 +29,17 @@ from .errors import (
 TWO_PI_E = 2.0 * math.pi * math.e
 
 GAIN_TOL = 1e-10
+
+# mse_recursion stops at the first value within MSE_RTOL * max(|previous|, MSE_MIN_SCALE)
+# of its predecessor
+MSE_RTOL = 1e-10
+MSE_MIN_SCALE = 1e-12
+
+# first trajectory buffer of the compiled MSE recursion, in doubles; it doubles when full
+_MSE_CHUNK = 1024
+
+# an iteration budget no loop reaches, and which int64 holds
+_MAX_STEPS = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -68,16 +85,30 @@ def mse_recursion(
 
     starting from varsigma_0 = sigma_x^2.  Returns the trajectory up to and
     including the first value within 1e-10 relative of its predecessor; raises
-    NonConvergence if that never happens within ``steps`` iterations.
+    NonConvergence if that never happens within ``steps`` iterations.  Memory
+    follows the trajectory's length, not ``steps``.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lam must lie in (0, 1]")
+    steps = operator.index(steps)
     sigma_x_sq = model.sigma_x_sq
     shrink = (1.0 - lam) ** 2
     constant = shrink * model.innovation_var + lam * lam * noise.obs_noise_var + sigma_q_sq
     coeff_sq = [a * a for a in model.coeffs]
 
-    ring = [sigma_x_sq] * model.order  # most recent first
+    lib = _kernel.load()
+    if lib is None:
+        trajectory = _mse_steps(coeff_sq, shrink, constant, sigma_x_sq, steps)
+    else:
+        trajectory = _mse_trajectory(lib, coeff_sq, shrink, constant, sigma_x_sq, steps)
+    if trajectory is None:
+        raise NonConvergence(f"MSE recursion not converged after {steps} steps")
+    return trajectory
+
+
+def _mse_steps(coeff_sq, shrink, constant, sigma_x_sq, steps):
+    """The Python loop of ``mse_recursion``; None if it does not converge."""
+    ring = [sigma_x_sq] * len(coeff_sq)  # most recent first
     trajectory = [sigma_x_sq]
     for _ in range(steps):
         previous = trajectory[-1]
@@ -89,9 +120,33 @@ def mse_recursion(
         trajectory.append(value)
         ring.insert(0, value)
         ring.pop()
-        if abs(value - previous) < 1e-10 * max(abs(previous), 1e-12):
+        if abs(value - previous) < MSE_RTOL * max(abs(previous), MSE_MIN_SCALE):
             return np.asarray(trajectory)
-    raise NonConvergence(f"MSE recursion not converged after {steps} steps")
+    return None
+
+
+def _mse_trajectory(lib, coeff_sq, shrink, constant, sigma_x_sq, steps):
+    """``_mse_steps`` in the compiled kernel, in a buffer that doubles while the trajectory grows."""
+    order = len(coeff_sq)
+    pad = order - 1  # copies of varsigma_0 standing for the lags before it
+    capacity = min(max(steps, 0) + 1, _MSE_CHUNK)
+    buffer = (ctypes.c_double * (pad + capacity))()
+    buffer[: pad + 1] = [sigma_x_sq] * (pad + 1)
+    coeffs = (ctypes.c_double * order)(*coeff_sq)
+    done = 1
+    while True:
+        length = lib.mse_trajectory(
+            order, coeffs, shrink, constant, MSE_RTOL, MSE_MIN_SCALE, buffer, done, capacity
+        )
+        if length > 0:
+            return np.frombuffer(buffer, count=length, offset=8 * pad).copy()
+        done = -length
+        if done > steps:
+            return None
+        capacity = min(2 * capacity, steps + 1)
+        grown = (ctypes.c_double * (pad + capacity))()
+        ctypes.memmove(grown, buffer, ctypes.sizeof(buffer))
+        buffer = grown
 
 
 def steady_state(approx: Ar1Approx, noise: NoiseSpec, lam: float, sigma_q_sq: float) -> SteadyState:
@@ -213,6 +268,33 @@ def converged_prediction_state(
     bounded by sigma_xi^2, so the iteration converges for every stationary
     model.
     """
+    max_iter = operator.index(max_iter)
+    lib = _kernel.load()
+    if lib is None:
+        state = _gain_steps(model, noise, sigma_q_sq, max_iter)
+    else:
+        order = model.order
+        out = (ctypes.c_double * 2)()
+        settled = lib.gain_fixed_point(
+            order,
+            (ctypes.c_double * order)(*model.coeffs),
+            model.innovation_var,
+            noise.obs_noise_var,
+            sigma_q_sq,
+            model.sigma_x_sq,
+            GAIN_TOL,
+            min(max_iter, _MAX_STEPS),
+            out,
+            (ctypes.c_double * (2 * order))(),
+        )
+        state = tuple(out) if settled else None
+    if state is None:
+        raise NonConvergence(f"gain iteration not settled after {max_iter} steps")
+    return state
+
+
+def _gain_steps(model, noise, sigma_q_sq, max_iter):
+    """The Python loop of ``converged_prediction_state``; None if the gain does not settle."""
     sigma_x_sq = model.sigma_x_sq
     filtered = [sigma_x_sq] * model.order
     pred_var = sigma_x_sq
@@ -226,7 +308,7 @@ def converged_prediction_state(
         gain = new_gain
         if settled:
             return gain, pred_var
-    raise NonConvergence(f"gain iteration not settled after {max_iter} steps")
+    return None
 
 
 def converged_gain(model: ArModel, noise: NoiseSpec, sigma_q_sq: float = 0.0) -> float:

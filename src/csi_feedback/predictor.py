@@ -36,9 +36,6 @@ class ZhEstimator:
     alpha: float
     sigma_z_sq: float
 
-    def estimate(self, y_k: float) -> float:
-        return self.alpha * y_k
-
 
 def symmetric_toeplitz(c: np.ndarray) -> np.ndarray:
     """The symmetric Toeplitz matrix with first column ``c``: entry (i, j) is c[|i - j|]."""
@@ -101,4 +98,4 @@ def zh_estimator(acov: Autocovariance, noise: NoiseSpec) -> ZhEstimator:
 
 def zh_estimate(y_k: float, est: ZhEstimator) -> float:
     """Zero-holding forecast from the newest observation."""
-    return est.estimate(y_k)
+    return est.alpha * y_k

@@ -1,15 +1,20 @@
-"""The compiled codec and trace loops against the per-sample Python loops they replace.
+"""The compiled loops against the Python loops they replace.
 
-``EncoderState.encode_step``, ``DecoderState.decode_step`` and
-``scipy.signal.lfilter`` are the oracles: every kernel output and every state
-it leaves behind must equal theirs bit for bit.
+``EncoderState.encode_step``, ``DecoderState.decode_step``,
+``scipy.signal.lfilter`` and the Python loops of
+``analysis.converged_prediction_state`` and ``analysis.mse_recursion`` are the
+oracles: every kernel output and every state it leaves behind must equal
+theirs bit for bit.
 """
 
+import ctypes
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +36,9 @@ from csi_feedback import (
     innovation_quantizer,
     pack_indices,
 )
-from csi_feedback import _kernel, channel
+from csi_feedback import _kernel, analysis, channel
 from csi_feedback.codec import MAX_BITS
-from csi_feedback.errors import UnknownIndex
+from csi_feedback.errors import CsiFeedbackError, NonConvergence, UnknownIndex
 from conftest import REF_AR1, REF_AR4, UNIT_NOISE
 from test_codec import _ar_from_pacf
 
@@ -270,3 +275,145 @@ def test_commands_load_no_scipy():
         text=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def outcome(function, *args, fallback=False):
+    """What ``function(*args)`` returns, as bytes, or the error it raises; with
+    ``fallback``, through the Python loops."""
+    with pytest.MonkeyPatch.context() as patch:
+        if fallback:
+            patch.setattr(_kernel, "load", lambda: None)
+        try:
+            result = function(*args)
+        except CsiFeedbackError as exc:
+            return type(exc), str(exc)
+    return np.asarray(result, dtype=float).tobytes(), len(result)
+
+
+def assert_same_on_both_paths(function, *args):
+    compiled = outcome(function, *args)
+    assert compiled == outcome(function, *args, fallback=True)
+    return compiled
+
+
+# AR(1..12) from partial autocorrelations; a first one near +-1 puts a root near the unit circle
+_PACF = st.builds(
+    lambda first, rest: [first, *rest],
+    st.floats(-0.99, 0.99) | st.sampled_from([0.999, -0.999, 0.99999]),
+    st.lists(st.floats(-0.9, 0.9), max_size=11),
+)
+_SIGMA_Q_SQ = st.sampled_from([0.0, 1e-12, 1e3]) | st.floats(0.0, 1e3)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    pacf=_PACF,
+    innovation_var=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    noise_var=st.sampled_from([0.0, 1e-3, 0.3, 1.0, 10.0]),
+    sigma_q_sq=_SIGMA_Q_SQ,
+    lam=st.floats(1e-3, 1.0),
+)
+@example(pacf=[0.999], innovation_var=1.0, noise_var=1.0, sigma_q_sq=0.0, lam=0.003)
+@example(pacf=[0.9, -0.5], innovation_var=0.0, noise_var=0.3, sigma_q_sq=0.3, lam=0.5)
+def test_steady_state_loops_match_python_loops(pacf, innovation_var, noise_var, sigma_q_sq, lam):
+    model, noise = ArModel(_ar_from_pacf(pacf), innovation_var), NoiseSpec(noise_var)
+    assert_same_on_both_paths(analysis.converged_prediction_state, model, noise, sigma_q_sq, 20_000)
+    assert_same_on_both_paths(analysis.mse_recursion, model, noise, lam, sigma_q_sq, 5000)
+
+
+@pytest.mark.parametrize("sigma_q_sq", [0.0, 1e-12, 1.0, 1e3])
+def test_noiseless_gain_is_one_on_both_paths(sigma_q_sq):
+    state = assert_same_on_both_paths(
+        analysis.converged_prediction_state, REF_AR4, NoiseSpec(0.0), sigma_q_sq
+    )
+    assert np.frombuffer(state[0])[0] == 1.0
+
+
+def test_zero_innovation_variance_on_both_paths():
+    model = ArModel((0.5, -0.2), 0.0)
+    gain, pred_var = np.frombuffer(
+        assert_same_on_both_paths(analysis.converged_prediction_state, model, UNIT_NOISE, 0.0)[0]
+    )
+    assert gain == pred_var == 0.0
+    trajectory = assert_same_on_both_paths(analysis.mse_recursion, model, UNIT_NOISE, 0.5, 0.3, 100)
+    assert np.frombuffer(trajectory[0])[0] == 0.0
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 1, 2])
+def test_small_budgets_raise_non_convergence_on_both_paths(budget):
+    for function, args in [
+        (analysis.converged_prediction_state, (REF_AR4, UNIT_NOISE, 0.0, budget)),
+        (analysis.mse_recursion, (REF_AR4, UNIT_NOISE, 0.5, 0.01, budget)),
+    ]:
+        assert assert_same_on_both_paths(function, *args)[0] is NonConvergence
+
+
+def test_nan_runs_to_the_budget_on_both_paths(monkeypatch):
+    # max(NaN, 1e-12) is NaN, where C's fmax is not: a NaN must never pass
+    steps = []
+    propagate = analysis.propagate_pred_err
+    monkeypatch.setattr(
+        analysis, "propagate_pred_err", lambda *args: steps.append(1) or propagate(*args)
+    )
+    nan = float("nan")
+    gain_state = assert_same_on_both_paths(
+        analysis.converged_prediction_state, REF_AR4, UNIT_NOISE, nan, 300
+    )
+    assert gain_state[0] is NonConvergence
+    assert len(steps) == 300  # the fallback ran out its budget
+    trajectory = assert_same_on_both_paths(analysis.mse_recursion, REF_AR4, UNIT_NOISE, 0.5, nan, 300)
+    assert trajectory[0] is NonConvergence
+    # without noise the gain stays 1 and settles; only the variance is NaN
+    noiseless = assert_same_on_both_paths(
+        analysis.converged_prediction_state, REF_AR4, NoiseSpec(0.0), nan
+    )
+    gain, pred_var = np.frombuffer(noiseless[0])
+    assert gain == 1.0 and np.isnan(pred_var)
+
+
+def test_long_trajectory_crosses_buffer_growth_on_both_paths():
+    model = ArModel((0.999,), 1.0)
+
+    def trajectory(steps):
+        return assert_same_on_both_paths(analysis.mse_recursion, model, UNIT_NOISE, 0.003, 0.0, steps)
+
+    # contraction (1 - lam)^2 beta^2 close to 1: over two doublings of the buffer
+    length = trajectory(10**6)[1]
+    assert length > 2 * analysis._MSE_CHUNK
+    assert trajectory(length - 1)[1] == length
+    assert trajectory(length - 2)[0] is NonConvergence
+
+
+def test_huge_step_budget_allocates_by_trajectory_length():
+    expected = analysis.mse_recursion(REF_AR4, UNIT_NOISE, 0.5, 0.01, 100)
+    tracemalloc.start()
+    try:
+        trajectory = analysis.mse_recursion(REF_AR4, UNIT_NOISE, 0.5, 0.01, 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert same_bits(trajectory, expected)
+    assert peak < 1 << 20  # 10**9 doubles would be 8 GB
+
+
+_C_TYPES = {"void": None, "double": ctypes.c_double, "int64_t": ctypes.c_int64}
+
+
+def _ctype(parameter):
+    """ctypes type of a C parameter declaration such as ``const double *a``."""
+    return ctypes.c_void_p if "*" in parameter else _C_TYPES[parameter.split()[0]]
+
+
+def test_every_exported_kernel_function_has_its_signature():
+    source = _kernel.SOURCE.read_text()
+    # a definition outside `static` starts at column 0 with its return type
+    definitions = re.findall(r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)\s*\{", source, re.M)
+    assert {name for _, name, _ in definitions} == set(_kernel._SIGNATURES)
+    for restype, name, parameters in definitions:
+        argtypes = [_ctype(p) for p in parameters.split(",")]
+        assert _kernel._SIGNATURES[name] == (_C_TYPES[restype], argtypes), name
+    lib = _kernel.load()
+    if lib is None:
+        pytest.skip("the kernel cannot be built on this host")
+    for name in _kernel._SIGNATURES:
+        assert hasattr(lib, name), name
