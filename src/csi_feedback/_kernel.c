@@ -1,5 +1,5 @@
-/* Compiled loops of the closed-loop codec, of its steady-state analysis and
- * of the AR trace filter.
+/* Compiled loops of the closed-loop codec, of its steady-state analysis, of
+ * the AR trace filter and of the index-stream bit packing.
  *
  * Each loop repeats the arithmetic of its Python counterpart operation by
  * operation, in the same order, so its outputs are bit-identical to it:
@@ -7,6 +7,8 @@
  * DecoderState.decode_step, gain_fixed_point to the loop of
  * analysis.converged_prediction_state, mse_trajectory to the loop of
  * analysis.mse_recursion and ar_trace to scipy.signal.lfilter([1], [1, -a]).
+ * pack_bits and unpack_bits give the bytes and codewords of the numpy bit
+ * matrix in codec.pack_indices and codec.unpack_indices.
  * The encoder's settle loop and gain_fixed_point share one gain recursion,
  * propagate_pred_err and kalman_gain.  Bit-identity holds only without
  * floating-point contraction: build with -ffp-contract=off, since a fused
@@ -249,5 +251,39 @@ void ar_trace(int64_t n, int64_t order, const double *a, const double *psi, doub
             z[m] = z[m + 1] + 0.0 * in - (-a[m]) * out;
         z[order - 1] = 0.0 * in - (-a[order - 1]) * out;
         x[k] = out;
+    }
+}
+
+/* Pack n codewords of `bits` bits (1..53), most significant bit first, into
+ * ceil(n * bits / 8) bytes of `out`, the last one zero-padded.  Returns n,
+ * or the first k whose values[k] lies outside [0, 2^bits); `out` then holds
+ * the bytes before it.  At most 7 bits wait in `acc` between codewords, so
+ * it never holds more than 60. */
+int64_t pack_bits(int64_t n, int64_t bits, const int64_t *values, uint8_t *out)
+{
+    uint64_t acc = 0;
+    int64_t held = 0, k;
+    for (k = 0; k < n && values[k] >= 0 && values[k] >> bits == 0; k++) {
+        acc = acc << bits | (uint64_t)values[k];
+        for (held += bits; held >= 8; held -= 8)
+            *out++ = (uint8_t)(acc >> (held - 8));
+    }
+    if (held > 0)
+        *out = (uint8_t)(acc << (8 - held));
+    return k;
+}
+
+/* Unpack n codewords of `bits` bits (1..53), packed as pack_bits packs them,
+ * from the first ceil(n * bits / 8) bytes of `data` into `out`. */
+void unpack_bits(int64_t n, int64_t bits, const uint8_t *data, int64_t *out)
+{
+    const uint64_t mask = ((uint64_t)1 << bits) - 1;
+    uint64_t acc = 0;
+    int64_t held = 0;
+    for (int64_t k = 0; k < n; k++) {
+        for (; held < bits; held += 8)
+            acc = acc << 8 | *data++;
+        held -= bits;
+        out[k] = (int64_t)(acc >> held & mask);
     }
 }

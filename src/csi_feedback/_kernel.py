@@ -1,7 +1,8 @@
 """Build and load the compiled loops of ``_kernel.c``.
 
 Those are the codec's encode and decode loops, the fixed point of its gain
-recursion, the long-term MSE recursion and the AR trace filter.
+recursion, the long-term MSE recursion, the AR trace filter and the packing
+of index streams into bytes and back.
 
 ``load()`` compiles ``_kernel.c`` on first use with the system C compiler
 into a per-user cache, ``~/.cache/csi_feedback``, under a name keyed by the
@@ -38,6 +39,8 @@ _SIGNATURES = {
     "gain_fixed_point": (_I64, [_I64, _PTR] + [_F64] * 5 + [_I64, _PTR, _PTR]),
     "mse_trajectory": (_I64, [_I64, _PTR] + [_F64] * 4 + [_PTR, _I64, _I64]),
     "ar_trace": (None, [_I64, _I64] + [_PTR] * 4),
+    "pack_bits": (_I64, [_I64, _I64, _PTR, _PTR]),
+    "unpack_bits": (None, [_I64, _I64, _PTR, _PTR]),
 }
 
 
@@ -62,18 +65,23 @@ def _build() -> Path:
     return library
 
 
+def _open(library: str | Path) -> ctypes.CDLL:
+    """A build of ``_kernel.c``, loaded, with the signature of every function declared."""
+    lib = ctypes.CDLL(str(library))
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        function = getattr(lib, name)
+        function.restype, function.argtypes = restype, argtypes
+    return lib
+
+
 @functools.cache
 def load() -> ctypes.CDLL | None:
     """The compiled kernel, or None after one logged warning if it cannot be built."""
     try:
-        lib = ctypes.CDLL(str(_build()))
+        return _open(_build())
     except subprocess.CalledProcessError as exc:
         log.warning("compiling %s failed, using the Python loops: %s", SOURCE.name, exc.stderr)
         return None
     except (OSError, RuntimeError) as exc:  # no compiler, unwritable cache, no home directory
         log.warning("cannot build %s, using the Python loops: %s", SOURCE.name, exc)
         return None
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        function = getattr(lib, name)
-        function.restype, function.argtypes = restype, argtypes
-    return lib

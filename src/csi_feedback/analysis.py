@@ -42,6 +42,12 @@ _MSE_CHUNK = 1024
 _MAX_STEPS = 1 << 62
 
 
+def _check_quant_noise(sigma_q_sq: float) -> None:
+    # a NaN passes, and the recursions run out their budget on it
+    if sigma_q_sq < 0.0:
+        raise ValueError("sigma_q_sq must be non-negative")
+
+
 @dataclass(frozen=True)
 class Ar1Approx:
     """First-order fit of the channel: beta = kappa(1)/kappa(0), drive sigma_iota^2."""
@@ -90,6 +96,7 @@ def mse_recursion(
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lam must lie in (0, 1]")
+    _check_quant_noise(sigma_q_sq)
     steps = operator.index(steps)
     sigma_x_sq = model.sigma_x_sq
     shrink = (1.0 - lam) ** 2
@@ -153,6 +160,7 @@ def steady_state(approx: Ar1Approx, noise: NoiseSpec, lam: float, sigma_q_sq: fl
     """Closed-form long-term MSE of the AR(1)-approximated codec."""
     if not 0.0 < lam <= 1.0:
         raise ValueError("lam must lie in (0, 1]")
+    _check_quant_noise(sigma_q_sq)
     contraction = (1.0 - lam) ** 2 * approx.beta**2
     if contraction >= 1.0:
         raise ContractionViolated(f"(1-lam)^2 beta^2 = {contraction} >= 1")
@@ -268,6 +276,7 @@ def converged_prediction_state(
     bounded by sigma_xi^2, so the iteration converges for every stationary
     model.
     """
+    _check_quant_noise(sigma_q_sq)
     max_iter = operator.index(max_iter)
     lib = _kernel.load()
     if lib is None:

@@ -449,29 +449,59 @@ def _check_width(bits: int) -> None:
 def pack_indices(indices, bits: int) -> bytes:
     """Pack codeword indices into bytes, most significant bit first.
 
-    Each index is cut to its low ``bits`` bits of a big-endian 64-bit word, one
-    row of an (indices, bits) bit matrix that np.packbits packs row after row;
-    the last byte is zero-padded.
+    Each index takes ``bits`` bits and the last byte is zero-padded.  The
+    compiled kernel packs them; without it, numpy packs a bit matrix to the
+    same bytes.
     """
     _check_width(bits)
     if isinstance(indices, np.ndarray):
         indices = indices.reshape(-1)
     values, bad = _codewords(indices)
-    outside = (values < 0) | (values >> bits != 0)
-    if outside.any() or bad is not None:
-        index = values[outside][0] if outside.any() else bad
+    lib = _kernel.load()
+    if lib is None:
+        stop, packed = _pack_bit_matrix(values, bits)
+    else:
+        packed = np.empty((values.size * bits + 7) // 8, dtype=np.uint8)
+        stop = lib.pack_bits(values.size, bits, values.ctypes.data, packed.ctypes.data)
+    if stop < values.size or bad is not None:
+        index = values[stop] if stop < values.size else bad
         raise UnknownIndex(f"index {index} is not a {bits}-bit codeword")
+    return packed.tobytes()
+
+
+def _pack_bit_matrix(values: np.ndarray, bits: int) -> tuple[int, np.ndarray | None]:
+    """``pack_indices`` of int64 codewords in numpy, run when the compiled kernel is unavailable.
+
+    Returns the position of the first value outside [0, 2^bits) and None, or
+    the number of values and their packed bytes.  Each value is cut to its
+    low ``bits`` bits of a big-endian 64-bit word, one row of an (values,
+    bits) bit matrix that np.packbits packs row after row.
+    """
+    outside = np.flatnonzero((values < 0) | (values >> bits != 0))
+    if outside.size:
+        return int(outside[0]), None
     words = values.astype(">u8").view(np.uint8).reshape(-1, 8)
-    return np.packbits(np.unpackbits(words, axis=1)[:, 64 - bits :]).tobytes()
+    return values.size, np.packbits(np.unpackbits(words, axis=1)[:, 64 - bits :])
 
 
 def unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
-    """Recover ``count`` codeword indices from an MSB-first packed stream."""
+    """Recover ``count`` codeword indices from an MSB-first packed stream.
+
+    The compiled kernel unpacks them; without it, numpy unpacks the bits into
+    the low columns of a (count, 64) bit matrix and packs its rows back into
+    big-endian 64-bit words.
+    """
     _check_width(bits)
-    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    payload = np.frombuffer(data, dtype=np.uint8)
     count = max(count, 0)
-    if stream.size < count * bits:
-        raise ValueError(f"stream too short: got {stream.size // bits} of {count} indices")
-    matrix = np.zeros((count, 64), dtype=np.uint8)
-    matrix[:, 64 - bits :] = stream[: count * bits].reshape(count, bits)
-    return np.packbits(matrix, axis=1).view(">u8").reshape(-1).tolist()
+    # before any allocation: the count may come from a corrupt header
+    if payload.size * 8 < count * bits:
+        raise ValueError(f"stream too short: got {payload.size * 8 // bits} of {count} indices")
+    lib = _kernel.load()
+    if lib is None:
+        matrix = np.zeros((count, 64), dtype=np.uint8)
+        matrix[:, 64 - bits :] = np.unpackbits(payload, count=count * bits).reshape(count, bits)
+        return np.packbits(matrix, axis=1).view(">u8").reshape(-1).tolist()
+    values = np.empty(count, dtype=np.int64)
+    lib.unpack_bits(count, bits, payload.ctypes.data, values.ctypes.data)
+    return values.tolist()

@@ -244,13 +244,21 @@ def write_index_stream(path: str | Path, indices, bits: int) -> None:
 
 
 def read_index_stream(path: str | Path) -> tuple[list[int], int]:
-    """Read a dump written by write_index_stream; returns (indices, bits)."""
+    """Read a dump written by write_index_stream; returns (indices, bits).
+
+    A file that is not such a dump, or whose header claims a width outside
+    1..``codec.MAX_BITS`` or more indices than its payload holds, raises
+    ConfigError.
+    """
     blob = Path(path).read_bytes()
     if blob[:4] != b"CSIF" or len(blob) < 13:
         raise ConfigError(f"not an index-stream dump: {path}")
     bits = blob[4]
     count = int.from_bytes(blob[5:13], "big")
-    return codec.unpack_indices(blob[13:], bits, count), bits
+    try:
+        return codec.unpack_indices(blob[13:], bits, count), bits
+    except ValueError as exc:  # a width outside 1..53, or fewer bytes than the count needs
+        raise ConfigError(f"corrupt index-stream dump {path}: {exc}") from exc
 
 
 def read_csv(path: str | Path) -> list[CsvRow]:

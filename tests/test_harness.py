@@ -1,5 +1,7 @@
 """Experiment harness: config parsing, CSV schema, sweeps, validation, CLI."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from csi_feedback import (
     write_csv,
 )
 from csi_feedback.cli import main as cli_main
+from csi_feedback.codec import MAX_BITS
 from csi_feedback.errors import ConfigError
 from csi_feedback.harness import (
     AR1_OPEN_LOOP,
@@ -22,6 +25,7 @@ from csi_feedback.harness import (
     MAX_POINTS,
     format_csv,
     parse_config,
+    read_index_stream,
 )
 
 REFERENCE_CONFIG = """
@@ -314,6 +318,30 @@ class TestIndexStreamDump:
 
         with pytest.raises(ConfigError):
             read_index_stream(path)
+
+    @pytest.mark.parametrize(
+        "bits, count, payload",
+        [
+            (0, 4, b"\xff"),
+            (54, 1, b"\xff" * 7),
+            (255, 1, b"\xff" * 32),
+            (5, 10, b"\xff" * 6),  # 48 bits hold 9 of 10 indices
+            (1, 1 << 63, b"\xff"),
+            (MAX_BITS, (1 << 64) - 1, b""),
+        ],
+        ids=["width 0", "width 54", "width 255", "short", "2^63 over 1 byte", "2^64-1 over none"],
+    )
+    def test_rejects_corrupt_header(self, tmp_path, bits, count, payload):
+        path = tmp_path / "corrupt.bin"
+        path.write_bytes(b"CSIF" + bytes([bits]) + count.to_bytes(8, "big") + payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="corrupt index-stream dump"):
+                read_index_stream(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # nothing sized by the header's count
 
 
 class TestValidateTheory:

@@ -35,6 +35,7 @@ from csi_feedback import (
     generate_trace,
     innovation_quantizer,
     pack_indices,
+    unpack_indices,
 )
 from csi_feedback import _kernel, analysis, channel
 from csi_feedback.codec import MAX_BITS
@@ -172,7 +173,7 @@ def test_unknown_index_stops_where_the_step_loop_stops(bad):
 
 
 @pytest.fixture(params=["kernel", "fallback"])
-def decode_path(request, monkeypatch):
+def either_path(request, monkeypatch):
     """Run the test through the compiled kernel and through the no-compiler fallback."""
     if request.param == "fallback":
         monkeypatch.setattr(_kernel, "load", lambda: None)
@@ -181,7 +182,7 @@ def decode_path(request, monkeypatch):
 
 @pytest.mark.parametrize("bad", [2.7, -0.5, np.nan, np.inf])
 @pytest.mark.parametrize("as_array", [False, True])
-def test_non_integral_index_stops_where_the_step_loop_stops(decode_path, bad, as_array):
+def test_non_integral_index_stops_where_the_step_loop_stops(either_path, bad, as_array):
     quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 6)
     y = generate_trace(REF_AR4, UNIT_NOISE, 400, seed=89).y
     indices, _ = encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), y)
@@ -200,7 +201,7 @@ def test_non_integral_index_stops_where_the_step_loop_stops(decode_path, bad, as
     assert decoder.history == oracle.history
 
 
-def test_integral_floats_decode_like_ints(decode_path):
+def test_integral_floats_decode_like_ints(either_path):
     quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 5)
     y = generate_trace(REF_AR4, UNIT_NOISE, 300, seed=97).y
     indices, _ = encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), y)
@@ -209,12 +210,91 @@ def test_integral_floats_decode_like_ints(decode_path):
         assert same_bits(decode_sequence(DecoderState(REF_AR4, quantizer), stream), expected)
 
 
-def test_pack_rejects_non_integral_indices(decode_path):
+def test_pack_rejects_non_integral_indices(either_path):
     for stream in ([2.7, 5.9], np.array([2.7, 5.9]), [2, 5.9], [2, 5, np.nan]):
         with pytest.raises(UnknownIndex, match="is not a 3-bit codeword"):
             pack_indices(stream, 3)
     assert pack_indices(np.array([5.0, 1.0]), 3) == pack_indices([5, 1], 3)
     assert pack_indices([5.0, 1], 3) == pack_indices(np.array([5, 1], dtype=np.uint8), 3)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_packing_matches_the_bit_matrix(data):
+    for bits in range(1, MAX_BITS + 1):
+        indices = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=100))
+        stream = np.array(indices, dtype=np.int64) if data.draw(st.booleans()) else indices
+        packed = on_path(False, pack_indices, stream, bits)
+        assert packed == on_path(True, pack_indices, stream, bits), bits
+        assert len(packed) == (len(indices) * bits + 7) // 8
+        for fallback in (False, True):
+            assert on_path(fallback, unpack_indices, packed, bits, len(indices)) == indices
+        # a foreign payload: nonzero padding, and bytes beyond the count
+        payload = data.draw(st.binary(max_size=100))
+        count = data.draw(st.integers(0, len(payload) * 8 // bits))
+        assert on_path(False, unpack_indices, payload, bits, count) == on_path(
+            True, unpack_indices, payload, bits, count
+        ), bits
+
+
+@pytest.mark.parametrize("bits", [1, 10, MAX_BITS])
+def test_unknown_codeword_is_named_alike_on_both_paths(bits):
+    top, nan = 1 << bits, float("nan")
+    for stream, named in [
+        ([0, -1, 1], -1),
+        (np.array([0, -1, 1]), -1),
+        ([1, top, 0], top),
+        (np.array([1, top, 0]), top),
+        ([1, 2.7, 0], 2.7),
+        ([0, nan, 1], nan),
+        ([1, 1 << 70], 1 << 70),
+        # an integral entry out of range is named first, unless an entry that
+        # is not an integer cuts the stream before it
+        ([0, top, 2.7, -1], top),
+        ([0, 2.7, top, -1], 2.7),
+    ]:
+        for fallback in (False, True):
+            with pytest.raises(UnknownIndex) as info:
+                on_path(fallback, pack_indices, stream, bits)
+            assert str(info.value) == f"index {named} is not a {bits}-bit codeword", stream
+
+
+@pytest.mark.parametrize(
+    "payload, bits, count",
+    [(b"\x00", 3, 10), (b"", 1, 1), (b"\xff" * 6, MAX_BITS, 1), (b"\x00", 1, 1 << 63)],
+    ids=["10 in 1 byte", "1 in none", "53 bits in 6 bytes", "2^63 in 1 byte"],
+)
+def test_short_stream_is_named_alike_on_both_paths(payload, bits, count):
+    messages = []
+    for fallback in (False, True):
+        with pytest.raises(ValueError, match="stream too short") as info:
+            on_path(fallback, unpack_indices, payload, bits, count)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def traced_peak(function, *args):
+    """(result, peak bytes that tracemalloc saw while ``function(*args)`` ran)."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_packing_allocates_near_the_stream_size():
+    if _kernel.load() is None:
+        pytest.skip("the numpy fallback builds a bit matrix of 64 bytes per index")
+    values = np.random.default_rng(11).integers(0, 1 << 10, 10**6)
+    packed, pack_peak = traced_peak(pack_indices, values, 10)
+    indices, unpack_peak = traced_peak(unpack_indices, packed, 10, values.size)
+    assert indices == values.tolist()
+    # a 64-column bit matrix takes 84 MB and 111 MB here; what must remain is
+    # 1.25 MB packed, 8 MB of int64 and 1e6 Python ints
+    assert pack_peak < 8e6
+    assert unpack_peak < 60e6
 
 
 def run_everything():
@@ -257,6 +337,63 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     )
 
 
+# Packs a stream at every width and runs a two-row encode and a decode, through
+# the kernel build named on the command line, else through _kernel.load();
+# prints the sha256 of every output.
+_KERNEL_RUN = """
+import hashlib, sys
+import numpy as np
+import csi_feedback as c
+from csi_feedback import _kernel
+if len(sys.argv) > 1:
+    lib = _kernel._open(sys.argv[1])
+    _kernel.load = lambda: lib
+assert _kernel.load() is not None
+digest = hashlib.sha256()
+rng = np.random.default_rng(3)
+for bits in range(1, c.codec.MAX_BITS + 1):
+    values = rng.integers(0, 1 << bits, 37 + bits)
+    values[:2] = 0, (1 << bits) - 1
+    packed = c.pack_indices(values, bits)
+    assert c.unpack_indices(packed, bits, values.size) == values.tolist()
+    digest.update(packed)
+model, noise = c.ArModel((0.5, 0.2, 0.1, 0.05), 1.0), c.NoiseSpec(1.0)
+quantizer = c.innovation_quantizer(model, noise, 5)
+trace = c.generate_trace(model, noise, 300, seed=3)
+states = [c.EncoderState(model, noise, quantizer) for _ in range(2)]
+indices, recon = c.encode_batch(states, [trace.y, trace.x])
+decoded = c.decode_sequence(c.DecoderState(model, quantizer), indices[0])
+for output in (trace.y, indices, recon, decoded):
+    digest.update(np.ascontiguousarray(output).tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_runs_clean_under_undefined_behaviour_sanitizer(tmp_path):
+    if _kernel.load() is None:
+        pytest.skip("the kernel cannot be built on this host")
+    sanitized = tmp_path / "kernel-ubsan.so"
+    flags = ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all", "-ffp-contract=off"]
+    subprocess.run(
+        ["cc", *flags, "-shared", "-fPIC", "-o", str(sanitized), str(_kernel.SOURCE)],
+        check=True,
+        capture_output=True,
+    )
+    src = str(Path(csi_feedback.__file__).resolve().parents[1])
+    digests = []
+    for build in ([], [str(sanitized)]):
+        result = subprocess.run(
+            [sys.executable, "-c", _KERNEL_RUN, *build],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_commands_load_no_scipy():
     if _kernel.load() is None:
         pytest.skip("without the compiled kernel, traces come from scipy's lfilter")
@@ -277,16 +414,21 @@ def test_commands_load_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def outcome(function, *args, fallback=False):
-    """What ``function(*args)`` returns, as bytes, or the error it raises; with
-    ``fallback``, through the Python loops."""
+def on_path(fallback, function, *args):
+    """``function(*args)``, with ``fallback`` through the Python loops."""
     with pytest.MonkeyPatch.context() as patch:
         if fallback:
             patch.setattr(_kernel, "load", lambda: None)
-        try:
-            result = function(*args)
-        except CsiFeedbackError as exc:
-            return type(exc), str(exc)
+        return function(*args)
+
+
+def outcome(function, *args, fallback=False):
+    """What ``function(*args)`` returns, as bytes, or the error it raises; with
+    ``fallback``, through the Python loops."""
+    try:
+        result = on_path(fallback, function, *args)
+    except CsiFeedbackError as exc:
+        return type(exc), str(exc)
     return np.asarray(result, dtype=float).tobytes(), len(result)
 
 
@@ -371,6 +513,17 @@ def test_nan_runs_to_the_budget_on_both_paths(monkeypatch):
     assert gain == 1.0 and np.isnan(pred_var)
 
 
+def test_negative_quantization_noise_raises(either_path):
+    for function, args in [
+        (analysis.converged_prediction_state, (REF_AR4, UNIT_NOISE, -5.0)),
+        (analysis.mse_recursion, (REF_AR4, UNIT_NOISE, 0.5, -5.0, 1000)),
+        (analysis.mse_recursion, (REF_AR4, UNIT_NOISE, 0.5, -1e-300, 10**9)),
+        (analysis.steady_state, (analysis.Ar1Approx(0.9, 0.19), UNIT_NOISE, 0.5, -5.0)),
+    ]:
+        with pytest.raises(ValueError, match="sigma_q_sq must be non-negative"):
+            function(*args)
+
+
 def test_long_trajectory_crosses_buffer_growth_on_both_paths():
     model = ArModel((0.999,), 1.0)
 
@@ -386,12 +539,7 @@ def test_long_trajectory_crosses_buffer_growth_on_both_paths():
 
 def test_huge_step_budget_allocates_by_trajectory_length():
     expected = analysis.mse_recursion(REF_AR4, UNIT_NOISE, 0.5, 0.01, 100)
-    tracemalloc.start()
-    try:
-        trajectory = analysis.mse_recursion(REF_AR4, UNIT_NOISE, 0.5, 0.01, 10**9)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    trajectory, peak = traced_peak(analysis.mse_recursion, REF_AR4, UNIT_NOISE, 0.5, 0.01, 10**9)
     assert same_bits(trajectory, expected)
     assert peak < 1 << 20  # 10**9 doubles would be 8 GB
 
