@@ -20,7 +20,14 @@
  * order and hold the most recent value first.  Each loop keeps its histories
  * in mirrored rings of 2 * order doubles, where ring[i] == ring[i + order],
  * so the window ring[head .. head + order) is always contiguous and a push is
- * two stores.  `work` has room for two rings of the largest order.
+ * two stores.
+ *
+ * Each encoder step waits on the one before it: the prediction reads the last
+ * reconstruction.  encode_rows therefore steps BLOCK rows together, sample by
+ * sample, so the CPU overlaps their chains; each row keeps its own operation
+ * order, so its bits do not depend on the rows beside it.  Its `work` holds
+ * two rings for every row of a block, encode_rows_work doubles.  decode_rows
+ * decodes row after row into two rings of the largest order.
  */
 
 #include <math.h>
@@ -78,77 +85,145 @@ static double propagate_pred_err(const double *a, int64_t order, double innovati
     return total;
 }
 
-/* Encode one row.  Returns n, or the sample whose quantizer input is not
- * finite; the state then stands as the samples before it left it. */
-static int64_t encode_row(int64_t n, const double *y, int64_t order, const double *a,
-                          const double *p, double *history, double *filtered, double *s,
-                          int64_t *indices, double *recon, double *work)
+/* One row of encode_rows: its inputs and outputs there, and the encoder state
+ * it carries from sample to sample, with its histories in mirrored rings. */
+struct encoder {
+    const double *y, *a, *p;
+    double *history, *filtered, *s, *recon;
+    int64_t *indices, order;
+    double *h, *f, pred_err_var, gain;
+    int64_t hh, fh;
+    int settled;
+};
+
+/* Load the row's saved state, with its rings in the 4 * order doubles of `work`. */
+static void encoder_load(struct encoder *e, double *work)
 {
-    const double step = p[P_STEP], half = p[P_HALF];
-    double *h = work, *f = work + 2 * order;
-    int64_t hh = 0, fh = 0;
-    double pred_err_var = s[S_PRED_ERR_VAR], gain = s[S_GAIN];
-    int settled = s[S_SETTLED] != 0.0;
-    int64_t k;
-
-    ring_load(h, history, order);
-    ring_load(f, filtered, order);
-
-    for (k = 0; k < n; k++) {
-        double prediction = predict(a, h + hh, order);
-        double value = gain * (y[k] - prediction);
-        if (!isfinite(value))
-            break;
-        double level = floor(value / step);
-        if (level < -half)
-            level = -half;
-        else if (level > half - 1.0)
-            level = half - 1.0;
-        if (indices)
-            indices[k] = (int64_t)(level + half);
-        recon[k] = prediction + (level + 0.5) * step;
-        hh = ring_push(h, hh, order, recon[k]);
-        if (settled)
-            continue;
-
-        /* The recursion has settled when a step leaves the variance and the
-         * per-lag ring exactly unchanged: the ring after the push equals the
-         * ring before it iff every entry equals the pushed value. */
-        double pushed = (1.0 - gain) * pred_err_var;
-        int same = 1;
-        for (int64_t m = 0; m < order; m++)
-            same &= f[fh + m] == pushed;
-        fh = ring_push(f, fh, order, pushed);
-        double total = propagate_pred_err(a, order, p[P_INNOVATION_VAR], p[P_SIGMA_Q_SQ], f + fh);
-        settled = total == pred_err_var && same;
-        pred_err_var = total;
-        gain = kalman_gain(pred_err_var, p[P_NOISE_VAR]);
-    }
-    ring_store(history, h, hh, order);
-    ring_store(filtered, f, fh, order);
-    s[S_PRED_ERR_VAR] = pred_err_var;
-    s[S_GAIN] = gain;
-    s[S_SETTLED] = settled;
-    return k;
+    e->h = work;
+    e->f = work + 2 * e->order;
+    e->hh = e->fh = 0;
+    ring_load(e->h, e->history, e->order);
+    ring_load(e->f, e->filtered, e->order);
+    e->pred_err_var = e->s[S_PRED_ERR_VAR];
+    e->gain = e->s[S_GAIN];
+    e->settled = e->s[S_SETTLED] != 0.0;
 }
 
-/* Encode n samples of every row, row after row.  `indices` may be NULL.
+/* Write the row's state back where encoder_load read it. */
+static void encoder_save(const struct encoder *e)
+{
+    ring_store(e->history, e->h, e->hh, e->order);
+    ring_store(e->filtered, e->f, e->fh, e->order);
+    e->s[S_PRED_ERR_VAR] = e->pred_err_var;
+    e->s[S_GAIN] = e->gain;
+    e->s[S_SETTLED] = e->settled;
+}
+
+/* Encode sample k, as EncoderState.encode_step.  Returns 0, with the state
+ * unchanged, if its quantizer input is not finite, and 1 otherwise. */
+static int encoder_step(struct encoder *e, int64_t k)
+{
+    const double *a = e->a, *p = e->p;
+    const int64_t order = e->order;
+    const double step = p[P_STEP], half = p[P_HALF], gain = e->gain;
+    double prediction = predict(a, e->h + e->hh, order);
+    double value = gain * (e->y[k] - prediction);
+    if (!isfinite(value))
+        return 0;
+    double level = floor(value / step);
+    if (level < -half)
+        level = -half;
+    else if (level > half - 1.0)
+        level = half - 1.0;
+    if (e->indices)
+        e->indices[k] = (int64_t)(level + half);
+    e->recon[k] = prediction + (level + 0.5) * step;
+    e->hh = ring_push(e->h, e->hh, order, e->recon[k]);
+    if (e->settled)
+        return 1;
+
+    /* The recursion has settled when a step leaves the variance and the
+     * per-lag ring exactly unchanged: the ring after the push equals the
+     * ring before it iff every entry equals the pushed value. */
+    double pushed = (1.0 - gain) * e->pred_err_var;
+    int same = 1;
+    for (int64_t m = 0; m < order; m++)
+        same &= e->f[e->fh + m] == pushed;
+    e->fh = ring_push(e->f, e->fh, order, pushed);
+    double total = propagate_pred_err(a, order, p[P_INNOVATION_VAR], p[P_SIGMA_Q_SQ], e->f + e->fh);
+    e->settled = total == e->pred_err_var && same;
+    e->pred_err_var = total;
+    e->gain = kalman_gain(total, p[P_NOISE_VAR]);
+    return 1;
+}
+
+/* Step m rows through n samples, sample by sample and within a sample row by
+ * row, so the CPU overlaps their independent chains of dependent steps.
+ * Returns n, or the first sample at which some row's step failed. */
+static int64_t encode_block(struct encoder *e, int64_t m, int64_t n)
+{
+    for (int64_t k = 0; k < n; k++)
+        for (int64_t i = 0; i < m; i++)
+            if (!encoder_step(e + i, k))
+                return k;
+    return n;
+}
+
+/* Rows encoded together by encode_rows: enough independent steps in flight to
+ * hide the latency of one, few enough for the CPU's reorder window. */
+enum { BLOCK = 8 };
+
+/* Doubles of `work` that encode_rows needs for n_rows rows of order at most
+ * max_order: two rings for every row of a block. */
+int64_t encode_rows_work(int64_t n_rows, int64_t max_order)
+{
+    return (n_rows < BLOCK ? n_rows : BLOCK) * 4 * max_order;
+}
+
+/* Encode n samples of every row, BLOCK rows at a time.  `indices` may be NULL.
  * Returns n_rows * n, or row * n + k for the first sample k whose quantizer
- * input is not finite; later rows are then left untouched. */
+ * input is not finite; earlier rows are then encoded whole, that row is left
+ * as the samples before k left it, and later rows are left untouched.
+ * `work` has room for encode_rows_work(n_rows, max order) doubles. */
 int64_t encode_rows(int64_t n_rows, int64_t n, const double *const *observations,
                     const int64_t *orders, const double *coeffs, const double *params,
                     double *history, double *filtered, double *state, int64_t *indices,
                     double *recon, double *work)
 {
+    struct encoder block[BLOCK];
     int64_t offset = 0;
-    for (int64_t r = 0; r < n_rows; r++) {
-        int64_t done = encode_row(n, observations[r], orders[r], coeffs + offset,
-                                  params + r * N_PARAMS, history + offset, filtered + offset,
-                                  state + r * N_STATE, indices ? indices + r * n : 0,
-                                  recon + r * n, work);
-        if (done < n)
-            return r * n + done;
-        offset += orders[r];
+    for (int64_t first = 0; first < n_rows; first += BLOCK) {
+        const int64_t m = n_rows - first < BLOCK ? n_rows - first : BLOCK;
+        double *ring = work;
+        for (int64_t i = 0; i < m; i++) {
+            const int64_t r = first + i;
+            struct encoder *e = block + i;
+            e->y = observations[r];
+            e->order = orders[r];
+            e->a = coeffs + offset;
+            e->p = params + r * N_PARAMS;
+            e->history = history + offset;
+            e->filtered = filtered + offset;
+            e->s = state + r * N_STATE;
+            e->indices = indices ? indices + r * n : 0;
+            e->recon = recon + r * n;
+            encoder_load(e, ring);
+            offset += e->order;
+            ring += 4 * e->order;
+        }
+        if (encode_block(block, m, n) < n) {
+            /* A row failed.  Encode the block again row by row from its saved
+             * state, so the rows after the failing one stay untouched. */
+            for (int64_t i = 0; i < m; i++) {
+                encoder_load(block + i, block[i].h);
+                int64_t k = encode_block(block + i, 1, n);
+                encoder_save(block + i);
+                if (k < n)
+                    return (first + i) * n + k;
+            }
+        }
+        for (int64_t i = 0; i < m; i++)
+            encoder_save(block + i);
     }
     return n_rows * n;
 }

@@ -35,6 +35,7 @@ COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "encode_rows": (_I64, [_I64, _I64] + [_PTR] * 10),
+    "encode_rows_work": (_I64, [_I64, _I64]),
     "decode_rows": (_I64, [_I64, _I64] + [_PTR] * 8),
     "gain_fixed_point": (_I64, [_I64, _PTR] + [_F64] * 5 + [_I64, _PTR, _PTR]),
     "mse_trajectory": (_I64, [_I64, _PTR] + [_F64] * 4 + [_PTR, _I64, _I64]),

@@ -229,11 +229,17 @@ def _encode_rows(states, observations, with_indices: bool = True):
     """Encode one observation stream per encoder state and advance every state.
 
     Returns (indices, reconstructions) of shape (streams, samples); indices is
-    None unless ``with_indices``.  The compiled kernel encodes row after row;
-    a non-finite quantizer input raises ValueError with every state advanced
-    up to that sample, as the per-sample loop leaves it.
+    None unless ``with_indices``.  The compiled kernel steps blocks of rows
+    sample by sample, each row in its own operation order, so the bits are
+    those of encoding row after row; a non-finite quantizer input raises
+    ValueError with the rows before it encoded whole, its row advanced up to
+    that sample and the rows after it untouched, as the per-sample loop
+    leaves them.  A state passed in two rows raises ValueError before any
+    row is encoded.
     """
     states = list(states)
+    if len({id(state) for state in states}) < len(states):
+        raise ValueError("each row needs its own encoder state")
     streams = [np.ascontiguousarray(obs, dtype=float) for obs in observations]
     if len(streams) != len(states):
         raise ValueError("need one observation stream per encoder state")
@@ -269,7 +275,7 @@ def _encode_rows(states, observations, with_indices: bool = True):
     record = np.array([[s.pred_err_var, s.gain, s._settled] for s in states], dtype=float)
     indices = np.empty((n_rows, n), dtype=np.int64) if with_indices else None
     recon = np.empty((n_rows, n))
-    work = np.empty(4 * int(orders.max(initial=1)))
+    work = np.empty(lib.encode_rows_work(n_rows, int(orders.max(initial=1))))
     stop = lib.encode_rows(
         n_rows,
         n,
@@ -312,9 +318,12 @@ def encode_batch(states, observations) -> tuple[np.ndarray, np.ndarray]:
     Returns (indices, reconstructions), both of shape (streams, samples).  Row
     r is bit-identical to ``encode_sequence(states[r], observations[r])`` and
     advances ``states[r]`` as that call would; pass fresh states to encode the
-    streams from their start.  The streams must have equal lengths; rows may
-    share one observation array.  NaN or infinite values raise ValueError, as
-    in the scalar quantizer.
+    streams from their start.  The compiled kernel encodes several rows at
+    once, interleaved sample by sample.  The streams must have equal lengths;
+    rows may share one observation array, but not one state (ValueError).
+    NaN or infinite values raise ValueError, as in the scalar quantizer, with
+    the rows before the failing one encoded whole and the rows after it
+    untouched.
     """
     return _encode_rows(states, observations)
 

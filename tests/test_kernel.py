@@ -37,7 +37,7 @@ from csi_feedback import (
     pack_indices,
     unpack_indices,
 )
-from csi_feedback import _kernel, analysis, channel
+from csi_feedback import _kernel, analysis, channel, codec
 from csi_feedback.codec import MAX_BITS
 from csi_feedback.errors import CsiFeedbackError, NonConvergence, UnknownIndex
 from conftest import REF_AR1, REF_AR4, UNIT_NOISE
@@ -100,6 +100,70 @@ def test_kernel_matches_step_loops(rows, seed):
         assert same_bits(decoded, step_decode(decoder_oracle, expected_indices)), r
         assert same_bits(decoded, expected_recon), r
         assert decoder.history == decoder_oracle.history, r
+
+
+def encoder_block_rows():
+    """Rows the compiled encoder steps together: its work holds two rings per row of a block."""
+    return _kernel.load().encode_rows_work(1 << 20, 1) // 4
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_blocks_match_step_loops_across_boundaries(data):
+    if _kernel.load() is None:
+        pytest.skip("without the compiled kernel the rows run through the step loop itself")
+    block = encoder_block_rows()
+    edges = st.sampled_from([block - 1, block, block + 1, 2 * block, 2 * block + 1])
+    n_rows = data.draw(edges | st.integers(1, 2 * block + 1), label="rows")
+    n = data.draw(st.integers(1, 120), label="samples")
+    seed = data.draw(st.integers(0, 1 << 16), label="seed")
+    states, oracles, observations = [], [], []
+    for r in range(n_rows):
+        # AR(1..12), so rows of different orders share a block
+        pacf = data.draw(st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=12))
+        model = ArModel(_ar_from_pacf(pacf), data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+        noise = NoiseSpec(data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+        quantizer = innovation_quantizer(model, noise, data.draw(st.integers(1, MAX_BITS)))
+        states.append(EncoderState(model, noise, quantizer))
+        oracles.append(EncoderState(model, noise, quantizer))
+        if r > 0 and data.draw(st.booleans(), label="shared"):
+            observations.append(observations[data.draw(st.integers(0, r - 1))])
+        else:
+            observations.append(generate_trace(model, NoiseSpec(1.0), n, seed=seed + r).y.copy())
+    if data.draw(st.booleans(), label="failure"):
+        row, k = data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, n - 1))
+        # every row that shares this stream sees it
+        observations[row][k] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with_indices = data.draw(st.booleans(), label="with_indices")
+
+    # rows run in order: those before the first failing one whole, that one up
+    # to its sample, the rows after it never
+    expected, failed = [], False
+    for oracle, y in zip(oracles, observations):
+        try:
+            expected.append(step_encode(oracle, y))
+        except ValueError:
+            failed = True
+            break
+    if failed:
+        with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
+            codec._encode_rows(states, observations, with_indices)
+    else:
+        indices, recon = codec._encode_rows(states, observations, with_indices)
+        for r, (expected_indices, expected_recon) in enumerate(expected):
+            if with_indices:
+                assert indices[r].tolist() == expected_indices, r
+            assert same_bits(recon[r], expected_recon), r
+    assert [encoder_state(s) for s in states] == [encoder_state(o) for o in oracles]
+
+
+def test_state_passed_twice_is_rejected(either_path):
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 6)
+    y = generate_trace(REF_AR4, UNIT_NOISE, 200, seed=101).y
+    state, other, fresh = [EncoderState(REF_AR4, UNIT_NOISE, quantizer) for _ in range(3)]
+    with pytest.raises(ValueError, match="each row needs its own encoder state"):
+        encode_batch([state, other, state], [y, y, y[::-1]])
+    assert encoder_state(state) == encoder_state(other) == encoder_state(fresh)
 
 
 @pytest.mark.parametrize("coeffs", [(0.5,), (0.5, -0.2, 0.1)])
@@ -337,9 +401,10 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     )
 
 
-# Packs a stream at every width and runs a two-row encode and a decode, through
-# the kernel build named on the command line, else through _kernel.load();
-# prints the sha256 of every output.
+# Packs a stream at every width, encodes two blocks and a remainder of rows
+# that mix AR(1) and AR(4), and decodes a row, through the kernel build named on
+# the command line, else through _kernel.load(); prints the sha256 of every
+# output.
 _KERNEL_RUN = """
 import hashlib, sys
 import numpy as np
@@ -358,40 +423,64 @@ for bits in range(1, c.codec.MAX_BITS + 1):
     assert c.unpack_indices(packed, bits, values.size) == values.tolist()
     digest.update(packed)
 model, noise = c.ArModel((0.5, 0.2, 0.1, 0.05), 1.0), c.NoiseSpec(1.0)
-quantizer = c.innovation_quantizer(model, noise, 5)
+ar1 = c.ArModel((0.9,), 0.19)
 trace = c.generate_trace(model, noise, 300, seed=3)
-states = [c.EncoderState(model, noise, quantizer) for _ in range(2)]
-indices, recon = c.encode_batch(states, [trace.y, trace.x])
-decoded = c.decode_sequence(c.DecoderState(model, quantizer), indices[0])
+block = _kernel.load().encode_rows_work(1 << 20, 1) // 4
+models = [model if r % 2 else ar1 for r in range(2 * block + 1)]
+quantizers = [c.innovation_quantizer(m, noise, 2 + r % 7) for r, m in enumerate(models)]
+states = [c.EncoderState(m, noise, q) for m, q in zip(models, quantizers)]
+observations = [trace.x if r % 3 else trace.y for r in range(len(states))]
+indices, recon = c.encode_batch(states, observations)
+decoded = c.decode_sequence(c.DecoderState(model, quantizers[1]), indices[1])
 for output in (trace.y, indices, recon, decoded):
     digest.update(np.ascontiguousarray(output).tobytes())
 print(digest.hexdigest())
 """
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_kernel_runs_clean_under_undefined_behaviour_sanitizer(tmp_path):
+def assert_sanitized_build_runs_clean(tmp_path, flags, **env):
+    """Build _kernel.c with ``flags`` and run _KERNEL_RUN through it, with
+    ``env`` added, and through the normal build: both exit 0 with one digest."""
     if _kernel.load() is None:
         pytest.skip("the kernel cannot be built on this host")
-    sanitized = tmp_path / "kernel-ubsan.so"
-    flags = ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all", "-ffp-contract=off"]
+    sanitized = tmp_path / "kernel-sanitized.so"
+    flags = [*flags, "-ffp-contract=off", "-shared", "-fPIC"]
     subprocess.run(
-        ["cc", *flags, "-shared", "-fPIC", "-o", str(sanitized), str(_kernel.SOURCE)],
-        check=True,
-        capture_output=True,
+        ["cc", *flags, "-o", str(sanitized), str(_kernel.SOURCE)], check=True, capture_output=True
     )
     src = str(Path(csi_feedback.__file__).resolve().parents[1])
     digests = []
-    for build in ([], [str(sanitized)]):
+    for build, extra in (([], {}), ([str(sanitized)], env)):
         result = subprocess.run(
             [sys.executable, "-c", _KERNEL_RUN, *build],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=src, **extra),
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout)
     assert digests[0] == digests[1]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_runs_clean_under_undefined_behaviour_sanitizer(tmp_path):
+    flags = ["-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+    assert_sanitized_build_runs_clean(tmp_path, flags)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_runs_clean_under_address_sanitizer(tmp_path):
+    libasan = subprocess.run(
+        ["cc", "-print-file-name=libasan.so"], capture_output=True, text=True
+    ).stdout.strip()
+    if not os.path.isabs(libasan):  # the bare name comes back when it is missing
+        pytest.skip("no libasan")
+    flags = ["-O1", "-g", "-fsanitize=address", "-fno-omit-frame-pointer"]
+    # the interpreter is not built with ASan: its runtime must load first, and
+    # the interpreter's own allocations at exit are not this test's leaks
+    assert_sanitized_build_runs_clean(
+        tmp_path, flags, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0"
+    )
 
 
 def test_commands_load_no_scipy():
