@@ -3,10 +3,11 @@
  *
  * Each loop repeats the arithmetic of its Python counterpart operation by
  * operation, in the same order, so its outputs are bit-identical to it:
- * encode_rows to EncoderState.encode_step, decode_rows to
+ * encode_rows to EncoderState.encode_step, decode_row to
  * DecoderState.decode_step, gain_fixed_point to the loop of
  * analysis.converged_prediction_state, mse_trajectory to the loop of
- * analysis.mse_recursion and ar_trace to scipy.signal.lfilter([1], [1, -a]).
+ * analysis.mse_recursion and ar_trace to the loop of channel._ar_filter,
+ * which runs lfilter([1], [1, -a])'s operation order.
  * pack_bits and unpack_bits give the bytes and codewords of the numpy bit
  * matrix in codec.pack_indices and codec.unpack_indices.
  * The encoder's settle loop and gain_fixed_point share one gain recursion,
@@ -26,8 +27,8 @@
  * reconstruction.  encode_rows therefore steps BLOCK rows together, sample by
  * sample, so the CPU overlaps their chains; each row keeps its own operation
  * order, so its bits do not depend on the rows beside it.  Its `work` holds
- * two rings for every row of a block, encode_rows_work doubles.  decode_rows
- * decodes row after row into two rings of the largest order.
+ * two rings for every row of a block, encode_rows_work doubles.  decode_row
+ * decodes one row through one ring.
  */
 
 #include <math.h>
@@ -283,31 +284,23 @@ int64_t mse_trajectory(int64_t order, const double *c, double shrink, double con
     return -capacity;
 }
 
-/* Decode n indices of every row, row after row, with quantizer steps `step`
- * and 2^(bits-1) in `half`.  Returns n_rows * n, or row * n + k for the
- * first index k outside [0, 2 * half); later rows are then left untouched. */
-int64_t decode_rows(int64_t n_rows, int64_t n, const int64_t *const *indices,
-                    const int64_t *orders, const double *coeffs, const double *step,
-                    const double *half, double *history, double *recon, double *work)
+/* Decode n indices of one row, as DecoderState.decode_step, with quantizer
+ * step `step` and 2^(bits-1) in `half`, from `history` and back into it.
+ * Returns n, or the first k whose index lies outside [0, 2 * half); the
+ * history then holds the reconstructions before it.  `work` has room for one
+ * ring, 2 * order doubles. */
+int64_t decode_row(int64_t n, int64_t order, const double *a, double step, double half,
+                   const int64_t *indices, double *history, double *recon, double *work)
 {
-    int64_t offset = 0;
-    for (int64_t r = 0; r < n_rows; r++) {
-        const int64_t order = orders[r], *index = indices[r];
-        const int64_t levels = 2 * (int64_t)half[r];
-        const double *a = coeffs + offset;
-        double *h = work, *out = recon + r * n;
-        int64_t hh = 0, k;
-        ring_load(h, history + offset, order);
-        for (k = 0; k < n && index[k] >= 0 && index[k] < levels; k++) {
-            out[k] = predict(a, h + hh, order) + ((double)index[k] - half[r] + 0.5) * step[r];
-            hh = ring_push(h, hh, order, out[k]);
-        }
-        ring_store(history + offset, h, hh, order);
-        if (k < n)
-            return r * n + k;
-        offset += order;
+    const int64_t levels = 2 * (int64_t)half;
+    int64_t head = 0, k;
+    ring_load(work, history, order);
+    for (k = 0; k < n && indices[k] >= 0 && indices[k] < levels; k++) {
+        recon[k] = predict(a, work + head, order) + ((double)indices[k] - half + 0.5) * step;
+        head = ring_push(work, head, order, recon[k]);
     }
-    return n_rows * n;
+    ring_store(history, work, head, order);
+    return k;
 }
 
 /* x_k = sum_m a_m x_{k-m} + psi_k from a zero state, in the operation order of

@@ -2,7 +2,8 @@
 
 Those are the codec's encode and decode loops, the fixed point of its gain
 recursion, the long-term MSE recursion, the AR trace filter and the packing
-of index streams into bytes and back.
+of index streams into bytes and back.  The trace filter and its Python loop
+both run ``lfilter``'s operation order; only the tests import lfilter.
 
 ``load()`` compiles ``_kernel.c`` on first use with the system C compiler
 into a per-user cache, ``~/.cache/csi_feedback``, under a name keyed by the
@@ -36,7 +37,7 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "encode_rows": (_I64, [_I64, _I64] + [_PTR] * 10),
     "encode_rows_work": (_I64, [_I64, _I64]),
-    "decode_rows": (_I64, [_I64, _I64] + [_PTR] * 8),
+    "decode_row": (_I64, [_I64, _I64, _PTR, _F64, _F64] + [_PTR] * 4),
     "gain_fixed_point": (_I64, [_I64, _PTR] + [_F64] * 5 + [_I64, _PTR, _PTR]),
     "mse_trajectory": (_I64, [_I64, _PTR] + [_F64] * 4 + [_PTR, _I64, _I64]),
     "ar_trace": (None, [_I64, _I64] + [_PTR] * 4),

@@ -195,12 +195,22 @@ def default_burn_in(model: ArModel) -> int:
 
 
 def _ar_filter(coeffs: tuple[float, ...], psi: np.ndarray) -> np.ndarray:
-    """x_k = sum_m a_m x_{k-m} + psi_k from a zero state, bit for bit as lfilter computes it."""
+    """x_k = sum_m a_m x_{k-m} + psi_k from a zero state, bit for bit as lfilter computes it.
+
+    The kernel's ``ar_trace`` and the loop here both run lfilter's direct form
+    II transposed in its operation order, 0 * x terms included.
+    """
     lib = _kernel.load()
     if lib is None:
-        from scipy.signal import lfilter
-
-        return lfilter([1.0], np.concatenate(([1.0], -np.asarray(coeffs))), psi)
+        d = [-a for a in coeffs]
+        z, last, x = [0.0] * len(d), len(d) - 1, []
+        for value in psi.tolist():
+            out = z[0] + 1.0 * value
+            for m in range(last):
+                z[m] = z[m + 1] + 0.0 * value - d[m] * out
+            z[last] = 0.0 * value - d[last] * out
+            x.append(out)
+        return np.array(x)
     a = np.array(coeffs)
     x = np.empty_like(psi)
     z = np.empty(a.size)

@@ -385,21 +385,17 @@ def decode_sequence(state: DecoderState, indices) -> np.ndarray:
 
 def _decode_row(lib, state: DecoderState, codes: np.ndarray) -> np.ndarray:
     """``decode_sequence`` of int64 codewords through the compiled kernel."""
-    order = np.array([state.model.order], dtype=np.int64)
     coeffs = np.array(state._coeffs)
-    step = np.array([state.quantizer.step])
-    half = np.array([float(1 << (state.quantizer.bits - 1))])
     history = np.array(state.history, dtype=float)
     recon = np.empty(codes.size)
     work = np.empty(2 * state.model.order)
-    stop = lib.decode_rows(
-        1,
+    stop = lib.decode_row(
         codes.size,
-        (ctypes.c_void_p * 1)(codes.ctypes.data),
-        order.ctypes.data,
+        state.model.order,
         coeffs.ctypes.data,
-        step.ctypes.data,
-        half.ctypes.data,
+        state.quantizer.step,
+        float(1 << (state.quantizer.bits - 1)),
+        codes.ctypes.data,
         history.ctypes.data,
         recon.ctypes.data,
         work.ctypes.data,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bounds, codec
-from .channel import ArModel, ChannelTrace, NoiseSpec, generate_trace
+from .channel import ArModel, NoiseSpec, generate_trace
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -164,7 +164,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     def as_optional_float(key: str) -> float | None:
         raw = values[key].strip().lower()
-        return None if raw in ("auto", "") else as_float(key)
+        value = None if raw in ("auto", "") else as_float(key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        return value
 
     d_min = as_optional_float("d_min")
     d_max = as_optional_float("d_max")
@@ -301,6 +304,8 @@ def run_theory_sweep(config: ExperimentConfig) -> list[CsvRow]:
         auto_min, auto_max = bounds.default_distortion_grid(scheme, params)
         d_min = config.d_min if config.d_min is not None else auto_min
         d_max = config.d_max if config.d_max is not None else auto_max
+        if not 0 < d_min < d_max:
+            raise ConfigError(f"{scheme.value}: need 0 < d_min < d_max, got [{d_min}, {d_max}]")
         curve = bounds.sweep(
             scheme, params, d_min, d_max, config.n_points, normalized=config.normalized_bounds
         )
@@ -330,12 +335,6 @@ def _prediction_windows(y: np.ndarray, order: int) -> np.ndarray:
 def _predicted_states(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Vectorized one-step predictions; entry j forecasts x[order + j]."""
     return _prediction_windows(y, theta.size) @ theta[::-1]
-
-
-def _encoder_mse(model: ArModel, noise: NoiseSpec, q, trace: ChannelTrace, start: int = 0) -> float:
-    """Encoder-side reconstruction MSE of a trace from sample ``start`` on; nothing is decoded."""
-    _, (recon,) = codec._encode_rows([codec.EncoderState(model, noise, q)], [trace.y], False)
-    return float(np.mean((trace.x[start:] - recon[start:]) ** 2))
 
 
 def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
@@ -470,7 +469,7 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
         gain = analysis.converged_gain(model, noise, sigma_q_sq)
         predicted.append(analysis.steady_state(params.ar1, noise, gain, sigma_q_sq).varsigma_inf)
         states.append(codec.EncoderState(model, noise, quantizer))
-    # every width in one call, which the kernel interleaves; each row has the bits of _encoder_mse's
+    # every width in one call, which the kernel interleaves; each row keeps its own bits
     _, recon = codec._encode_rows(states, [trace.y] * len(states), with_indices=False)
     for bits, analytic, row in zip(config.quantizer_bits, predicted, recon):
         long_run = float(np.mean((trace.x[warmup:] - row[warmup:]) ** 2))

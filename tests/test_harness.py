@@ -252,8 +252,12 @@ class TestCodecExperiment:
 
     def test_codec_rows_match_scalar_encoder(self):
         from csi_feedback import ArModel, NoiseSpec, ar1_fit, autocovariance, generate_trace
-        from csi_feedback.codec import UniformQuantizer, innovation_quantizer
-        from csi_feedback.harness import _encoder_mse
+        from csi_feedback.codec import EncoderState, UniformQuantizer, innovation_quantizer
+
+        def scalar_mse(model, noise, quantizer, trace):
+            state = EncoderState(model, noise, quantizer)
+            recon = np.array([state.encode_step(y)[1] for y in trace.y.tolist()])
+            return float(np.mean((trace.x - recon) ** 2))
 
         config = parse_config_text(
             make_config(quantizer_bits="2,5", trials=2, samples_per_trial=3000)
@@ -269,9 +273,9 @@ class TestCodecExperiment:
             open_loop_q = UniformQuantizer.with_clip(bits, 4.0 * open_loop_std)
             closed_loop_q = innovation_quantizer(model, noise, bits)
             open_loop = [
-                _encoder_mse(open_loop_model, NoiseSpec(0.0), open_loop_q, t) for t in traces
+                scalar_mse(open_loop_model, NoiseSpec(0.0), open_loop_q, t) for t in traces
             ]
-            closed_loop = [_encoder_mse(model, noise, closed_loop_q, t) for t in traces]
+            closed_loop = [scalar_mse(model, noise, closed_loop_q, t) for t in traces]
             # the harness sums the per-trial MSEs in trial order, then divides
             assert by_scheme[AR1_OPEN_LOOP] == sum(open_loop) / 2
             assert by_scheme[CLOSED_LOOP] == sum(closed_loop) / 2
@@ -459,6 +463,26 @@ class TestCli:
         rows = read_csv(out)
         assert rows
         assert all(np.isfinite([row.distortion, row.rate_bits]).all() for row in rows)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("obs_noise_var = 0", "practical_ar1: need 0 < d_min < d_max, got [0.0, 13.33"),
+            ("d_min = 100", "aperiodic_prediction: need 0 < d_min < d_max, got [100.0, "),
+            ("d_max = 1e-9", "aperiodic_prediction: need 0 < d_min < d_max, got [1.144, 1e-09]"),
+            ("d_min = nan", "d_min must be finite"),
+            ("d_min = inf", "d_min must be finite"),
+            ("d_max = nan", "d_max must be finite"),
+            ("d_min = 1\nd_max = inf", "d_max must be finite"),
+        ],
+        ids=["noise 0", "d_min 100", "d_max 1e-9", "d_min nan", "d_min inf", "d_max nan", "d_max inf"],
+    )
+    def test_empty_distortion_grid_is_exit_1(self, tmp_path, capsys, extra, message):
+        cfg = self.write(tmp_path, f"ar_coeffs = 0.5\n{extra}")
+        out = tmp_path / "rd.csv"
+        assert cli_main(["theory", "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_override_is_exit_1(self, tmp_path, capsys):
         cfg = self.write(tmp_path, make_config())

@@ -1,10 +1,11 @@
 """The compiled loops against the Python loops they replace.
 
-``EncoderState.encode_step``, ``DecoderState.decode_step``,
-``scipy.signal.lfilter`` and the Python loops of
-``analysis.converged_prediction_state`` and ``analysis.mse_recursion`` are the
-oracles: every kernel output and every state it leaves behind must equal
-theirs bit for bit.
+``EncoderState.encode_step``, ``DecoderState.decode_step`` and the Python
+loops of ``analysis.converged_prediction_state`` and ``analysis.mse_recursion``
+are the oracles: every kernel output and every state it leaves behind must
+equal theirs bit for bit.  ``scipy.signal.lfilter``, which only the tests
+import, is the oracle of the AR trace filter on both paths, the kernel's
+``ar_trace`` and the Python loop of ``channel._ar_filter``.
 """
 
 import ctypes
@@ -62,6 +63,11 @@ def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
+def assert_ar_filter_matches_lfilter(coeffs, psi):
+    denominator = np.concatenate(([1.0], -np.asarray(coeffs)))
+    assert same_bits(channel._ar_filter(coeffs, psi), lfilter([1.0], denominator, psi))
+
+
 _ROW = st.tuples(
     st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=8),  # partial autocorrelations
     st.sampled_from([0.5, 1.0, 2.0]),  # innovation variance
@@ -81,8 +87,7 @@ def test_kernel_matches_step_loops(rows, seed):
         noise = NoiseSpec(noise_var)
         quantizer = innovation_quantizer(model, noise, bits)
         psi = np.random.default_rng(seed + r).normal(size=500)
-        denominator = np.concatenate(([1.0], -np.asarray(model.coeffs)))
-        assert same_bits(channel._ar_filter(model.coeffs, psi), lfilter([1.0], denominator, psi))
+        assert_ar_filter_matches_lfilter(model.coeffs, psi)
         states.append(EncoderState(model, noise, quantizer))
         oracles.append(EncoderState(model, noise, quantizer))
         observations.append(generate_trace(model, NoiseSpec(1.0), 300, seed=seed + r).y)
@@ -166,14 +171,6 @@ def test_state_passed_twice_is_rejected(either_path):
     assert encoder_state(state) == encoder_state(other) == encoder_state(fresh)
 
 
-@pytest.mark.parametrize("coeffs", [(0.5,), (0.5, -0.2, 0.1)])
-def test_ar_filter_keeps_lfilter_order_on_signed_zeros_and_inf(coeffs):
-    # lfilter adds 0 * x to every delay; that term shows only on such inputs
-    psi = np.array([-0.0, 0.0, -0.0, 1.0, -1.0, np.inf, 2.0, 0.0])
-    denominator = np.concatenate(([1.0], -np.asarray(coeffs)))
-    assert same_bits(channel._ar_filter(coeffs, psi), lfilter([1.0], denominator, psi))
-
-
 @pytest.mark.parametrize("model", [REF_AR4, REF_AR1], ids=["settling AR(4)", "limit-cycle AR(1)"])
 def test_split_stream_continues_with_steps(model):
     quantizer = innovation_quantizer(model, UNIT_NOISE, 6)
@@ -242,6 +239,25 @@ def either_path(request, monkeypatch):
     if request.param == "fallback":
         monkeypatch.setattr(_kernel, "load", lambda: None)
     return request.param
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    pacf=st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=12), seed=st.integers(0, 1 << 16)
+)
+def test_ar_filter_matches_lfilter_on_the_fallback(pacf, seed):
+    # the kernel's ar_trace is checked against lfilter in test_kernel_matches_step_loops
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "load", lambda: None)
+        psi = np.random.default_rng(seed).normal(size=500)
+        assert_ar_filter_matches_lfilter(_ar_from_pacf(pacf), psi)
+
+
+@pytest.mark.parametrize("coeffs", [(0.5,), (0.5, -0.2, 0.1)])
+def test_ar_filter_keeps_lfilter_order_on_signed_zeros_and_inf(either_path, coeffs):
+    # lfilter adds 0 * x to every delay; that term shows only on such inputs
+    psi = np.array([-0.0, 0.0, -0.0, 1.0, -1.0, np.inf, 2.0, 0.0])
+    assert_ar_filter_matches_lfilter(coeffs, psi)
 
 
 @pytest.mark.parametrize("bad", [2.7, -0.5, np.nan, np.inf])
@@ -483,24 +499,45 @@ def test_kernel_runs_clean_under_address_sanitizer(tmp_path):
     )
 
 
-def test_commands_load_no_scipy():
-    if _kernel.load() is None:
-        pytest.skip("without the compiled kernel, traces come from scipy's lfilter")
-    script = (
-        "import sys, csi_feedback as c\n"
-        "m = c.ArModel((0.5,), 1.0)\n"
-        "c.generate_trace(m, c.NoiseSpec(1.0), 100, seed=1)\n"
-        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+# Runs every command on a config with scipy unimportable, through the kernel
+# or, given "fallback", the Python loops, writing to <out>/<path>-<command>.csv;
+# prints the exit codes last.
+_NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from csi_feedback import _kernel, cli
+path, config, out = sys.argv[1:]
+if path == "fallback":
+    _kernel.load = lambda: None
+commands = ("theory", "codec", "validate", "trace")
+codes = [cli.main([c, "--config", config, "--out", f"{out}/{path}-{c}.csv"]) for c in commands]
+print(*codes)
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    config = tmp_path / "small.cfg"
+    config.write_text(
+        "ar_coeffs = 0.5, 0.2\nn_points = 5\nquantizer_bits = 2, 6\n"
+        "trials = 1\nsamples_per_trial = 2000\nseed = 3\n"
     )
     src = str(Path(csi_feedback.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        check=True,
-        capture_output=True,
-        text=True,
-    )
-    assert result.stdout.strip() == "[]"
+    codes = {}
+    for path in ("kernel", "fallback"):
+        result = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_RUN, path, str(config), str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        codes[path] = [int(c) for c in result.stdout.splitlines()[-1].split()]
+    theory, codec_, validate, trace = codes["kernel"]
+    assert (theory, codec_, trace) == (0, 0, 0) and validate in (0, 2)
+    assert codes["fallback"] == codes["kernel"]
+    kernel_trace = (tmp_path / "kernel-trace.csv").read_bytes()
+    assert kernel_trace.count(b"\n") == 2001
+    assert (tmp_path / "fallback-trace.csv").read_bytes() == kernel_trace
 
 
 def on_path(fallback, function, *args):
