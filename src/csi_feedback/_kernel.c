@@ -260,17 +260,17 @@ int64_t gain_fixed_point(int64_t order, const double *a, double innovation_var, 
 
 /* The long-term MSE recursion, as analysis.mse_recursion:
  * v_k = shrink * sum_m c_m v_{k-1-m} + constant, summed in lag order from 0.0,
- * with v_j = v_0 for j < 0.  `v` holds order - 1 copies of v_0 and then the
- * trajectory v_0, v_1, ..., of which `done` values are filled.  Fills on
- * until v_k is within rtol * max(|v_{k-1}|, min_scale) of v_{k-1} or
- * `capacity` values are filled.  A NaN v_{k-1} never passes: Python's
- * max(NaN, min_scale) is NaN, where fmax would give min_scale.  Returns the
- * trajectory length, negated unless its last value passed. */
+ * with v_j = v_0 for j < 0.  `v` holds order - 1 copies of v_0, then v_0 and
+ * room for the rest of `capacity` trajectory values v_0, v_1, ....  Fills it
+ * until v_k is within rtol * max(|v_{k-1}|, min_scale) of v_{k-1}.  A NaN
+ * v_{k-1} never passes: Python's max(NaN, min_scale) is NaN, where fmax
+ * would give min_scale.  Returns the trajectory length, or 0 if `capacity`
+ * values are filled and the last did not pass. */
 int64_t mse_trajectory(int64_t order, const double *c, double shrink, double constant,
-                       double rtol, double min_scale, double *v, int64_t done, int64_t capacity)
+                       double rtol, double min_scale, double *v, int64_t capacity)
 {
     double *t = v + order - 1;
-    for (int64_t k = done; k < capacity; k++) {
+    for (int64_t k = 1; k < capacity; k++) {
         double total = 0.0;
         for (int64_t m = 0; m < order; m++)
             total += c[m] * t[k - 1 - m];
@@ -281,7 +281,7 @@ int64_t mse_trajectory(int64_t order, const double *c, double shrink, double con
         if (fabs(t[k] - previous) < rtol * scale)
             return k + 1;
     }
-    return -capacity;
+    return 0;
 }
 
 /* Decode n indices of one row, as DecoderState.decode_step, with quantizer

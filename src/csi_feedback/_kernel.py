@@ -39,7 +39,7 @@ _SIGNATURES = {
     "encode_rows_work": (_I64, [_I64, _I64]),
     "decode_row": (_I64, [_I64, _I64, _PTR, _F64, _F64] + [_PTR] * 4),
     "gain_fixed_point": (_I64, [_I64, _PTR] + [_F64] * 5 + [_I64, _PTR, _PTR]),
-    "mse_trajectory": (_I64, [_I64, _PTR] + [_F64] * 4 + [_PTR, _I64, _I64]),
+    "mse_trajectory": (_I64, [_I64, _PTR] + [_F64] * 4 + [_PTR, _I64]),
     "ar_trace": (None, [_I64, _I64] + [_PTR] * 4),
     "pack_bits": (_I64, [_I64, _I64, _PTR, _PTR]),
     "unpack_bits": (None, [_I64, _I64, _PTR, _PTR]),

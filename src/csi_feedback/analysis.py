@@ -58,11 +58,9 @@ class Ar1Approx:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Converged long-term MSE of the closed-loop codec and its inputs."""
+    """Converged long-term MSE of the closed-loop codec."""
 
     varsigma_inf: float
-    lambda_ss: float
-    quant_noise_var: float
 
 
 def ar1_fit(acov: Autocovariance) -> Ar1Approx:
@@ -133,27 +131,22 @@ def _mse_steps(coeff_sq, shrink, constant, sigma_x_sq, steps):
 
 
 def _mse_trajectory(lib, coeff_sq, shrink, constant, sigma_x_sq, steps):
-    """``_mse_steps`` in the compiled kernel, in a buffer that doubles while the trajectory grows."""
+    """``_mse_steps`` in the compiled kernel; a full buffer is doubled and the run restarted."""
     order = len(coeff_sq)
     pad = order - 1  # copies of varsigma_0 standing for the lags before it
-    capacity = min(max(steps, 0) + 1, _MSE_CHUNK)
-    buffer = (ctypes.c_double * (pad + capacity))()
-    buffer[: pad + 1] = [sigma_x_sq] * (pad + 1)
     coeffs = (ctypes.c_double * order)(*coeff_sq)
-    done = 1
+    capacity = min(max(steps, 0) + 1, _MSE_CHUNK)
     while True:
+        buffer = (ctypes.c_double * (pad + capacity))()
+        buffer[: pad + 1] = [sigma_x_sq] * (pad + 1)
         length = lib.mse_trajectory(
-            order, coeffs, shrink, constant, MSE_RTOL, MSE_MIN_SCALE, buffer, done, capacity
+            order, coeffs, shrink, constant, MSE_RTOL, MSE_MIN_SCALE, buffer, capacity
         )
         if length > 0:
             return np.frombuffer(buffer, count=length, offset=8 * pad).copy()
-        done = -length
-        if done > steps:
+        if capacity > steps:
             return None
         capacity = min(2 * capacity, steps + 1)
-        grown = (ctypes.c_double * (pad + capacity))()
-        ctypes.memmove(grown, buffer, ctypes.sizeof(buffer))
-        buffer = grown
 
 
 def steady_state(approx: Ar1Approx, noise: NoiseSpec, lam: float, sigma_q_sq: float) -> SteadyState:
@@ -169,11 +162,7 @@ def steady_state(approx: Ar1Approx, noise: NoiseSpec, lam: float, sigma_q_sq: fl
         + lam * lam * noise.obs_noise_var
         + sigma_q_sq
     )
-    return SteadyState(
-        varsigma_inf=numerator / (1.0 - contraction),
-        lambda_ss=lam,
-        quant_noise_var=sigma_q_sq,
-    )
+    return SteadyState(varsigma_inf=numerator / (1.0 - contraction))
 
 
 def _spectral_variance(approx: Ar1Approx) -> float:

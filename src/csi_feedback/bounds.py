@@ -73,7 +73,6 @@ class RdCurve:
 
     scheme: Scheme
     points: list[RdPoint]
-    params: SchemeParams
     skipped: int = 0
 
     @property
@@ -266,4 +265,4 @@ def sweep(
             points.append(RdPoint(float(d), evaluate(float(d))))
         except DistortionBelowFloor:
             skipped += 1
-    return RdCurve(scheme=scheme, points=points, params=params, skipped=skipped)
+    return RdCurve(scheme=scheme, points=points, skipped=skipped)

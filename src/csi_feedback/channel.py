@@ -98,9 +98,6 @@ class Autocovariance:
     def sigma_x_sq(self) -> float:
         return float(self.lags[0])
 
-    def __getitem__(self, tau: int) -> float:
-        return float(self.lags[tau])
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelTrace:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import array
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,9 +43,8 @@ class UniformQuantizer:
     step: float
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bits <= MAX_BITS:
-            raise ValueError(f"bits must lie in 1..{MAX_BITS}")
-        if self.step <= 0:
+        _check_width(self.bits)
+        if not self.step > 0:  # NaN too
             raise ValueError("step must be positive")
 
     @classmethod
@@ -72,17 +72,16 @@ class UniformQuantizer:
 
         NaN or infinite values raise ValueError, as in ``quantize_many``.
         """
+        if not math.isfinite(value):
+            raise ValueError("cannot quantize NaN or infinite values")
         half = 1 << (self.bits - 1)
-        try:
-            index = int(math.floor(value / self.step)) + half
-        except (OverflowError, ValueError):
-            if not math.isfinite(value):
-                raise ValueError("cannot quantize NaN or infinite values") from None
-            index = -1 if value < 0 else self.levels  # value / step overflowed: saturate
-        if index < 0:
-            index = 0
-        elif index >= self.levels:
-            index = self.levels - 1
+        # saturate before the floor, where value / step may overflow to inf
+        level = value / self.step
+        if level < -half:
+            level = -half
+        elif level > half - 1:
+            level = half - 1
+        index = math.floor(level) + half
         return index, (index - half + 0.5) * self.step
 
     def quantize_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,32 +133,8 @@ class EncoderState:
         sigma_x_sq = model.sigma_x_sq
         self._filtered = [sigma_x_sq] * model.order
         self.pred_err_var = sigma_x_sq
-        self.update_gain()
+        self.gain = analysis.kalman_gain(sigma_x_sq, noise.obs_noise_var)
         self._settled = False
-
-    def predict_from_history(self) -> float:
-        """Model-based forecast of the current state from past reconstructions."""
-        return _predict(self._coeffs, self.history)
-
-    def update_gain(self) -> float:
-        """Refresh the gain from the current prediction-error variance."""
-        self.gain = analysis.kalman_gain(self.pred_err_var, self.noise.obs_noise_var)
-        return self.gain
-
-    def propagate_pred_err(self, filtered_err_var: float) -> float:
-        """Advance the prediction-error variance by one step.
-
-        Pushes the newest filtered error variance into the per-lag ring and
-        accumulates sum_m a_m^2 (filtered_m + step^2/12) + sigma_psi^2.
-        """
-        self.pred_err_var = analysis.propagate_pred_err(
-            self._coeffs,
-            self.model.innovation_var,
-            self._filtered,
-            filtered_err_var,
-            self.quantizer.noise_var,
-        )
-        return self.pred_err_var
 
     def encode_step(self, y_k: float) -> tuple[int, float]:
         """Encode one noisy observation; returns (codeword index, reconstruction).
@@ -167,7 +142,7 @@ class EncoderState:
         ``_kernel.c`` repeats this arithmetic operation by operation; change
         both together.
         """
-        prediction = self.predict_from_history()
+        prediction = _predict(self._coeffs, self.history)
         gain = self.gain
         innovation = y_k - prediction
         index, quantized = self.quantizer.quantize(gain * innovation)
@@ -176,8 +151,15 @@ class EncoderState:
         self.history.pop()
         if not self._settled:
             pred_err_var, filtered = self.pred_err_var, list(self._filtered)
-            self.propagate_pred_err((1.0 - gain) * pred_err_var)
-            self.update_gain()
+            # pushes (1 - gain) * pred_err_var into the per-lag ring
+            self.pred_err_var = analysis.propagate_pred_err(
+                self._coeffs,
+                self.model.innovation_var,
+                self._filtered,
+                (1.0 - gain) * pred_err_var,
+                self.quantizer.noise_var,
+            )
+            self.gain = analysis.kalman_gain(self.pred_err_var, self.noise.obs_noise_var)
             self._settled = self.pred_err_var == pred_err_var and self._filtered == filtered
         return index, reconstruction
 
@@ -225,17 +207,22 @@ def _encode_steps(state: EncoderState, observations: np.ndarray) -> tuple[list[i
     return indices, recon
 
 
-def _encode_rows(states, observations, with_indices: bool = True):
+def encode_batch(
+    states, observations, *, with_indices: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Encode one observation stream per encoder state and advance every state.
 
-    Returns (indices, reconstructions) of shape (streams, samples); indices is
-    None unless ``with_indices``.  The compiled kernel steps blocks of rows
-    sample by sample, each row in its own operation order, so the bits are
-    those of encoding row after row; a non-finite quantizer input raises
+    Returns (indices, reconstructions), both of shape (streams, samples);
+    indices is None unless ``with_indices``.  Row r is bit-identical to
+    ``encode_sequence(states[r], observations[r])`` and advances ``states[r]``
+    as that call would; pass fresh states to encode the streams from their
+    start.  The compiled kernel steps blocks of rows sample by sample, each
+    row in its own operation order.  The streams must have equal lengths;
+    rows may share one observation array, but not one state (ValueError,
+    before any row is encoded).  A NaN or infinite quantizer input raises
     ValueError with the rows before it encoded whole, its row advanced up to
     that sample and the rows after it untouched, as the per-sample loop
-    leaves them.  A state passed in two rows raises ValueError before any
-    row is encoded.
+    leaves them.
     """
     states = list(states)
     if len({id(state) for state in states}) < len(states):
@@ -308,24 +295,8 @@ def encode_sequence(state: EncoderState, observations) -> tuple[list[int], np.nd
     Bit-identical to ``encode_step`` per sample, and leaves the state where
     that loop would, so the stream can go on with either.
     """
-    indices, recon = _encode_rows([state], [observations])
+    indices, recon = encode_batch([state], [observations])
     return indices[0].tolist(), recon[0]
-
-
-def encode_batch(states, observations) -> tuple[np.ndarray, np.ndarray]:
-    """Encode one observation stream per encoder state.
-
-    Returns (indices, reconstructions), both of shape (streams, samples).  Row
-    r is bit-identical to ``encode_sequence(states[r], observations[r])`` and
-    advances ``states[r]`` as that call would; pass fresh states to encode the
-    streams from their start.  The compiled kernel encodes several rows at
-    once, interleaved sample by sample.  The streams must have equal lengths;
-    rows may share one observation array, but not one state (ValueError).
-    NaN or infinite values raise ValueError, as in the scalar quantizer, with
-    the rows before the failing one encoded whole and the rows after it
-    untouched.
-    """
-    return _encode_rows(states, observations)
 
 
 def _is_int64(value) -> bool:
@@ -441,9 +412,15 @@ def innovation_quantizer(model: ArModel, noise: NoiseSpec, bits: int) -> Uniform
     lambda * (y - prediction) at the quantization-free steady state, which
     keeps the clip probability below 1e-2 for Gaussian innovations.
     """
-    gain, pred_var = analysis.converged_prediction_state(model, noise, sigma_q_sq=0.0)
+    gain, pred_var = _noise_free_state(model, noise)
     zeta_std = gain * math.sqrt(pred_var + noise.obs_noise_var)
     return UniformQuantizer.with_clip(bits, CLIP_LOADING * zeta_std)
+
+
+# callers size every width of one channel in a row, so one entry is enough
+@functools.lru_cache(maxsize=1)
+def _noise_free_state(model: ArModel, noise: NoiseSpec) -> tuple[float, float]:
+    return analysis.converged_prediction_state(model, noise, sigma_q_sq=0.0)
 
 
 def _check_width(bits: int) -> None:

@@ -328,13 +328,16 @@ def run_theory_sweep(config: ExperimentConfig) -> list[CsvRow]:
     return rows
 
 
-def _prediction_windows(y: np.ndarray, order: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(y, order)[:-1]
-
-
 def _predicted_states(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Vectorized one-step predictions; entry j forecasts x[order + j]."""
-    return _prediction_windows(y, theta.size) @ theta[::-1]
+    """One-step predictions sum_l theta[l-1] y[k-l]; entry j forecasts x[order + j].
+
+    Summed oldest lag first from 0.0, an order a matrix product leaves unspecified.
+    """
+    order, n = theta.size, y.size
+    predictions = np.zeros(n - order)
+    for lag in range(order, 0, -1):
+        predictions += theta[lag - 1] * y[order - lag : n - lag]
+    return predictions
 
 
 def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
@@ -371,7 +374,7 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
             states.append(codec.EncoderState(open_loop_model, NoiseSpec(0.0), open_loop_q))
             states.append(codec.EncoderState(model, noise, closed_loop_q))
             observations += [trace.y, trace.y]
-    _, recon = codec._encode_rows(states, observations, with_indices=False)
+    _, recon = codec.encode_batch(states, observations, with_indices=False)
     # rows run width-major, then trial, then (open loop, closed loop)
     recon = recon.reshape(len(config.quantizer_bits), config.trials, 2, -1)
 
@@ -470,7 +473,7 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
         predicted.append(analysis.steady_state(params.ar1, noise, gain, sigma_q_sq).varsigma_inf)
         states.append(codec.EncoderState(model, noise, quantizer))
     # every width in one call, which the kernel interleaves; each row keeps its own bits
-    _, recon = codec._encode_rows(states, [trace.y] * len(states), with_indices=False)
+    _, recon = codec.encode_batch(states, [trace.y] * len(states), with_indices=False)
     for bits, analytic, row in zip(config.quantizer_bits, predicted, recon):
         long_run = float(np.mean((trace.x[warmup:] - row[warmup:]) ** 2))
         entries.append(ValidationEntry(f"varsigma_inf[bits={bits}]", analytic, long_run, 0.15))

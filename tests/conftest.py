@@ -1,13 +1,9 @@
 """Shared fixtures: reference models and session-scoped long traces."""
 
-import numpy as np
 import pytest
 
-from csi_feedback import ArModel, NoiseSpec, autocovariance, generate_trace
-
-REF_AR4 = ArModel(coeffs=(0.5, 0.2, 0.1, 0.05), innovation_var=1.0)
-REF_AR1 = ArModel(coeffs=(0.9,), innovation_var=1.0)
-UNIT_NOISE = NoiseSpec(obs_noise_var=1.0)
+from csi_feedback import autocovariance, generate_trace
+from shared import REF_AR1, REF_AR4, UNIT_NOISE
 
 
 @pytest.fixture(scope="session")
@@ -44,8 +40,3 @@ def ar4_trace_1m():
 def ar1_trace_10m():
     return generate_trace(REF_AR1, UNIT_NOISE, 10_000_000, seed=99)
 
-
-def sliding_predictions(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Vectorized one-step predictions; entry j forecasts x[len(theta) + j]."""
-    windows = np.lib.stride_tricks.sliding_window_view(y, theta.size)[:-1]
-    return windows @ theta[::-1]

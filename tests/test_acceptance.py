@@ -36,7 +36,7 @@ from csi_feedback import (
     UniformQuantizer,
 )
 from csi_feedback.errors import DistortionBelowFloor
-from conftest import REF_AR4, UNIT_NOISE, sliding_predictions
+from shared import REF_AR4, UNIT_NOISE, sliding_predictions
 
 ORDER = 4
 

@@ -26,7 +26,9 @@ from csi_feedback import (
     steady_state,
     unpack_indices,
 )
-from csi_feedback.codec import MAX_BITS
+from csi_feedback import analysis
+from csi_feedback.analysis import kalman_gain, propagate_pred_err
+from csi_feedback.codec import MAX_BITS, _predict
 from csi_feedback.errors import UnknownIndex
 
 # finite quantizer inputs, with magnitudes whose value / step overflows
@@ -89,6 +91,14 @@ class TestUniformQuantizer:
     # a tiny step makes value / step overflow to inf for finite values
     @example(bits=3, step=1e-300, values=[1e30, -1e30, 0.0, 2.5], bad=math.nan)
     @example(bits=4, step=0.5, values=[1e30, -1e30, 0.0, -3.7, 0.3], bad=math.inf)
+    # signed zero and the smallest subnormal, as inputs and as the step
+    @example(bits=5, step=0.25, values=[-0.0, 5e-324, -5e-324], bad=-math.inf)
+    @example(bits=5, step=5e-324, values=[-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0], bad=math.nan)
+    # exactly at the clip, -half * step and half * step, and at (half - 0.5) * step
+    @example(bits=3, step=0.5, values=[-2.0, 2.0, 1.75, -1.75], bad=math.nan)
+    @example(bits=MAX_BITS, step=1.0, values=[-(2.0**52), 2.0**52, 2.0**52 - 0.5], bad=math.inf)
+    # the widest quantizer, whose quotient overflows to inf
+    @example(bits=MAX_BITS, step=1e-300, values=[1e300, -1e300, 1e-290, -0.0], bad=math.nan)
     def test_quantize_many_matches_scalar(self, bits, step, values, bad):
         q = UniformQuantizer(bits, step)
         indices, recons = q.quantize_many(np.array(values))
@@ -123,6 +133,8 @@ class TestUniformQuantizer:
         with pytest.raises(ValueError):
             UniformQuantizer(bits=3, step=0.0)
         with pytest.raises(ValueError):
+            UniformQuantizer(bits=3, step=math.nan)
+        with pytest.raises(ValueError):
             UniformQuantizer.with_clip(3, -1.0)
 
 
@@ -133,48 +145,52 @@ def encoder(ar4, noise):
 
 class TestEncoderPieces:
     def test_predict_zero_history(self, encoder):
-        assert encoder.predict_from_history() == 0.0
+        assert _predict(encoder.model.coeffs, encoder.history) == 0.0
 
-    def test_predict_scalar(self, noise):
-        state = EncoderState(ArModel((0.9,), 1.0), noise, UniformQuantizer(bits=3, step=1.0))
-        state.history = [2.0]
-        assert state.predict_from_history() == pytest.approx(1.8, abs=1e-15)
+    def test_predict_scalar(self):
+        assert _predict((0.9,), [2.0]) == pytest.approx(1.8, abs=1e-15)
 
-    def test_predict_matches_naive_sum(self, encoder, ar4):
+    def test_predict_matches_naive_sum(self, ar4):
         rng = np.random.default_rng(20)
         history = list(rng.normal(size=4))
-        encoder.history = list(history)
         naive = sum(a * h for a, h in zip(ar4.coeffs, history))
-        assert encoder.predict_from_history() == pytest.approx(naive, abs=1e-12)
+        assert _predict(ar4.coeffs, history) == pytest.approx(naive, abs=1e-12)
 
     def test_gain_limits(self, ar4):
-        q = UniformQuantizer(bits=4, step=0.1)
-        noiseless = EncoderState(ar4, NoiseSpec(0.0), q)
-        assert noiseless.update_gain() == 1.0
         sigma_x_sq = autocovariance(ar4, 4).sigma_x_sq
-        balanced = EncoderState(ar4, NoiseSpec(sigma_x_sq), q)
-        assert balanced.update_gain() == pytest.approx(0.5, rel=1e-12)
+        assert kalman_gain(sigma_x_sq, 0.0) == 1.0
+        assert kalman_gain(sigma_x_sq, sigma_x_sq) == pytest.approx(0.5, rel=1e-12)
 
-    def test_gain_plug_in(self, ar4, noise):
-        state = EncoderState(ar4, noise, UniformQuantizer(bits=4, step=0.1))
-        state.pred_err_var = 1.68067
-        assert state.update_gain() == pytest.approx(0.62695893190881384, rel=1e-12)
+    def test_gain_plug_in(self, noise):
+        gain = kalman_gain(1.68067, noise.obs_noise_var)
+        assert gain == pytest.approx(0.62695893190881384, rel=1e-12)
 
-    def test_propagate_memoryless(self, noise):
-        state = EncoderState(ArModel((0.0,), 1.3), noise, UniformQuantizer(bits=3, step=1.0))
-        assert state.propagate_pred_err(0.7) == pytest.approx(1.3, rel=1e-12)
+    def test_propagate_memoryless(self):
+        model, q = ArModel((0.0,), 1.3), UniformQuantizer(bits=3, step=1.0)
+        filtered = [model.sigma_x_sq]
+        pred_err_var = propagate_pred_err(
+            model.coeffs, model.innovation_var, filtered, 0.7, q.noise_var
+        )
+        assert pred_err_var == pytest.approx(1.3, rel=1e-12)
 
-    def test_propagate_plug_in(self, noise):
+    def test_propagate_plug_in(self):
         # 0.81 * 1 + 1 + 0.81 * 0.01 with step chosen so step^2/12 = 0.01
-        step = float(np.sqrt(0.12))
-        state = EncoderState(ArModel((0.9,), 1.0), noise, UniformQuantizer(bits=5, step=step))
-        assert state.propagate_pred_err(1.0) == pytest.approx(1.8181, rel=1e-12)
+        model = ArModel((0.9,), 1.0)
+        q = UniformQuantizer(bits=5, step=float(np.sqrt(0.12)))
+        filtered = [model.sigma_x_sq]
+        pred_err_var = propagate_pred_err(
+            model.coeffs, model.innovation_var, filtered, 1.0, q.noise_var
+        )
+        assert pred_err_var == pytest.approx(1.8181, rel=1e-12)
 
-    def test_propagate_vanishing_step_recovers_kalman(self, ar4, noise):
-        tiny = EncoderState(ar4, noise, UniformQuantizer(bits=6, step=1e-12))
-        tiny._filtered = [0.5, 0.4, 0.3, 0.2]
+    def test_propagate_vanishing_step_recovers_kalman(self, ar4):
+        q = UniformQuantizer(bits=6, step=1e-12)
+        filtered = [0.5, 0.4, 0.3, 0.2]
         kalman_only = sum(a * a * f for a, f in zip(ar4.coeffs, [0.9, 0.5, 0.4, 0.3])) + 1.0
-        assert tiny.propagate_pred_err(0.9) == pytest.approx(kalman_only, rel=1e-9)
+        pred_err_var = propagate_pred_err(
+            ar4.coeffs, ar4.innovation_var, filtered, 0.9, q.noise_var
+        )
+        assert pred_err_var == pytest.approx(kalman_only, rel=1e-9)
 
     def test_filtered_never_exceeds_predicted(self, ar4, noise):
         trace = generate_trace(ar4, noise, 2000, seed=23)
@@ -217,14 +233,19 @@ class TestEncodeStep:
         # stops stepping the recursion; the AR(1) ends in an ulp-level limit cycle
         q = innovation_quantizer(model, noise, 6)
         state = EncoderState(model, noise, q)
-        reference = EncoderState(model, noise, q)
+        filtered = [model.sigma_x_sq] * model.order
+        pred_err_var = model.sigma_x_sq
+        gain = kalman_gain(pred_err_var, noise.obs_noise_var)
         trace = generate_trace(model, noise, 400, seed=31)
         for y_k in trace.y.tolist():
             state.encode_step(y_k)
-            reference.propagate_pred_err((1.0 - reference.gain) * reference.pred_err_var)
-            reference.update_gain()
-            assert state.gain == reference.gain
-            assert state.pred_err_var == reference.pred_err_var
+            filtered_err_var = (1.0 - gain) * pred_err_var
+            pred_err_var = propagate_pred_err(
+                model.coeffs, model.innovation_var, filtered, filtered_err_var, q.noise_var
+            )
+            gain = kalman_gain(pred_err_var, noise.obs_noise_var)
+            assert state.gain == gain
+            assert state.pred_err_var == pred_err_var
         assert state._settled is settles
 
     def test_zero_innovation_reproduces_half_step(self, ar4, noise):
@@ -447,3 +468,19 @@ class TestQuantizerSizing:
         outermost = (0, q.levels - 1)
         clipped = sum(1 for i in out.indices if i in outermost)
         assert clipped / len(out.indices) < 0.01
+
+    def test_widths_of_one_channel_solve_the_gain_once(self, monkeypatch):
+        calls = []
+        solve = analysis.converged_prediction_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "converged_prediction_state", counted)
+        model = ArModel((0.61, -0.17), 1.3)
+        quantizers = [innovation_quantizer(model, NoiseSpec(0.4), bits) for bits in range(1, 11)]
+        assert len(calls) == 1
+        assert len({q.clip for q in quantizers}) == 1
+        innovation_quantizer(model, NoiseSpec(0.8), 6)
+        assert len(calls) == 2

@@ -291,6 +291,20 @@ class TestCodecExperiment:
         coeffs = mmse_coefficients(autocovariance(config.model, 4), NoiseSpec(1.0), 4)
         assert abs(direct.distortion - coeffs.sigma_p_sq) / coeffs.sigma_p_sq < 0.10
 
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_predictions_summed_oldest_lag_first(self, order):
+        from csi_feedback.harness import _predicted_states
+
+        rng = np.random.default_rng(order)
+        y, theta = rng.normal(size=300), rng.normal(size=order)
+        expected = []
+        for k in range(order, y.size):
+            total = 0.0
+            for lag in range(order, 0, -1):
+                total += float(theta[lag - 1]) * float(y[k - lag])
+            expected.append(total)
+        assert _predicted_states(y, theta).tolist() == expected
+
 
 class TestIndexStreamDump:
     def test_replay_from_binary_dump(self, tmp_path):
@@ -302,7 +316,7 @@ class TestIndexStreamDump:
             run_codec,
         )
         from csi_feedback.harness import read_index_stream, write_index_stream
-        from conftest import REF_AR4, UNIT_NOISE
+        from shared import REF_AR4, UNIT_NOISE
 
         trace = generate_trace(REF_AR4, UNIT_NOISE, 2000, seed=71)
         quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 5)

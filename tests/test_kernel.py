@@ -41,7 +41,7 @@ from csi_feedback import (
 from csi_feedback import _kernel, analysis, channel, codec
 from csi_feedback.codec import MAX_BITS
 from csi_feedback.errors import CsiFeedbackError, NonConvergence, UnknownIndex
-from conftest import REF_AR1, REF_AR4, UNIT_NOISE
+from shared import REF_AR1, REF_AR4, UNIT_NOISE
 from test_codec import _ar_from_pacf
 
 
@@ -152,9 +152,9 @@ def test_blocks_match_step_loops_across_boundaries(data):
             break
     if failed:
         with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
-            codec._encode_rows(states, observations, with_indices)
+            codec.encode_batch(states, observations, with_indices=with_indices)
     else:
-        indices, recon = codec._encode_rows(states, observations, with_indices)
+        indices, recon = codec.encode_batch(states, observations, with_indices=with_indices)
         for r, (expected_indices, expected_recon) in enumerate(expected):
             if with_indices:
                 assert indices[r].tolist() == expected_indices, r

@@ -15,7 +15,7 @@ from csi_feedback import (
     zh_estimator,
 )
 from csi_feedback.errors import DimensionMismatch, SingularSystem
-from conftest import sliding_predictions
+from shared import sliding_predictions
 from test_channel import AR1_KAPPA0, AR1_KAPPA1, random_stationary_model
 
 # frozen via an arbitrary-precision solve of the scalar Wiener equations
