@@ -162,8 +162,11 @@ def rate_aperiodic_zh(
 
     Default form: 1/2 h(y) + 1/2 log2 alpha - 1/2 log2(2 pi e (D - sigma_Z^2))
     with h(y) = 1/2 log2(2 pi e sigma_y^2).  Normalized form is the scalar
-    Gaussian bound 1/2 log2(alpha^2 sigma_y^2 / (D - sigma_Z^2)).
+    Gaussian bound 1/2 log2(alpha^2 sigma_y^2 / (D - sigma_Z^2)).  An alpha
+    that underflows to 0 has no log and raises DegenerateCovariance.
     """
+    if p.zh.alpha == 0.0:
+        raise DegenerateCovariance("zero-holding weight alpha underflows to 0")
     floor = p.zh.sigma_z_sq
     if d_x <= floor:
         raise DistortionBelowFloor(f"D={d_x} <= sigma_Z^2={floor}")
@@ -215,10 +218,16 @@ def rate_uniform_aperiodic(
 
 
 def distortion_floor(scheme: Scheme, p: SchemeParams) -> float:
-    """Distortion below which the scheme's rate is undefined (diverges)."""
+    """Distortion below which the scheme's rate is undefined (diverges).
+
+    The practical scheme's floor needs a positive codec gain; one that
+    underflows to 0 raises DegenerateCovariance.
+    """
     if scheme is Scheme.APERIODIC_ZH:
         return p.zh.sigma_z_sq
     if scheme is Scheme.PRACTICAL_AR1:
+        if p.ar1_gain == 0.0:
+            raise DegenerateCovariance("codec gain of the AR(1) fit underflows to 0")
         return analysis.steady_state(p.ar1, p.noise, p.ar1_gain, 0.0).varsigma_inf
     return p.coeffs.sigma_p_sq
 
@@ -227,6 +236,23 @@ def default_distortion_grid(scheme: Scheme, p: SchemeParams) -> tuple[float, flo
     """Log-grid endpoints: just above the scheme floor up to 10 sigma_x^2."""
     floor = distortion_floor(scheme, p)
     return floor * (1.0 + 1e-3), 10.0 * p.acov.sigma_x_sq
+
+
+def _log_grid(d_min: float, d_max: float, n: int) -> np.ndarray:
+    """``np.geomspace(d_min, d_max, n)`` for 0 < d_min < d_max and n >= 2, bit for bit.
+
+    It calls geomspace's ufuncs in geomspace's order (log10 of the endpoints,
+    their linspace, 10**y, then the endpoints written back) without its
+    generic set-up; the last exponent is not pinned to log10(d_max), as
+    linspace pins it, because the last point is d_max itself.  Keep numpy's
+    ufuncs: its log10 and power do not round as libm's do.
+    """
+    lo, hi = np.log10(np.array([d_min, d_max])).tolist()
+    exponents = np.arange(n, dtype=float) * ((hi - lo) / (n - 1)) + lo
+    grid = np.power(10.0, exponents)
+    grid[0] = d_min
+    grid[-1] = d_max
+    return grid
 
 
 def sweep(
@@ -247,22 +273,24 @@ def sweep(
     if not 0 < d_min < d_max:
         raise ValueError("need 0 < d_min < d_max")
 
-    def evaluate(d: float) -> float:
-        if scheme is Scheme.APERIODIC_PREDICTION:
-            return rate_aperiodic_prediction(d, params, normalized)
-        if scheme is Scheme.APERIODIC_ZH:
-            return rate_aperiodic_zh(d, params, normalized)
-        if scheme is Scheme.PERIODIC:
-            return rate_periodic(d, params)
-        if scheme is Scheme.UNIFORM_APERIODIC:
-            return rate_uniform_aperiodic(d, params.acov.sigma_x_sq, params.coeffs.sigma_p_sq)
-        return analysis.rate_practical(d, params.ar1, params.noise, params.ar1_gain)
+    # rate(d, *args) for this scheme, chosen once per curve
+    if scheme is Scheme.APERIODIC_PREDICTION:
+        rate, args = rate_aperiodic_prediction, (params, normalized)
+    elif scheme is Scheme.APERIODIC_ZH:
+        rate, args = rate_aperiodic_zh, (params, normalized)
+    elif scheme is Scheme.PERIODIC:
+        rate, args = rate_periodic, (params,)
+    elif scheme is Scheme.UNIFORM_APERIODIC:
+        rate, args = rate_uniform_aperiodic, (params.acov.sigma_x_sq, params.coeffs.sigma_p_sq)
+    else:
+        # read from the module on every sweep, so a wrapper put there sees each call
+        rate, args = analysis.rate_practical, (params.ar1, params.noise, params.ar1_gain)
 
     points: list[RdPoint] = []
     skipped = 0
-    for d in np.geomspace(d_min, d_max, n_points):
+    for d in _log_grid(d_min, d_max, n_points).tolist():
         try:
-            points.append(RdPoint(float(d), evaluate(float(d))))
+            points.append(RdPoint(d, rate(d, *args)))
         except DistortionBelowFloor:
             skipped += 1
     return RdCurve(scheme=scheme, points=points, skipped=skipped)

@@ -112,6 +112,10 @@ class ChannelTrace:
 
 def validate_stationarity(model: ArModel) -> bool:
     """True iff every characteristic root has modulus < 1 - 1e-9."""
+    if model.order == 1:
+        # the one root of z - a_1 is a_1 itself, as np.roots finds it (and for
+        # a_1 = +-0 np.roots finds no root, which passes here too)
+        return abs(model.coeffs[0]) < 1.0 - STATIONARITY_MARGIN
     roots = model.characteristic_roots()
     if roots.size == 0:
         return True

@@ -70,12 +70,11 @@ def main(argv=None) -> int:
             trace = generate_trace(
                 config.model, config.noise, config.samples_per_trial, config.seed
             )
-            lines = ["k,x,y"]
-            lines.extend(
-                f"{k},{x:.17g},{y:.17g}" for k, (x, y) in enumerate(zip(trace.x, trace.y))
-            )
-            Path(config.output_path).write_text("\n".join(lines) + "\n")
-            print(f"wrote {len(trace.x)} samples to {config.output_path}")
+            n = len(trace.x)
+            rows = zip(range(n), trace.x.tolist(), trace.y.tolist())
+            text = harness.format_rows("k,x,y", "%d,%.17g,%.17g", rows)
+            Path(config.output_path).write_text(text)
+            print(f"wrote {n} samples to {config.output_path}")
     except (CsiFeedbackError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

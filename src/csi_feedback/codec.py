@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernel, analysis
 from .channel import ArModel, NoiseSpec
-from .errors import UnknownIndex
+from .errors import DegenerateCovariance, UnknownIndex
 
 # widest quantizer: beyond 2^53 the float clip bound 2^(bits-1) - 1 is not exact
 MAX_BITS = 53
@@ -410,10 +410,16 @@ def innovation_quantizer(model: ArModel, noise: NoiseSpec, bits: int) -> Uniform
 
     The clip is ``CLIP_LOADING`` standard deviations of the weighted innovation
     lambda * (y - prediction) at the quantization-free steady state, which
-    keeps the clip probability below 1e-2 for Gaussian innovations.
+    keeps the clip probability below 1e-2 for Gaussian innovations.  When the
+    gain underflows to 0 (the observation noise swamps the channel), there
+    is nothing to size it for, and it raises DegenerateCovariance.
     """
     gain, pred_var = _noise_free_state(model, noise)
     zeta_std = gain * math.sqrt(pred_var + noise.obs_noise_var)
+    if not zeta_std > 0.0:
+        raise DegenerateCovariance(
+            f"weighted innovation has no spread: gain={gain}, prediction-error variance={pred_var}"
+        )
     return UniformQuantizer.with_clip(bits, CLIP_LOADING * zeta_std)
 
 

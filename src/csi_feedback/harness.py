@@ -12,6 +12,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,7 @@ AR1_OPEN_LOOP = "ar1_open_loop"
 CLOSED_LOOP = "closed_loop"
 
 
-@dataclass(frozen=True)
-class CsvRow:
+class CsvRow(NamedTuple):
     """One (scheme, distortion, rate) record of an experiment run."""
 
     scheme: str
@@ -218,16 +218,20 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(path.read_text())
 
 
+# CSV_HEADER's fields; %.17g gives the bytes of f"{x:.17g}", so floats read back exactly
+_ROW_FORMAT = "%s,%.17g,%.17g,%.17g,%.17g,%s,%s,%s"
+
+
+def format_rows(header: str, row_format: str, rows) -> str:
+    """Text of the header line and one ``row_format % row`` line per row tuple."""
+    lines = [header]
+    lines += [row_format % row for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def format_csv(rows) -> str:
     """Render rows with the fixed schema; floats keep 17 significant digits."""
-    lines = [",".join(CSV_HEADER)]
-    for row in rows:
-        lines.append(
-            f"{row.scheme},{row.sigma_psi_sq:.17g},{row.sigma_xi_sq:.17g},"
-            f"{row.distortion:.17g},{row.rate_bits:.17g},{row.source},"
-            f"{row.seed},{row.n_samples}"
-        )
-    return "\n".join(lines) + "\n"
+    return format_rows(",".join(CSV_HEADER), _ROW_FORMAT, rows)
 
 
 def write_csv(path: str | Path, rows) -> None:
@@ -298,6 +302,7 @@ def run_theory_sweep(config: ExperimentConfig) -> list[CsvRow]:
     are skipped by the sweep and surfaced here through a log diagnostic.
     """
     params = bounds.make_scheme_params(config.model, config.noise, config.predictor_order)
+    sigma_psi_sq, sigma_xi_sq = config.model.innovation_var, config.noise.obs_noise_var
     rows: list[CsvRow] = []
     skipped_total = 0
     for scheme in config.schemes:
@@ -310,19 +315,11 @@ def run_theory_sweep(config: ExperimentConfig) -> list[CsvRow]:
             scheme, params, d_min, d_max, config.n_points, normalized=config.normalized_bounds
         )
         skipped_total += curve.skipped
-        rows.extend(
-            CsvRow(
-                scheme=scheme.value,
-                sigma_psi_sq=config.model.innovation_var,
-                sigma_xi_sq=config.noise.obs_noise_var,
-                distortion=point.distortion,
-                rate_bits=point.rate,
-                source="theory",
-                seed=0,
-                n_samples=0,
-            )
-            for point in curve.points
-        )
+        tag = scheme.value
+        rows += [
+            CsvRow(tag, sigma_psi_sq, sigma_xi_sq, distortion, rate, "theory", 0, 0)
+            for distortion, rate in curve.points
+        ]
     if skipped_total:
         log.info("theory sweep skipped %d grid points below scheme floors", skipped_total)
     return rows

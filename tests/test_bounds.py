@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from csi_feedback import (
     ArModel,
@@ -21,7 +23,8 @@ from csi_feedback import (
     rate_uniform_aperiodic,
     sweep,
 )
-from csi_feedback.bounds import _sum_log2_theta_sq
+from csi_feedback import analysis
+from csi_feedback.bounds import _log_grid, _sum_log2_theta_sq
 from csi_feedback.errors import DistortionBelowFloor
 from test_channel import AR1_KAPPA0, random_stationary_model
 from test_codec import _ar_from_pacf
@@ -273,6 +276,75 @@ class TestSweep:
             sweep(Scheme.PERIODIC, ar1_params, 2.0, 3.0, 1)
         with pytest.raises(ValueError):
             sweep(Scheme.PERIODIC, ar1_params, 3.0, 2.0, 5)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_points_match_per_point_evaluation(self, ar4_params, normalized):
+        # the per-point loop sweep ran before it chose the rate once per curve
+        def evaluate(scheme, d):
+            if scheme is Scheme.APERIODIC_PREDICTION:
+                return rate_aperiodic_prediction(d, ar4_params, normalized)
+            if scheme is Scheme.APERIODIC_ZH:
+                return rate_aperiodic_zh(d, ar4_params, normalized)
+            if scheme is Scheme.PERIODIC:
+                return rate_periodic(d, ar4_params)
+            if scheme is Scheme.UNIFORM_APERIODIC:
+                return rate_uniform_aperiodic(
+                    d, ar4_params.acov.sigma_x_sq, ar4_params.coeffs.sigma_p_sq
+                )
+            p = ar4_params
+            return analysis.rate_practical(d, p.ar1, p.noise, p.ar1_gain)
+
+        for scheme in ALL_SCHEMES:
+            floor = distortion_floor(scheme, ar4_params)
+            curve = sweep(scheme, ar4_params, floor * 0.9, floor * 20, 37, normalized)
+            expected, skipped = [], 0
+            for d in np.geomspace(floor * 0.9, floor * 20, 37):
+                try:
+                    expected.append((float(d), evaluate(scheme, float(d))))
+                except DistortionBelowFloor:
+                    skipped += 1
+            assert curve.points == expected, scheme
+            assert curve.skipped == skipped > 0, scheme
+            assert all(type(x) is float for point in curve.points for x in point), scheme
+
+    def test_practical_rate_is_looked_up_per_sweep(self, ar1_params, monkeypatch):
+        # a wrapper put on the analysis module after import sees every point
+        calls, rate_practical = [], analysis.rate_practical
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return rate_practical(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "rate_practical", counting)
+        d_min, d_max = default_distortion_grid(Scheme.PRACTICAL_AR1, ar1_params)
+        curve = sweep(Scheme.PRACTICAL_AR1, ar1_params, d_min, d_max, 9)
+        assert calls == [point.distortion for point in curve.points]
+        assert len(calls) == 9
+
+
+# every bit of np.geomspace(d_min, d_max, n) for 0 < d_min < d_max; endpoints
+# from 1e-300 to 1e300, up to 40 decades apart or a few ulps apart
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(
+    low_exponent=st.floats(-300.0, 300.0),
+    decades=st.one_of(st.floats(0.0, 40.0), st.just(0.0)),
+    ulps=st.integers(1, 4),
+    n=st.integers(2, 200),
+)
+@example(low_exponent=0.0, decades=0.0, ulps=1, n=2)  # 1 and the next double
+@example(low_exponent=-2e-16, decades=0.0, ulps=2, n=3)  # across 1
+@example(low_exponent=300.0, decades=0.0, ulps=1, n=2)
+@example(low_exponent=-300.0, decades=0.0, ulps=1, n=200)
+@example(low_exponent=-300.0, decades=40.0, ulps=1, n=2)
+@example(low_exponent=1.5, decades=3.25, ulps=1, n=2)
+def test_log_grid_is_geomspace(low_exponent, decades, ulps, n):
+    d_min = 10.0**low_exponent
+    d_max = d_min * 10.0**decades
+    if decades == 0.0:  # adjacent endpoints
+        for _ in range(ulps):
+            d_max = float(np.nextafter(d_max, math.inf))
+    assume(math.isfinite(d_max) and 0.0 < d_min < d_max)
+    assert _log_grid(d_min, d_max, n).tobytes() == np.geomspace(d_min, d_max, n).tobytes()
 
 
 class TestFloors:

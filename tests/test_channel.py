@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csi_feedback import (
     ArModel,
@@ -22,6 +24,7 @@ from csi_feedback import (
     validate_stationarity,
 )
 from csi_feedback import channel
+from csi_feedback.channel import STATIONARITY_MARGIN
 from csi_feedback.errors import LagOutOfRange, NonStationaryModel
 
 # closed forms for AR(1) a=0.9, sigma_psi^2=1: kappa0 = 1/(1-a^2), kappa1 = a*kappa0
@@ -35,6 +38,22 @@ def random_stationary_model(rng) -> ArModel:
     raw = rng.uniform(-1.0, 1.0, size=order)
     scale = rng.uniform(0.1, 0.95) / max(np.sum(np.abs(raw)), 1e-9)
     return ArModel(coeffs=tuple(raw * scale), innovation_var=float(rng.uniform(0.2, 3.0)))
+
+
+def _roots_decision(a1: float) -> bool:
+    """The general path's decision for z - a_1: largest np.roots modulus below the margin."""
+    roots = np.roots([1.0, -a1])
+    return roots.size == 0 or bool(np.max(np.abs(roots)) < 1.0 - STATIONARITY_MARGIN)
+
+
+_EDGE = 1.0 - 1e-9
+_ORDER_ONE_EDGES = [
+    sign * value
+    for value in (
+        0.0, 5e-324, 1.0, _EDGE, float(np.nextafter(_EDGE, 0.0)), float(np.nextafter(_EDGE, 2.0))
+    )
+    for sign in (1.0, -1.0)
+]
 
 
 class TestStationarity:
@@ -52,6 +71,19 @@ class TestStationarity:
 
     def test_explosive_rejected(self):
         assert not validate_stationarity(ArModel((1.2, -0.1), 1.0))
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        a1=st.one_of(
+            st.floats(-1.5, 1.5),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(_ORDER_ONE_EDGES),
+        )
+    )
+    @example(a1=0.0)
+    @example(a1=-0.0)
+    def test_order_one_matches_the_roots_decision(self, a1):
+        assert validate_stationarity(ArModel((a1,), 1.0)) == _roots_decision(a1)
 
 
 class TestAutocovariance:

@@ -1,13 +1,18 @@
 """Experiment harness: config parsing, CSV schema, sweeps, validation, CLI."""
 
+import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csi_feedback import (
     CsvRow,
     Scheme,
+    generate_trace,
     parse_config_text,
     read_csv,
     run_codec_experiment,
@@ -21,6 +26,7 @@ from csi_feedback.errors import ConfigError
 from csi_feedback.harness import (
     AR1_OPEN_LOOP,
     CLOSED_LOOP,
+    CSV_HEADER,
     DIRECT_QUANTIZATION,
     MAX_POINTS,
     format_csv,
@@ -117,6 +123,33 @@ class TestConfigParsing:
             parse_config(tmp_path / "nope.cfg")
 
 
+def fstring_csv(rows) -> str:
+    """The CSV as format_csv wrote it one f-string per row, the oracle of its % format."""
+    lines = [",".join(CSV_HEADER)]
+    for row in rows:
+        lines.append(
+            f"{row.scheme},{row.sigma_psi_sq:.17g},{row.sigma_xi_sq:.17g},"
+            f"{row.distortion:.17g},{row.rate_bits:.17g},{row.source},"
+            f"{row.seed},{row.n_samples}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -5e-324,
+    sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+]
+# any float64 bit pattern (NaN payloads and subnormals included), as float or np.float64
+_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(),
+).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+_INTS = st.one_of(st.integers(0, 10**7), st.integers(-(2**63), 2**63 - 1).map(np.int64))
+_TAGS = st.sampled_from([DIRECT_QUANTIZATION, "theory", "simulation", "periodic"])
+_ROWS = st.builds(CsvRow, _TAGS, _FLOATS, _FLOATS, _FLOATS, _FLOATS, _TAGS, _INTS, _INTS)
+
+
 class TestCsvSchema:
     def test_round_trip_is_lossless(self, tmp_path):
         rows = [
@@ -126,6 +159,24 @@ class TestCsvSchema:
         path = tmp_path / "rows.csv"
         write_csv(path, rows)
         assert read_csv(path) == rows
+
+    def test_rows_are_immutable_tuples(self, tmp_path):
+        row = CsvRow("periodic", 1.0, 0.5, 2.0, 3.0, "theory", 0, 0)
+        with pytest.raises(AttributeError):
+            row.rate_bits = 4.0
+        assert row == ("periodic", 1.0, 0.5, 2.0, 3.0, "theory", 0, 0)
+        assert row._replace(rate_bits=4.0) == ("periodic", 1.0, 0.5, 2.0, 4.0, "theory", 0, 0)
+        path = tmp_path / "rows.csv"
+        write_csv(path, [row])
+        assert read_csv(path) == [row]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=st.lists(_ROWS, max_size=8))
+    @example(rows=[CsvRow("s", *_SPECIAL_FLOATS[:4], "t", np.int64(-3), np.int64(2**63 - 1))])
+    @example(rows=[CsvRow("s", *_SPECIAL_FLOATS[4:8], "t", 0, 0)])
+    @example(rows=[CsvRow("s", *_SPECIAL_FLOATS[8:], np.float64(0.1), -0.0, "t", 1, 2)])
+    def test_format_matches_fstring_oracle(self, rows):
+        assert format_csv(rows) == fstring_csv(rows)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -520,12 +571,18 @@ class TestCli:
             tmp_path, make_config(samples_per_trial=200, output_path=str(out))
         )
         assert cli_main(["trace", "--config", cfg]) == 0
-        lines = out.read_text().splitlines()
+        text = out.read_text()
+        lines = text.splitlines()
         assert lines[0] == "k,x,y"
         assert len(lines) == 201
         k, x, y = lines[5].split(",")
         assert int(k) == 4
         float(x), float(y)  # parseable
+        # the bytes of one f-string per sample over the trace's numpy scalars
+        config = parse_config(cfg)
+        trace = generate_trace(config.model, config.noise, 200, config.seed)
+        rows = (f"{k},{x:.17g},{y:.17g}" for k, (x, y) in enumerate(zip(trace.x, trace.y)))
+        assert text == "\n".join(["k,x,y", *rows]) + "\n"
 
     def test_normalized_bounds_flag_changes_rates(self, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -539,3 +596,53 @@ class TestCli:
         rates_a = [row.rate_bits for row in read_csv(out_a)]
         rates_b = [row.rate_bits for row in read_csv(out_b)]
         assert rates_a != rates_b
+
+    # the observation noise swamps the channel: the gain, alpha and the AR(1)
+    # fit's gain all underflow to 0
+    DEGENERATE_SNR = "ar_coeffs = 0.9\ninnovation_var = 1e-300\nobs_noise_var = 1e300\n"
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("theory", "zero-holding weight alpha underflows to 0"),
+            ("codec", "weighted innovation has no spread"),
+            ("validate", "weighted innovation has no spread"),
+            ("trace", None),  # the raw trace needs no gain
+        ],
+    )
+    def test_degenerate_snr_per_command(self, tmp_path, capsys, command, message):
+        cfg = self.write(tmp_path, self.DEGENERATE_SNR + "samples_per_trial = 2000\ntrials = 1")
+        out = tmp_path / "d.csv"
+        code = cli_main([command, "--config", cfg, "--out", str(out)])
+        if message is None:
+            assert code == 0
+            assert len(out.read_text().splitlines()) == 2001
+            return
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("normalized", ["false", "true"])
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [
+            ("aperiodic_zh", "zero-holding weight alpha underflows to 0"),
+            ("practical_ar1", "codec gain of the AR(1) fit underflows to 0"),
+            ("aperiodic_prediction", None),
+            ("periodic", None),
+            ("uniform_aperiodic", None),
+        ],
+    )
+    def test_degenerate_snr_per_scheme(self, tmp_path, capsys, scheme, message, normalized):
+        text = self.DEGENERATE_SNR + f"schemes = {scheme}\nnormalized_bounds = {normalized}"
+        cfg = self.write(tmp_path, text + "\nn_points = 7")
+        out = tmp_path / "s.csv"
+        code = cli_main(["theory", "--config", cfg, "--out", str(out)])
+        if message is not None:
+            assert code == 1
+            assert f"error: {message}" in capsys.readouterr().err
+            return
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 7
+        assert all(np.isfinite([row.distortion, row.rate_bits]).all() for row in rows)
