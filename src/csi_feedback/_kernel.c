@@ -9,7 +9,9 @@
  * analysis.mse_recursion and ar_trace to the loop of channel._ar_filter,
  * which runs lfilter([1], [1, -a])'s operation order.
  * pack_bits and unpack_bits give the bytes and codewords of the numpy bit
- * matrix in codec.pack_indices and codec.unpack_indices.
+ * matrix in codec.pack_indices and codec.unpack_indices.  decode_row and
+ * pack_bits trust their codewords: codec._codewords cuts every index stream
+ * at its first entry outside [0, 2^bits) before either loop sees it.
  * The encoder's settle loop and gain_fixed_point share one gain recursion,
  * propagate_pred_err and kalman_gain.  Bit-identity holds only without
  * floating-point contraction: build with -ffp-contract=off, since a fused
@@ -286,21 +288,18 @@ int64_t mse_trajectory(int64_t order, const double *c, double shrink, double con
 
 /* Decode n indices of one row, as DecoderState.decode_step, with quantizer
  * step `step` and 2^(bits-1) in `half`, from `history` and back into it.
- * Returns n, or the first k whose index lies outside [0, 2 * half); the
- * history then holds the reconstructions before it.  `work` has room for one
- * ring, 2 * order doubles. */
-int64_t decode_row(int64_t n, int64_t order, const double *a, double step, double half,
-                   const int64_t *indices, double *history, double *recon, double *work)
+ * Every index must lie in [0, 2 * half).  `work` has room for one ring,
+ * 2 * order doubles. */
+void decode_row(int64_t n, int64_t order, const double *a, double step, double half,
+                const int64_t *indices, double *history, double *recon, double *work)
 {
-    const int64_t levels = 2 * (int64_t)half;
-    int64_t head = 0, k;
+    int64_t head = 0;
     ring_load(work, history, order);
-    for (k = 0; k < n && indices[k] >= 0 && indices[k] < levels; k++) {
+    for (int64_t k = 0; k < n; k++) {
         recon[k] = predict(a, work + head, order) + ((double)indices[k] - half + 0.5) * step;
         head = ring_push(work, head, order, recon[k]);
     }
     ring_store(history, work, head, order);
-    return k;
 }
 
 /* x_k = sum_m a_m x_{k-m} + psi_k from a zero state, in the operation order of
@@ -323,22 +322,20 @@ void ar_trace(int64_t n, int64_t order, const double *a, const double *psi, doub
 }
 
 /* Pack n codewords of `bits` bits (1..53), most significant bit first, into
- * ceil(n * bits / 8) bytes of `out`, the last one zero-padded.  Returns n,
- * or the first k whose values[k] lies outside [0, 2^bits); `out` then holds
- * the bytes before it.  At most 7 bits wait in `acc` between codewords, so
- * it never holds more than 60. */
-int64_t pack_bits(int64_t n, int64_t bits, const int64_t *values, uint8_t *out)
+ * ceil(n * bits / 8) bytes of `out`, the last one zero-padded.  Every value
+ * must lie in [0, 2^bits).  At most 7 bits wait in `acc` between codewords,
+ * so it never holds more than 60. */
+void pack_bits(int64_t n, int64_t bits, const int64_t *values, uint8_t *out)
 {
     uint64_t acc = 0;
-    int64_t held = 0, k;
-    for (k = 0; k < n && values[k] >= 0 && values[k] >> bits == 0; k++) {
+    int64_t held = 0;
+    for (int64_t k = 0; k < n; k++) {
         acc = acc << bits | (uint64_t)values[k];
         for (held += bits; held >= 8; held -= 8)
             *out++ = (uint8_t)(acc >> (held - 8));
     }
     if (held > 0)
         *out = (uint8_t)(acc << (8 - held));
-    return k;
 }
 
 /* Unpack n codewords of `bits` bits (1..53), packed as pack_bits packs them,

@@ -37,11 +37,11 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "encode_rows": (_I64, [_I64, _I64] + [_PTR] * 10),
     "encode_rows_work": (_I64, [_I64, _I64]),
-    "decode_row": (_I64, [_I64, _I64, _PTR, _F64, _F64] + [_PTR] * 4),
+    "decode_row": (None, [_I64, _I64, _PTR, _F64, _F64] + [_PTR] * 4),
     "gain_fixed_point": (_I64, [_I64, _PTR] + [_F64] * 5 + [_I64, _PTR, _PTR]),
     "mse_trajectory": (_I64, [_I64, _PTR] + [_F64] * 4 + [_PTR, _I64]),
     "ar_trace": (None, [_I64, _I64] + [_PTR] * 4),
-    "pack_bits": (_I64, [_I64, _I64, _PTR, _PTR]),
+    "pack_bits": (None, [_I64, _I64, _PTR, _PTR]),
     "unpack_bits": (None, [_I64, _I64, _PTR, _PTR]),
 }
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,11 +60,7 @@ class SchemeParams:
     log_det_ky: float
     ar1: analysis.Ar1Approx  # AR(1) fit of the channel behind the practical scheme
     ar1_gain: float  # its converged codec gain at sigma_Q^2 = 0
-    # sum_l log2 theta_l^2 of the predictor weights, read at every grid point
-    log2_theta_sq_sum: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "log2_theta_sq_sum", _sum_log2_theta_sq(self.coeffs))
+    log2_theta_sq_sum: float  # sum_l log2 theta_l^2 of the predictor weights
 
 
 @dataclass(eq=False)
@@ -103,7 +99,8 @@ def make_scheme_params(model: ArModel, noise: NoiseSpec, order: int | None = Non
 
     The autocovariance reaches max(order, model order), so a predictor of lower
     order than the channel works.  A channel with zero variance, or one so
-    large that its AR(1) fit overflows, raises DegenerateCovariance.
+    large that its AR(1) fit or kappa_y(0) = sigma_x^2 + sigma_xi^2 overflows,
+    raises DegenerateCovariance.
     """
     if order is None:
         order = model.order
@@ -113,15 +110,22 @@ def make_scheme_params(model: ArModel, noise: NoiseSpec, order: int | None = Non
         raise DegenerateCovariance(
             f"AR(1) fit of the channel overflows: beta={ar1.beta}, sigma_iota^2={ar1.iota_var}"
         )
+    if not math.isfinite(acov.sigma_x_sq + noise.obs_noise_var):
+        raise DegenerateCovariance(
+            f"observation variance overflows: sigma_x^2={acov.sigma_x_sq}, "
+            f"sigma_xi^2={noise.obs_noise_var}"
+        )
+    coeffs = mmse_coefficients(acov, noise, order)
     return SchemeParams(
         acov=acov,
         noise=noise,
-        coeffs=mmse_coefficients(acov, noise, order),
+        coeffs=coeffs,
         zh=zh_estimator(acov, noise),
         sigma_nu_sq=nu_variance(model, noise),
         log_det_ky=log_det_ky(acov, noise, order),
         ar1=ar1,
         ar1_gain=analysis.converged_gain(ArModel((ar1.beta,), ar1.iota_var), noise, sigma_q_sq=0.0),
+        log2_theta_sq_sum=_sum_log2_theta_sq(coeffs),
     )
 
 

@@ -99,7 +99,11 @@ class UniformQuantizer:
 
     def dequantize(self, index: int) -> float:
         """Reproduction value of a codeword index; UnknownIndex unless an integer in range."""
-        if not 0 <= index < self.levels:
+        try:
+            inside = 0 <= index < self.levels
+        except TypeError:  # None, a string
+            raise UnknownIndex(f"index {index!r} is not an integer") from None
+        if not inside:
             raise UnknownIndex(f"index {index} outside [0, {self.levels})")
         if index != int(index):
             raise UnknownIndex(f"index {index} is not an integer")
@@ -306,12 +310,13 @@ def _is_int64(value) -> bool:
         return False
 
 
-def _codewords(indices) -> tuple[np.ndarray, object]:
-    """A one-dimensional codeword stream as int64, cut at its first entry that is not an integer.
+def _codewords(indices, bits: int) -> tuple[np.ndarray, tuple]:
+    """The longest prefix of a one-dimensional stream of ``bits``-bit codewords, as int64.
 
-    Returns that array and the entry (None if there is none); an integer
-    beyond int64 counts as such an entry.  A list of ints or an integer array
-    needs no check per entry.
+    A codeword is an integer in [0, 2^bits).  Returns that prefix and () if it
+    is the whole stream, else the 1-tuple of the entry that ends it, so that a
+    None entry is not taken for the end.  A list of ints or an integer array
+    needs no check per entry, only one pass over the values for the range.
     """
     if isinstance(indices, np.ndarray):
         values = indices
@@ -319,20 +324,27 @@ def _codewords(indices) -> tuple[np.ndarray, object]:
         if not isinstance(indices, list):
             indices = list(indices)
         try:  # a float raises TypeError, an int beyond int64 OverflowError
-            return np.frombuffer(array.array("q", indices), dtype=np.int64), None
+            values = np.frombuffer(array.array("q", indices), dtype=np.int64)
         except (TypeError, OverflowError):
             values = np.asarray(indices)
     if values.ndim != 1:
         raise ValueError("index stream must be one-dimensional")
+    bad = ()
     if np.can_cast(values.dtype, np.int64):
-        return np.ascontiguousarray(values, dtype=np.int64), None
-    # check the entries themselves: numpy turns a list that mixes int64
-    # values with larger ints into floats
-    entries = values.tolist() if values is indices else indices
-    for k, entry in enumerate(entries):
-        if not _is_int64(entry):
-            return np.array(entries[:k], dtype=np.int64), entry
-    return np.array(entries, dtype=np.int64), None
+        codes = np.ascontiguousarray(values, dtype=np.int64)
+    else:
+        # check the entries themselves: numpy turns a list that mixes int64
+        # values with larger ints into floats
+        entries = values.tolist() if values is indices else indices
+        k = next((k for k, entry in enumerate(entries) if not _is_int64(entry)), len(entries))
+        codes, bad = np.array(entries[:k], dtype=np.int64), tuple(entries[k : k + 1])
+    # an integer out of range comes before the entry that ends the integers;
+    # read as uint64, a negative one is 2^63 or more
+    unsigned = codes.view(np.uint64)
+    if unsigned.size and unsigned.max() >> bits:
+        k = np.flatnonzero(unsigned >> bits)[0]
+        codes, bad = codes[:k], (int(codes[k]),)
+    return codes, bad
 
 
 def decode_sequence(state: DecoderState, indices) -> np.ndarray:
@@ -342,38 +354,30 @@ def decode_sequence(state: DecoderState, indices) -> np.ndarray:
     that loop would; an index outside the codebook or not an integer raises
     UnknownIndex after the indices before it are decoded.
     """
-    codes, bad = _codewords(indices)
+    codes, bad = _codewords(indices, state.quantizer.bits)
     lib = _kernel.load()
     if lib is None:
         step = state.decode_step
         recon = np.asarray([step(i) for i in codes.tolist()])
     else:
-        recon = _decode_row(lib, state, codes)
-    if bad is not None:
-        state.quantizer.dequantize(bad)  # raises UnknownIndex
-    return recon
-
-
-def _decode_row(lib, state: DecoderState, codes: np.ndarray) -> np.ndarray:
-    """``decode_sequence`` of int64 codewords through the compiled kernel."""
-    coeffs = np.array(state._coeffs)
-    history = np.array(state.history, dtype=float)
-    recon = np.empty(codes.size)
-    work = np.empty(2 * state.model.order)
-    stop = lib.decode_row(
-        codes.size,
-        state.model.order,
-        coeffs.ctypes.data,
-        state.quantizer.step,
-        float(1 << (state.quantizer.bits - 1)),
-        codes.ctypes.data,
-        history.ctypes.data,
-        recon.ctypes.data,
-        work.ctypes.data,
-    )
-    state.history = history.tolist()
-    if stop < codes.size:
-        state.quantizer.dequantize(int(codes[stop]))  # raises UnknownIndex
+        coeffs = np.array(state._coeffs)
+        history = np.array(state.history, dtype=float)
+        recon = np.empty(codes.size)
+        work = np.empty(2 * state.model.order)
+        lib.decode_row(
+            codes.size,
+            state.model.order,
+            coeffs.ctypes.data,
+            state.quantizer.step,
+            float(1 << (state.quantizer.bits - 1)),
+            codes.ctypes.data,
+            history.ctypes.data,
+            recon.ctypes.data,
+            work.ctypes.data,
+        )
+        state.history = history.tolist()
+    if bad:
+        state.quantizer.dequantize(*bad)  # raises UnknownIndex
     return recon
 
 
@@ -437,39 +441,25 @@ def _check_width(bits: int) -> None:
 def pack_indices(indices, bits: int) -> bytes:
     """Pack codeword indices into bytes, most significant bit first.
 
-    Each index takes ``bits`` bits and the last byte is zero-padded.  The
-    compiled kernel packs them; without it, numpy packs a bit matrix to the
-    same bytes.
+    Each index takes ``bits`` bits and the last byte is zero-padded.  An
+    entry that is not a ``bits``-bit codeword raises UnknownIndex.  The
+    compiled kernel packs them; without it, numpy cuts each index to the low
+    ``bits`` bits of a big-endian 64-bit word, one row of a (indices, bits)
+    bit matrix that np.packbits packs row after row, to the same bytes.
     """
     _check_width(bits)
     if isinstance(indices, np.ndarray):
         indices = indices.reshape(-1)
-    values, bad = _codewords(indices)
+    values, bad = _codewords(indices, bits)
+    if bad:
+        raise UnknownIndex(f"index {bad[0]} is not a {bits}-bit codeword")
     lib = _kernel.load()
     if lib is None:
-        stop, packed = _pack_bit_matrix(values, bits)
-    else:
-        packed = np.empty((values.size * bits + 7) // 8, dtype=np.uint8)
-        stop = lib.pack_bits(values.size, bits, values.ctypes.data, packed.ctypes.data)
-    if stop < values.size or bad is not None:
-        index = values[stop] if stop < values.size else bad
-        raise UnknownIndex(f"index {index} is not a {bits}-bit codeword")
+        words = values.astype(">u8").view(np.uint8).reshape(-1, 8)
+        return np.packbits(np.unpackbits(words, axis=1)[:, 64 - bits :]).tobytes()
+    packed = np.empty((values.size * bits + 7) // 8, dtype=np.uint8)
+    lib.pack_bits(values.size, bits, values.ctypes.data, packed.ctypes.data)
     return packed.tobytes()
-
-
-def _pack_bit_matrix(values: np.ndarray, bits: int) -> tuple[int, np.ndarray | None]:
-    """``pack_indices`` of int64 codewords in numpy, run when the compiled kernel is unavailable.
-
-    Returns the position of the first value outside [0, 2^bits) and None, or
-    the number of values and their packed bytes.  Each value is cut to its
-    low ``bits`` bits of a big-endian 64-bit word, one row of an (values,
-    bits) bit matrix that np.packbits packs row after row.
-    """
-    outside = np.flatnonzero((values < 0) | (values >> bits != 0))
-    if outside.size:
-        return int(outside[0]), None
-    words = values.astype(">u8").view(np.uint8).reshape(-1, 8)
-    return values.size, np.packbits(np.unpackbits(words, axis=1)[:, 64 - bits :])
 
 
 def unpack_indices(data: bytes, bits: int, count: int) -> list[int]:

@@ -311,6 +311,8 @@ def run_theory_sweep(config: ExperimentConfig) -> list[CsvRow]:
         d_max = config.d_max if config.d_max is not None else auto_max
         if not 0 < d_min < d_max:
             raise ConfigError(f"{scheme.value}: need 0 < d_min < d_max, got [{d_min}, {d_max}]")
+        if d_max == math.inf:  # 10 sigma_x^2 may overflow
+            raise ConfigError(f"{scheme.value}: d_max overflows to inf")
         curve = bounds.sweep(
             scheme, params, d_min, d_max, config.n_points, normalized=config.normalized_bounds
         )

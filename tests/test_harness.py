@@ -51,6 +51,10 @@ seed = 7
 """
 
 
+# white channel and noise of variance 1e308: each is finite, their sum is not
+_HUGE_CHANNEL = "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 1e308\n"
+
+
 def make_config(**overrides) -> str:
     lines = []
     for line in REFERENCE_CONFIG.strip().splitlines():
@@ -498,6 +502,41 @@ class TestCli:
         cfg = self.write(tmp_path, make_config(innovation_var=1e200))
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "AR(1) fit of the channel overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid", ["", "d_min = 1e300\nd_max = 1e308\n"], ids=["auto", "explicit"]
+    )
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_overflowing_observation_variance_is_exit_1(self, tmp_path, capsys, scheme, grid):
+        # sigma_x^2 + sigma_xi^2 overflows: theory used to write inf rows at exit 0
+        cfg = self.write(tmp_path, f"{_HUGE_CHANNEL}{grid}schemes = {scheme}")
+        out = tmp_path / "rd.csv"
+        assert cli_main(["theory", "--config", cfg, "--out", str(out)]) == 1
+        assert "error: observation variance overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["codec", "validate"])
+    def test_overflowing_observation_variance_is_exit_1_for_the_codec(
+        self, tmp_path, capsys, command
+    ):
+        cfg = self.write(tmp_path, f"{_HUGE_CHANNEL}samples_per_trial = 2000")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert "error: observation variance overflows" in capsys.readouterr().err
+
+    def test_overflowing_default_d_max_is_exit_1(self, tmp_path, capsys):
+        # without noise kappa_y(0) is finite, but the automatic d_max = 10 sigma_x^2 is not
+        cfg = self.write(tmp_path, "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 0")
+        out = tmp_path / "rd.csv"
+        assert cli_main(["theory", "--config", cfg, "--out", str(out)]) == 1
+        assert "error: aperiodic_prediction: d_max overflows to inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_of_a_huge_channel_is_finite(self, tmp_path):
+        cfg = self.write(tmp_path, f"{_HUGE_CHANNEL}samples_per_trial = 2000")
+        out = tmp_path / "trace.csv"
+        assert cli_main(["trace", "--config", cfg, "--out", str(out)]) == 0
+        samples = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert samples.shape == (2000, 3) and np.isfinite(samples).all()
 
     @pytest.mark.parametrize("command", ["theory", "codec", "trace"])
     def test_unwritable_out_is_exit_1(self, tmp_path, capsys, command):

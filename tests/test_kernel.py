@@ -10,6 +10,7 @@ import, is the oracle of the AR trace filter on both paths, the kernel's
 
 import ctypes
 import logging
+import math
 import os
 import re
 import shutil
@@ -337,6 +338,111 @@ def test_unknown_codeword_is_named_alike_on_both_paths(bits):
             with pytest.raises(UnknownIndex) as info:
                 on_path(fallback, pack_indices, stream, bits)
             assert str(info.value) == f"index {named} is not a {bits}-bit codeword", stream
+
+
+_INT_RANGES = {"int64": (-(1 << 63), (1 << 63) - 1), "uint64": (0, (1 << 64) - 1)}
+
+
+def codeword_entries(bits, container):
+    """Entries of an index stream: mostly codewords, and every kind of entry
+    that is not one, as far as an array of ``container`` holds it as drawn."""
+    top = 1 << bits
+    lo, hi = _INT_RANGES.get(container, (-(1 << 66), 1 << 66))
+    bad = [
+        st.integers(top, hi),
+        st.sampled_from([v for v in (top, 1 << 63, 1 << 64) if v <= hi]),  # 2^bits, 2^63, 2^64
+    ]
+    if lo < 0:
+        bad.append(st.integers(lo, -1))
+    if container not in _INT_RANGES:
+        bad += [
+            st.integers(-2, top + 1).map(float),  # integral floats, in range and just out
+            st.floats(-2.0 * top, 2.0 * top).filter(lambda x: not x.is_integer()),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        ]
+    return st.one_of(*[st.integers(0, top - 1)] * 6, *bad)
+
+
+def as_container(entries, container):
+    if container == "list":
+        return entries
+    return np.array(entries, dtype=object if container == "object" else container)
+
+
+def first_non_codeword(entries, bits):
+    """The first entry that is not an integer in [0, 2^bits), as pack_indices
+    names it: an integral one that fits in int64 as an int."""
+    for entry in entries:
+        integral = math.isfinite(entry) and entry == int(entry)
+        if not (integral and 0 <= entry < 1 << bits):
+            return int(entry) if integral and -(1 << 63) <= entry < 1 << 63 else entry
+    return None
+
+
+def step_decode_until_unknown(state, entries):
+    """decode_step per entry up to the first UnknownIndex: (reconstructions, whether it raised)."""
+    recon = []
+    try:
+        for entry in entries:
+            recon.append(state.decode_step(entry))
+    except UnknownIndex:
+        return recon, True
+    return recon, False
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_codeword_rule_matches_the_step_loop_on_both_paths(data):
+    bits = data.draw(st.integers(1, MAX_BITS))
+    container = data.draw(st.sampled_from(["list", "int64", "uint64", "float64", "object"]))
+    drawn = data.draw(st.lists(codeword_entries(bits, container), max_size=40))
+    stream = as_container(drawn, container)
+    entries = stream.tolist() if isinstance(stream, np.ndarray) else stream
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, bits)
+    oracle = DecoderState(REF_AR4, quantizer)
+    expected, raised = step_decode_until_unknown(oracle, entries)
+    named = first_non_codeword(entries, bits)
+    assert raised == (named is not None)
+    for fallback in (False, True):
+        decoder = DecoderState(REF_AR4, quantizer)
+        if raised:
+            with pytest.raises(UnknownIndex):
+                on_path(fallback, decode_sequence, decoder, stream)
+            with pytest.raises(UnknownIndex) as info:
+                on_path(fallback, pack_indices, stream, bits)
+            assert str(info.value) == f"index {named} is not a {bits}-bit codeword"
+        else:
+            assert same_bits(on_path(fallback, decode_sequence, decoder, stream), expected)
+            packed = on_path(fallback, pack_indices, stream, bits)
+            assert unpack_indices(packed, bits, len(entries)) == [int(e) for e in entries]
+        assert decoder.history == oracle.history, fallback
+
+
+def test_out_of_range_entry_before_a_non_integral_one_stops_decode_there(either_path):
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 4)
+    oracle = DecoderState(REF_AR4, quantizer)
+    step_decode(oracle, [3, 9])
+    decoder = DecoderState(REF_AR4, quantizer)
+    with pytest.raises(UnknownIndex, match="index 16 outside"):
+        decode_sequence(decoder, [3, 9, 16, 2.7, 5])
+    assert decoder.history == oracle.history
+
+
+def test_none_entry_is_an_unknown_index(either_path):
+    # it used to end the stream unnoticed: decode and pack kept the entries before it
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 3)
+    stream = [1, 2, None, 3]
+    oracle = DecoderState(REF_AR4, quantizer)
+    step_decode(oracle, stream[:2])
+    for entries in (stream, np.array(stream, dtype=object)):
+        decoder = DecoderState(REF_AR4, quantizer)
+        with pytest.raises(UnknownIndex, match="index None is not an integer"):
+            decode_sequence(decoder, entries)
+        assert decoder.history == oracle.history
+        with pytest.raises(UnknownIndex, match="index None is not a 3-bit codeword"):
+            pack_indices(entries, 3)
+    with pytest.raises(UnknownIndex, match="index None is not an integer"):
+        DecoderState(REF_AR4, quantizer).decode_step(None)
 
 
 @pytest.mark.parametrize(
