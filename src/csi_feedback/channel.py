@@ -33,7 +33,8 @@ class ArModel:
     variance is allowed only as a degenerate test drive (the process is then
     identically zero).  Stationarity is checked where the model is used: the
     first use checks it and solves for kappa_x(0..L), which the instance then
-    keeps, so every later use reads the same head.
+    keeps, so every later use reads the same head; the spectral radius behind
+    the check and the burn-in is likewise found once.
     """
 
     coeffs: tuple[float, ...]
@@ -63,15 +64,22 @@ class ArModel:
         head.flags.writeable = False
         return head
 
+    @functools.cached_property
+    def _spectral_radius(self) -> float:
+        # max |root|, or 0.0 if np.roots finds none
+        roots = self.characteristic_roots()
+        return float(np.max(np.abs(roots))) if roots.size else 0.0
+
     @property
     def sigma_x_sq(self) -> float:
         """Channel variance kappa_x(0); raises as ``autocovariance`` does."""
         return float(self._acov_head[0])
 
     def __getstate__(self) -> dict:
-        # the head is derived from the fields: pickle and copy only those
+        # the head and the radius derive from the fields: pickle and copy only those
         state = dict(self.__dict__)
         state.pop("_acov_head", None)
+        state.pop("_spectral_radius", None)
         return state
 
 
@@ -116,10 +124,7 @@ def validate_stationarity(model: ArModel) -> bool:
         # the one root of z - a_1 is a_1 itself, as np.roots finds it (and for
         # a_1 = +-0 np.roots finds no root, which passes here too)
         return abs(model.coeffs[0]) < 1.0 - STATIONARITY_MARGIN
-    roots = model.characteristic_roots()
-    if roots.size == 0:
-        return True
-    return bool(np.max(np.abs(roots)) < 1.0 - STATIONARITY_MARGIN)
+    return model._spectral_radius < 1.0 - STATIONARITY_MARGIN
 
 
 def _solve_yule_walker(model: ArModel) -> np.ndarray:
@@ -189,9 +194,7 @@ def default_burn_in(model: ArModel) -> int:
 
     10 * L / (1 - max |root|), capped at MAX_BURN_IN.
     """
-    roots = model.characteristic_roots()
-    rho = float(np.max(np.abs(roots))) if roots.size else 0.0
-    estimate = 10.0 * model.order / max(1.0 - rho, 1e-6)
+    estimate = 10.0 * model.order / max(1.0 - model._spectral_radius, 1e-6)
     return int(min(MAX_BURN_IN, max(model.order, math.ceil(estimate))))
 
 

@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from .channel import generate_trace
 from .errors import CsiFeedbackError
 
 
+@functools.cache  # built on first use; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csi-feedback",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, bounds, codec
 from .channel import ArModel, NoiseSpec, generate_trace
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateCovariance
 
 log = logging.getLogger(__name__)
 
@@ -348,7 +348,8 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     (``NoiseSpec(0)``), (3) the proposed closed-loop codec.  Each is averaged
     over ``trials`` seeded traces, each generated once; the two codec schemes
     of every width and trial are encoded together by one kernel call, which
-    keeps no indices.
+    keeps no indices.  A mean squared error that overflows to inf raises
+    DegenerateCovariance naming the scheme and the width.
     """
     model, noise = config.model, config.noise
     params = bounds.make_scheme_params(model, noise, config.predictor_order)
@@ -379,29 +380,44 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
 
     rows: list[CsvRow] = []
     n_total = config.trials * config.samples_per_trial
-    for bits, streams in zip(config.quantizer_bits, recon):
-        direct_q = codec.UniformQuantizer.with_clip(bits, direct_clip)
-        sums = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
-        for trace, predicted, (open_loop, closed_loop) in zip(traces, predictions, streams):
-            _, quantized = direct_q.quantize_many(predicted)
-            sums[DIRECT_QUANTIZATION] += float(np.mean((trace.x[order:] - quantized) ** 2))
-            sums[AR1_OPEN_LOOP] += float(np.mean((trace.x - open_loop) ** 2))
-            sums[CLOSED_LOOP] += float(np.mean((trace.x - closed_loop) ** 2))
+    # squared errors in place, where they may overflow to inf (checked per row):
+    # (r - x)^2 has the bits of (x - r)^2, and the mean of each row along the
+    # contiguous last axis is the pairwise sum np.mean takes of that row alone
+    with np.errstate(over="ignore"):
+        for trial, trace in enumerate(traces):
+            recon[:, trial] -= trace.x
+        codec_errors = np.square(recon, out=recon).mean(axis=-1).tolist()
+        for bits, per_trial in zip(config.quantizer_bits, codec_errors):
+            direct_q = codec.UniformQuantizer.with_clip(bits, direct_clip)
+            sums = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
+            for trace, predicted, (open_loop, closed_loop) in zip(traces, predictions, per_trial):
+                _, errors = direct_q.quantize_many(predicted)
+                errors -= trace.x[order:]
+                sums[DIRECT_QUANTIZATION] += float(np.square(errors, out=errors).mean())
+                sums[AR1_OPEN_LOOP] += open_loop
+                sums[CLOSED_LOOP] += closed_loop
 
-        for scheme, total in sums.items():
-            rows.append(
-                CsvRow(
-                    scheme=scheme,
-                    sigma_psi_sq=model.innovation_var,
-                    sigma_xi_sq=noise.obs_noise_var,
-                    distortion=total / config.trials,
-                    rate_bits=float(bits),
-                    source="simulation",
-                    seed=config.seed,
-                    n_samples=n_total,
+            for scheme, total in sums.items():
+                rows.append(
+                    CsvRow(
+                        scheme=scheme,
+                        sigma_psi_sq=model.innovation_var,
+                        sigma_xi_sq=noise.obs_noise_var,
+                        distortion=_finite(total / config.trials, f"{scheme} at {bits} bits"),
+                        rate_bits=float(bits),
+                        source="simulation",
+                        seed=config.seed,
+                        n_samples=n_total,
+                    )
                 )
-            )
     return rows
+
+
+def _finite(mse: float, what: str) -> float:
+    """The mean squared error itself; DegenerateCovariance when it overflowed."""
+    if not math.isfinite(mse):
+        raise DegenerateCovariance(f"{what}: mean squared error overflows to {mse}")
+    return mse
 
 
 @dataclass(frozen=True)
@@ -445,9 +461,10 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
 
     Checks sigma_P^2 and sigma_Z^2 at 2% and the codec steady-state MSE at 15%
     for every configured quantizer width; failures become report entries, not
-    exceptions.  The sigma_z_sq entry compares the paper's form, which drops
-    the hold/filter cross term, with the realised MSE of the zero-holding
-    forecast, so it fails on fast-varying channels.
+    exceptions, except an empirical MSE that overflows to inf, which raises
+    DegenerateCovariance naming the entry.  The sigma_z_sq entry compares the
+    paper's form, which drops the hold/filter cross term, with the realised
+    MSE of the zero-holding forecast, so it fails on fast-varying channels.
     """
     model, noise, order = config.model, config.noise, config.predictor_order
     params = bounds.make_scheme_params(model, noise, order)
@@ -455,12 +472,13 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
     trace = generate_trace(model, noise, config.samples_per_trial, config.seed)
 
     predictions = _predicted_states(trace.y, coeffs.theta)
-    empirical_p = float(np.mean((trace.x[order:] - predictions) ** 2))
-    empirical_z = float(np.mean((trace.x[1:] - zh.alpha * trace.y[:-1]) ** 2))
+    with np.errstate(over="ignore"):  # an overflow is checked below
+        empirical_p = float(np.mean((trace.x[order:] - predictions) ** 2))
+        empirical_z = float(np.mean((trace.x[1:] - zh.alpha * trace.y[:-1]) ** 2))
 
     entries = [
-        ValidationEntry("sigma_p_sq", coeffs.sigma_p_sq, empirical_p, 0.02),
-        ValidationEntry("sigma_z_sq", zh.sigma_z_sq, empirical_z, 0.02),
+        ValidationEntry("sigma_p_sq", coeffs.sigma_p_sq, _finite(empirical_p, "sigma_p_sq"), 0.02),
+        ValidationEntry("sigma_z_sq", zh.sigma_z_sq, _finite(empirical_z, "sigma_z_sq"), 0.02),
     ]
 
     warmup = min(config.samples_per_trial // 4, 10_000)
@@ -474,8 +492,10 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
     # every width in one call, which the kernel interleaves; each row keeps its own bits
     _, recon = codec.encode_batch(states, [trace.y] * len(states), with_indices=False)
     for bits, analytic, row in zip(config.quantizer_bits, predicted, recon):
-        long_run = float(np.mean((trace.x[warmup:] - row[warmup:]) ** 2))
-        entries.append(ValidationEntry(f"varsigma_inf[bits={bits}]", analytic, long_run, 0.15))
+        name = f"varsigma_inf[bits={bits}]"
+        with np.errstate(over="ignore"):
+            long_run = float(np.mean((trace.x[warmup:] - row[warmup:]) ** 2))
+        entries.append(ValidationEntry(name, analytic, _finite(long_run, name), 0.15))
 
     return ValidationReport(entries=tuple(entries))
 

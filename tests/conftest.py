@@ -2,8 +2,16 @@
 
 import pytest
 
-from csi_feedback import autocovariance, generate_trace
+from csi_feedback import _kernel, autocovariance, generate_trace
 from shared import REF_AR1, REF_AR4, UNIT_NOISE
+
+
+@pytest.fixture(params=["kernel", "fallback"])
+def either_path(request, monkeypatch):
+    """Run the test through the compiled kernel and through the no-compiler fallback."""
+    if request.param == "fallback":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    return request.param
 
 
 @pytest.fixture(scope="session")

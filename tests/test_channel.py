@@ -273,6 +273,33 @@ class TestModelSolvedOnce:
         assert solved[0] is model
         assert solved[1] == ArModel((params.ar1.beta,), params.ar1.iota_var)
 
+    def test_one_root_solve_per_model(self, monkeypatch):
+        solved = []
+        roots = ArModel.characteristic_roots
+
+        def counting(model):
+            solved.append(model)
+            return roots(model)
+
+        monkeypatch.setattr(ArModel, "characteristic_roots", counting)
+        model = ArModel((0.5, 0.2, 0.1, 0.05), 1.0)
+        noise = NoiseSpec(0.5)
+        make_scheme_params(model, noise)
+        default_burn_in(model)
+        for seed in range(3):
+            generate_trace(model, noise, 50, seed)
+        # the AR(1) fit is checked by its closed form, which needs no roots
+        assert len(solved) == 1 and solved[0] is model
+
+    def test_pickle_drops_the_spectral_radius(self, ar4):
+        model = ArModel(ar4.coeffs, ar4.innovation_var)
+        radius = model._spectral_radius
+        assert radius == float(np.max(np.abs(np.roots([1.0, *(-a for a in ar4.coeffs)]))))
+        assert pickle.dumps(model) == pickle.dumps(ArModel(ar4.coeffs, ar4.innovation_var))
+        restored = pickle.loads(pickle.dumps(model))
+        assert "_spectral_radius" not in restored.__dict__
+        assert restored._spectral_radius == radius
+
     def test_failures_are_raised_on_every_use(self):
         model = ArModel((1.2, -0.1), 1.0)
         for _ in range(2):

@@ -1,8 +1,10 @@
 """Experiment harness: config parsing, CSV schema, sweeps, validation, CLI."""
 
+import math
 import struct
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +337,66 @@ class TestCodecExperiment:
             assert by_scheme[AR1_OPEN_LOOP] == sum(open_loop) / 2
             assert by_scheme[CLOSED_LOOP] == sum(closed_loop) / 2
 
+    def test_every_row_matches_a_per_trial_oracle(self, either_path):
+        # each trial scored alone with np.mean((x - r) ** 2), summed in trial order
+        from csi_feedback import ArModel, NoiseSpec, make_scheme_params
+        from csi_feedback.codec import (
+            CLIP_LOADING,
+            EncoderState,
+            UniformQuantizer,
+            encode_sequence,
+            innovation_quantizer,
+        )
+        from csi_feedback.harness import _predicted_states
+
+        config = parse_config_text(
+            make_config(quantizer_bits="2,5,8", trials=3, samples_per_trial=1500)
+        )
+        model, noise, order = config.model, config.noise, config.predictor_order
+        params = make_scheme_params(model, noise, order)
+        approx = params.ar1
+        direct_clip = CLIP_LOADING * math.sqrt(params.acov.sigma_x_sq + params.coeffs.sigma_p_sq)
+        open_loop_std = math.sqrt(approx.iota_var + (1.0 + approx.beta**2) * noise.obs_noise_var)
+        traces = [generate_trace(model, noise, 1500, config.seed + t) for t in range(3)]
+
+        def codec_mse(state, trace):
+            return float(np.mean((trace.x - encode_sequence(state, trace.y)[1]) ** 2))
+
+        rows = run_codec_experiment(config)
+        assert len(rows) == 9
+        for bits in (2, 5, 8):
+            direct_q = UniformQuantizer.with_clip(bits, direct_clip)
+            open_loop_q = UniformQuantizer.with_clip(bits, CLIP_LOADING * open_loop_std)
+            closed_loop_q = innovation_quantizer(model, noise, bits)
+            expected = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
+            for trace in traces:
+                predicted = _predicted_states(trace.y, params.coeffs.theta)
+                quantized = direct_q.quantize_many(predicted)[1]
+                expected[DIRECT_QUANTIZATION] += float(np.mean((trace.x[order:] - quantized) ** 2))
+                open_loop = EncoderState(
+                    ArModel((approx.beta,), approx.iota_var), NoiseSpec(0.0), open_loop_q
+                )
+                expected[AR1_OPEN_LOOP] += codec_mse(open_loop, trace)
+                expected[CLOSED_LOOP] += codec_mse(EncoderState(model, noise, closed_loop_q), trace)
+            got = {r.scheme: r.distortion for r in rows if r.rate_bits == bits}
+            assert got == {scheme: total / 3 for scheme, total in expected.items()}
+
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, 4996, 8192, 8193, 100_000])
+    def test_row_means_of_a_strided_view_match_one_row_means(self, n):
+        # numpy sums each row pairwise, in blocks that split at 8 and 128 entries
+        rng = np.random.default_rng(n)
+        base = rng.normal(size=(3, 4, 2, n + 5)) ** 2
+        for view in (base[..., :n], base[::2, 1:, ::-1, 3 : 3 + n]):
+            means = view.mean(axis=-1).tolist()
+            for index in np.ndindex(view.shape[:-1]):
+                row = np.ascontiguousarray(view[index])
+                assert means[index[0]][index[1]][index[2]] == float(np.mean(row)), index
+        # the contiguous (widths, trials, 2, n) block the harness scores
+        block = base[..., :n].copy()
+        assert block.mean(axis=-1).tolist() == [
+            [[float(np.mean(row)) for row in pair] for pair in trial] for trial in block
+        ]
+
     def test_direct_quantization_plateaus_at_prediction_floor(self):
         from csi_feedback import autocovariance, mmse_coefficients, NoiseSpec
 
@@ -530,6 +592,50 @@ class TestCli:
         assert cli_main(["theory", "--config", cfg, "--out", str(out)]) == 1
         assert "error: aperiodic_prediction: d_max overflows to inf" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("codec", "direct_quantization at 4 bits: mean squared error overflows to inf"),
+            ("validate", "sigma_p_sq: mean squared error overflows to inf"),
+            ("trace", None),
+        ],
+    )
+    def test_overflowing_squared_error_is_exit_1(
+        self, tmp_path, capsys, either_path, command, message
+    ):
+        # kappa_y(0) = 1e308 is finite, but the squared errors of x ~ 1e154 are not
+        cfg = self.write(
+            tmp_path, "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 0\n"
+            "samples_per_trial = 2000\nquantizer_bits = 4,6"
+        )
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main([command, "--config", cfg, "--out", str(out)])
+        if message is None:
+            assert code == 0
+            assert len(out.read_text().splitlines()) == 2001
+            return
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parser_is_built_once_and_keeps_no_options(self, tmp_path, monkeypatch):
+        from csi_feedback import cli, harness
+
+        assert cli._build_parser() is cli._build_parser()
+        used = []
+
+        def recording(config):
+            used.append(config)
+            return []
+
+        monkeypatch.setattr(harness, "run_theory_sweep", recording)
+        cfg = self.write(tmp_path, make_config(output_path=str(tmp_path / "rd.csv")))
+        assert cli_main(["theory", "--config", cfg, "--seed", "3", "--normalized-bounds"]) == 0
+        assert cli_main(["theory", "--config", cfg]) == 0
+        assert [(c.seed, c.normalized_bounds) for c in used] == [(3, True), (7, False)]
 
     def test_trace_of_a_huge_channel_is_finite(self, tmp_path):
         cfg = self.write(tmp_path, f"{_HUGE_CHANNEL}samples_per_trial = 2000")

@@ -234,14 +234,6 @@ def test_unknown_index_stops_where_the_step_loop_stops(bad):
     assert decoder.history == oracle.history
 
 
-@pytest.fixture(params=["kernel", "fallback"])
-def either_path(request, monkeypatch):
-    """Run the test through the compiled kernel and through the no-compiler fallback."""
-    if request.param == "fallback":
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-    return request.param
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     pacf=st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=12), seed=st.integers(0, 1 << 16)
