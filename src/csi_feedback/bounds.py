@@ -27,8 +27,8 @@ from .errors import DegenerateCovariance, DistortionBelowFloor, SingularSystem
 from .predictor import (
     PredictorCoefficients,
     ZhEstimator,
+    kappa_y_matrix,
     mmse_coefficients,
-    symmetric_toeplitz,
     zh_estimator,
 )
 
@@ -86,9 +86,7 @@ def log_det_ky(acov: Autocovariance, noise: NoiseSpec, order: int) -> float:
         raise ValueError("order must be >= 1")
     if acov.max_lag < order - 1:
         raise ValueError(f"autocovariance max_lag {acov.max_lag} < order-1")
-    kappa_y = acov.lags[:order].copy()
-    kappa_y[0] += noise.obs_noise_var
-    sign, log_det = np.linalg.slogdet(symmetric_toeplitz(kappa_y))
+    sign, log_det = np.linalg.slogdet(kappa_y_matrix(acov, noise, order))
     if sign <= 0:
         raise SingularSystem("kappa_y Toeplitz matrix is not positive definite")
     return float(log_det / math.log(2.0))
@@ -149,11 +147,10 @@ def rate_aperiodic_prediction(
     floor = p.coeffs.sigma_p_sq
     if d_x <= floor:
         raise DistortionBelowFloor(f"D={d_x} <= sigma_P^2={floor}")
-    order = p.coeffs.order
     log_weights = p.log2_theta_sq_sum
     gap = -0.5 * math.log2(d_x - floor)
     if normalized:
-        rate = (p.log_det_ky + log_weights) / (2.0 * order) + gap
+        rate = (p.log_det_ky + log_weights) / (2.0 * p.coeffs.order) + gap
     else:
         rate = p.log_det_ky + 0.5 * log_weights + gap
     return max(0.0, rate) if clamp else rate

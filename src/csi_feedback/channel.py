@@ -66,9 +66,10 @@ class ArModel:
 
     @functools.cached_property
     def _spectral_radius(self) -> float:
-        # max |root|, or 0.0 if np.roots finds none
-        roots = self.characteristic_roots()
-        return float(np.max(np.abs(roots))) if roots.size else 0.0
+        # max |root|; the one root of z - a_1 is a_1 itself, found without np.roots
+        if self.order == 1:
+            return abs(self.coeffs[0])
+        return float(np.max(np.abs(self.characteristic_roots())))
 
     @property
     def sigma_x_sq(self) -> float:
@@ -100,7 +101,10 @@ class Autocovariance:
     """Exact channel autocovariance kappa_x(0..max_lag)."""
 
     lags: np.ndarray
-    max_lag: int
+
+    @property
+    def max_lag(self) -> int:
+        return self.lags.size - 1
 
     @property
     def sigma_x_sq(self) -> float:
@@ -120,10 +124,6 @@ class ChannelTrace:
 
 def validate_stationarity(model: ArModel) -> bool:
     """True iff every characteristic root has modulus < 1 - 1e-9."""
-    if model.order == 1:
-        # the one root of z - a_1 is a_1 itself, as np.roots finds it (and for
-        # a_1 = +-0 np.roots finds no root, which passes here too)
-        return abs(model.coeffs[0]) < 1.0 - STATIONARITY_MARGIN
     return model._spectral_radius < 1.0 - STATIONARITY_MARGIN
 
 
@@ -169,7 +169,7 @@ def autocovariance(model: ArModel, max_lag: int) -> Autocovariance:
     lags[: order + 1] = head
     for tau in range(order + 1, max_lag + 1):
         lags[tau] = sum(a[m - 1] * lags[tau - m] for m in range(1, order + 1))
-    return Autocovariance(lags=lags, max_lag=max_lag)
+    return Autocovariance(lags=lags)
 
 
 def obs_autocovariance(acov: Autocovariance, noise: NoiseSpec, lag: int) -> float:

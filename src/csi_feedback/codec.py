@@ -442,14 +442,13 @@ def pack_indices(indices, bits: int) -> bytes:
     """Pack codeword indices into bytes, most significant bit first.
 
     Each index takes ``bits`` bits and the last byte is zero-padded.  An
-    entry that is not a ``bits``-bit codeword raises UnknownIndex.  The
-    compiled kernel packs them; without it, numpy cuts each index to the low
-    ``bits`` bits of a big-endian 64-bit word, one row of a (indices, bits)
-    bit matrix that np.packbits packs row after row, to the same bytes.
+    entry that is not a ``bits``-bit codeword raises UnknownIndex, and a
+    stream that is not one-dimensional ValueError.  The compiled kernel packs
+    them; without it, numpy cuts each index to the low ``bits`` bits of a
+    big-endian 64-bit word, one row of a (indices, bits) bit matrix that
+    np.packbits packs row after row, to the same bytes.
     """
     _check_width(bits)
-    if isinstance(indices, np.ndarray):
-        indices = indices.reshape(-1)
     values, bad = _codewords(indices, bits)
     if bad:
         raise UnknownIndex(f"index {bad[0]} is not a {bits}-bit codeword")

@@ -386,14 +386,14 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     with np.errstate(over="ignore"):
         for trial, trace in enumerate(traces):
             recon[:, trial] -= trace.x
-        codec_errors = np.square(recon, out=recon).mean(axis=-1).tolist()
+        codec_errors = _mean_squares(recon)
         for bits, per_trial in zip(config.quantizer_bits, codec_errors):
             direct_q = codec.UniformQuantizer.with_clip(bits, direct_clip)
             sums = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
             for trace, predicted, (open_loop, closed_loop) in zip(traces, predictions, per_trial):
                 _, errors = direct_q.quantize_many(predicted)
                 errors -= trace.x[order:]
-                sums[DIRECT_QUANTIZATION] += float(np.square(errors, out=errors).mean())
+                sums[DIRECT_QUANTIZATION] += _mean_squares(errors)
                 sums[AR1_OPEN_LOOP] += open_loop
                 sums[CLOSED_LOOP] += closed_loop
 
@@ -411,6 +411,27 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
                     )
                 )
     return rows
+
+
+def _mean_squares(errors: np.ndarray):
+    """``np.square(errors).mean(axis=-1).tolist()``, squaring ``errors`` in place.
+
+    Each finite mean keeps np.mean's bits.  A row of n squares whose mean is
+    not finite is averaged again as ldexp(mean(ldexp(squares, -k)), k) with
+    k = n.bit_length(): a power-of-two scaling moves no bit of a normal
+    float, and n < 2^k finite squares below 2^(1024 - k) cannot sum past the
+    largest float, so only a mean that itself overflows, or a square that
+    did, stays inf, for ``_finite`` to report.  Callers run it under
+    ``np.errstate(over="ignore")``.
+    """
+    means = np.square(errors, out=errors).mean(axis=-1)
+    if math.isfinite(means.sum()):  # no mean is negative, so each one is finite
+        return means.tolist()
+    rows, means = errors.reshape(-1, errors.shape[-1]), means.reshape(-1)
+    k = rows.shape[1].bit_length()
+    for row in np.flatnonzero(~np.isfinite(means)):
+        means[row] = np.ldexp(np.ldexp(rows[row], -k).mean(), k)
+    return means.reshape(errors.shape[:-1]).tolist()
 
 
 def _finite(mse: float, what: str) -> float:
@@ -473,8 +494,8 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
 
     predictions = _predicted_states(trace.y, coeffs.theta)
     with np.errstate(over="ignore"):  # an overflow is checked below
-        empirical_p = float(np.mean((trace.x[order:] - predictions) ** 2))
-        empirical_z = float(np.mean((trace.x[1:] - zh.alpha * trace.y[:-1]) ** 2))
+        empirical_p = _mean_squares(trace.x[order:] - predictions)
+        empirical_z = _mean_squares(trace.x[1:] - zh.alpha * trace.y[:-1])
 
     entries = [
         ValidationEntry("sigma_p_sq", coeffs.sigma_p_sq, _finite(empirical_p, "sigma_p_sq"), 0.02),
@@ -494,7 +515,7 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
     for bits, analytic, row in zip(config.quantizer_bits, predicted, recon):
         name = f"varsigma_inf[bits={bits}]"
         with np.errstate(over="ignore"):
-            long_run = float(np.mean((trace.x[warmup:] - row[warmup:]) ** 2))
+            long_run = _mean_squares(trace.x[warmup:] - row[warmup:])
         entries.append(ValidationEntry(name, analytic, _finite(long_run, name), 0.15))
 
     return ValidationReport(entries=tuple(entries))

@@ -20,8 +20,11 @@ class PredictorCoefficients:
     """Wiener coefficients theta_1..theta_L and the prediction MSE sigma_P^2."""
 
     theta: np.ndarray
-    order: int
     sigma_p_sq: float
+
+    @property
+    def order(self) -> int:
+        return self.theta.size
 
 
 @dataclass(frozen=True)
@@ -37,10 +40,12 @@ class ZhEstimator:
     sigma_z_sq: float
 
 
-def symmetric_toeplitz(c: np.ndarray) -> np.ndarray:
-    """The symmetric Toeplitz matrix with first column ``c``: entry (i, j) is c[|i - j|]."""
-    lags = np.arange(c.size)
-    return c[np.abs(lags[:, None] - lags[None, :])]
+def kappa_y_matrix(acov: Autocovariance, noise: NoiseSpec, order: int) -> np.ndarray:
+    """Entry (i, j) is kappa_y(|i - j|) = kappa_x(|i - j|) + sigma_xi^2 [i == j], for i, j < order."""
+    kappa_y = acov.lags[:order].copy()
+    kappa_y[0] += noise.obs_noise_var
+    lags = np.arange(order)
+    return kappa_y[np.abs(lags[:, None] - lags[None, :])]
 
 
 def mmse_coefficients(acov: Autocovariance, noise: NoiseSpec, order: int) -> PredictorCoefficients:
@@ -54,18 +59,15 @@ def mmse_coefficients(acov: Autocovariance, noise: NoiseSpec, order: int) -> Pre
     if acov.max_lag < order:
         raise ValueError(f"autocovariance max_lag {acov.max_lag} < order {order}")
 
-    kappa_y = acov.lags[:order].copy()
-    kappa_y[0] += noise.obs_noise_var
-    gram = symmetric_toeplitz(kappa_y)
     r = acov.lags[1 : order + 1]
     try:
-        theta = np.linalg.solve(gram, r)
+        theta = np.linalg.solve(kappa_y_matrix(acov, noise, order), r)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("observation covariance matrix is singular") from exc
     sigma_p_sq = float(acov.lags[0] - r @ theta)
     # guard against roundoff producing a tiny negative MSE in noiseless cases
     sigma_p_sq = max(sigma_p_sq, 0.0)
-    return PredictorCoefficients(theta=theta, order=order, sigma_p_sq=sigma_p_sq)
+    return PredictorCoefficients(theta=theta, sigma_p_sq=sigma_p_sq)
 
 
 def predict_one_step(coeffs: PredictorCoefficients, window) -> float:

@@ -58,7 +58,7 @@ class TestAr1Fit:
 
     def test_degenerate_covariance(self):
         with pytest.raises(DegenerateCovariance):
-            ar1_fit(Autocovariance(lags=np.array([0.0, 0.0]), max_lag=1))
+            ar1_fit(Autocovariance(lags=np.array([0.0, 0.0])))
 
 
 class TestMseRecursion:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -40,10 +41,14 @@ def random_stationary_model(rng) -> ArModel:
     return ArModel(coeffs=tuple(raw * scale), innovation_var=float(rng.uniform(0.2, 3.0)))
 
 
+def _roots_radius(a1: float) -> float:
+    """max |root| of z - a_1 as np.roots finds it (np.roots always finds its one root)."""
+    return float(np.max(np.abs(np.roots([1.0, -a1]))))
+
+
 def _roots_decision(a1: float) -> bool:
     """The general path's decision for z - a_1: largest np.roots modulus below the margin."""
-    roots = np.roots([1.0, -a1])
-    return roots.size == 0 or bool(np.max(np.abs(roots)) < 1.0 - STATIONARITY_MARGIN)
+    return _roots_radius(a1) < 1.0 - STATIONARITY_MARGIN
 
 
 _EDGE = 1.0 - 1e-9
@@ -82,8 +87,28 @@ class TestStationarity:
     )
     @example(a1=0.0)
     @example(a1=-0.0)
+    @example(a1=5e-324)
+    @example(a1=-5e-324)
     def test_order_one_matches_the_roots_decision(self, a1):
-        assert validate_stationarity(ArModel((a1,), 1.0)) == _roots_decision(a1)
+        model = ArModel((a1,), 1.0)
+        assert validate_stationarity(model) == _roots_decision(a1)
+        # the same model with the np.roots radius in the cache default_burn_in reads
+        oracle = ArModel((a1,), 1.0)
+        oracle.__dict__["_spectral_radius"] = _roots_radius(a1)
+        assert default_burn_in(model) == default_burn_in(oracle)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        magnitude=st.one_of(
+            st.floats(1e-20, 1.0, exclude_max=True),
+            st.sampled_from([0.0, 1e-20, float(np.nextafter(1.0, 0.0))]),
+        ),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_order_one_radius_is_the_root_modulus(self, magnitude, sign):
+        a1 = sign * magnitude
+        radius = ArModel((a1,), 1.0)._spectral_radius
+        assert struct.pack("<d", radius) == struct.pack("<d", _roots_radius(a1))
 
 
 class TestAutocovariance:
@@ -290,6 +315,20 @@ class TestModelSolvedOnce:
             generate_trace(model, noise, 50, seed)
         # the AR(1) fit is checked by its closed form, which needs no roots
         assert len(solved) == 1 and solved[0] is model
+
+    def test_order_one_models_find_no_roots(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError(f"np.roots called for {model}")
+
+        monkeypatch.setattr(ArModel, "characteristic_roots", refuse)
+        for a1 in (0.9, -0.3, 0.0, 1.0):
+            model = ArModel((a1,), 1.0)
+            validate_stationarity(model)
+            default_burn_in(model)
+        model, noise = ArModel((0.7,), 1.3), NoiseSpec(0.5)
+        make_scheme_params(model, noise)
+        generate_trace(model, noise, 50, seed=1)
+        EncoderState(model, noise, innovation_quantizer(model, noise, 4))
 
     def test_pickle_drops_the_spectral_radius(self, ar4):
         model = ArModel(ar4.coeffs, ar4.innovation_var)

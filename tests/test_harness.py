@@ -31,6 +31,7 @@ from csi_feedback.harness import (
     CSV_HEADER,
     DIRECT_QUANTIZATION,
     MAX_POINTS,
+    _mean_squares,
     format_csv,
     parse_config,
     read_index_stream,
@@ -479,6 +480,39 @@ class TestIndexStreamDump:
         assert peak < 1 << 20  # nothing sized by the header's count
 
 
+class TestMeanSquares:
+    def test_finite_means_keep_the_bits_of_np_mean(self):
+        errors = np.random.default_rng(5).normal(size=(2, 3, 999)) * np.logspace(-150, 150, 999)
+        means = _mean_squares(errors.copy())
+        for row, mean in zip(errors.reshape(-1, 999), np.ravel(means)):
+            assert struct.pack("<d", mean) == struct.pack("<d", float(np.mean(row**2)))
+        for row in errors.reshape(-1, 999):
+            assert struct.pack("<d", _mean_squares(row.copy())) == struct.pack(
+                "<d", float(np.mean(row**2))
+            )
+
+    def test_a_sum_that_overflows_is_taken_again_scaled(self):
+        # 400 squares near 1e308: each and their mean are finite, their sum is not
+        errors = np.random.default_rng(6).uniform(0.9e154, 1.3e154, size=400)
+        squares = errors**2
+        assert np.isfinite(squares).all()
+        with np.errstate(over="ignore"):  # as its callers run it
+            assert np.mean(squares) == math.inf
+            mean = _mean_squares(errors.copy())
+        assert mean == float(np.ldexp(np.mean(np.ldexp(squares, -9)), 9))  # 400 < 2^9
+        assert mean == pytest.approx(math.fsum(s / 400 for s in squares.tolist()), rel=1e-14)
+
+    def test_an_infinite_square_keeps_its_row_inf(self):
+        rows = np.array([[1.2e154] * 300, [1e155] + [1.0] * 299, [3.0] * 300])
+        with np.errstate(over="ignore"):
+            overflowing, infinite, finite = _mean_squares(rows)
+        assert overflowing == pytest.approx(1.44e308, rel=1e-14)
+        assert infinite == math.inf
+        assert finite == 9.0
+        # the rows were squared in place
+        assert rows[2, 0] == 9.0
+
+
 class TestValidateTheory:
     def test_slow_channel_passes_everything(self):
         config = parse_config_text(
@@ -620,6 +654,34 @@ class TestCli:
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["codec", "validate"])
+    def test_finite_mean_whose_sum_overflows_is_written(
+        self, tmp_path, capsys, either_path, command
+    ):
+        # squares of x ~ 1e153 are finite and so is their mean, but the pairwise
+        # sum of 400 of them is not: that used to exit 1
+        text = (
+            "ar_coeffs = 0.0\ninnovation_var = 1e306\nobs_noise_var = 0\n"
+            "quantizer_bits = 4\ntrials = 1\nsamples_per_trial = 400\n"
+        )
+        cfg = self.write(tmp_path, text)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main([command, "--config", cfg, "--out", str(out)])
+        if command == "codec":
+            assert code == 0
+            rows = read_csv(out)
+            assert [row.scheme for row in rows] == [DIRECT_QUANTIZATION, AR1_OPEN_LOOP, CLOSED_LOOP]
+            assert all(1e303 < row.distortion < 1e307 for row in rows)
+            return
+        assert code == 2
+        assert "nan" not in capsys.readouterr().out
+        entries = validate_theory(parse_config_text(text)).entries
+        assert [e.name for e in entries] == ["sigma_p_sq", "sigma_z_sq", "varsigma_inf[bits=4]"]
+        assert all(math.isfinite(e.empirical) and math.isfinite(e.rel_err) for e in entries)
+        assert entries[0].empirical > 1e305
 
     def test_parser_is_built_once_and_keeps_no_options(self, tmp_path, monkeypatch):
         from csi_feedback import cli, harness

@@ -410,6 +410,18 @@ def test_codeword_rule_matches_the_step_loop_on_both_paths(data):
         assert decoder.history == oracle.history, fallback
 
 
+def test_streams_of_another_shape_are_rejected_by_pack_and_decode(either_path):
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 3)
+    for stream in (np.array([[1, 2], [3, 0]]), np.array([[5]]), np.array(4)):
+        with pytest.raises(ValueError, match="^index stream must be one-dimensional$"):
+            pack_indices(stream, 3)
+        decoder = DecoderState(REF_AR4, quantizer)
+        with pytest.raises(ValueError, match="^index stream must be one-dimensional$"):
+            decode_sequence(decoder, stream)
+        assert decoder.history == DecoderState(REF_AR4, quantizer).history
+    assert pack_indices(np.array([1, 2, 3, 0]), 3) == pack_indices([1, 2, 3, 0], 3)
+
+
 def test_out_of_range_entry_before_a_non_integral_one_stops_decode_there(either_path):
     quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 4)
     oracle = DecoderState(REF_AR4, quantizer)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from csi_feedback import (
+    ArModel,
     Autocovariance,
     NoiseSpec,
     PredictorCoefficients,
@@ -14,9 +16,12 @@ from csi_feedback import (
     zh_estimate,
     zh_estimator,
 )
+from csi_feedback.bounds import log_det_ky
 from csi_feedback.errors import DimensionMismatch, SingularSystem
+from csi_feedback.predictor import kappa_y_matrix
 from shared import sliding_predictions
 from test_channel import AR1_KAPPA0, AR1_KAPPA1, random_stationary_model
+from test_codec import _ar_from_pacf
 
 # frozen via an arbitrary-precision solve of the scalar Wiener equations
 AR1_THETA1 = 0.75630252100840336
@@ -72,7 +77,7 @@ class TestMmseCoefficients:
             assert abs(r) < bound, f"window entry y_(k-{lag})"
 
     def test_singular_covariance_raises(self):
-        degenerate = Autocovariance(lags=np.array([1.0, 1.0, 1.0]), max_lag=2)
+        degenerate = Autocovariance(lags=np.array([1.0, 1.0, 1.0]))
         with pytest.raises(SingularSystem):
             mmse_coefficients(degenerate, NoiseSpec(0.0), 2)
 
@@ -81,13 +86,59 @@ class TestMmseCoefficients:
             mmse_coefficients(ar1_acov, noise, ar1_acov.max_lag + 1)
 
 
+def _toeplitz_of_lags(acov, noise, order):
+    """kappa_y's matrix as mmse_coefficients and log_det_ky each built it before kappa_y_matrix."""
+    kappa_y = acov.lags[:order].copy()
+    kappa_y[0] += noise.obs_noise_var
+    lags = np.arange(kappa_y.size)
+    return kappa_y[np.abs(lags[:, None] - lags[None, :])]
+
+
+class TestKappaYMatrix:
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_matches_the_toeplitz_of_lags(self, order):
+        rng = np.random.default_rng(order)
+        for noise_var in (0.0, 0.3, 2.5):
+            pacf = rng.uniform(-0.95, 0.95, size=int(rng.integers(1, 13)))
+            model = ArModel(_ar_from_pacf(pacf), float(rng.uniform(0.2, 3.0)))
+            acov = autocovariance(model, max(order, model.order) + int(rng.integers(0, 3)))
+            lags = acov.lags.copy()
+            noise = NoiseSpec(noise_var)
+            matrix = kappa_y_matrix(acov, noise, order)
+            assert matrix.shape == (order, order)
+            assert matrix.tobytes() == _toeplitz_of_lags(acov, noise, order).tobytes()
+            kappa_y = np.concatenate([[lags[0] + noise_var], lags[1:order]])
+            assert matrix.tobytes() == toeplitz(kappa_y).tobytes()
+            assert acov.lags.tobytes() == lags.tobytes()
+
+
+class TestSizesReadOffArrays:
+    def test_max_lag_and_order_are_the_array_sizes(self, noise):
+        acov = Autocovariance(lags=np.array([2.0, 1.0, 0.5, 0.25, 0.125, 0.0625]))
+        assert acov.max_lag == 5
+        assert mmse_coefficients(acov, noise, 3).order == 3
+        assert PredictorCoefficients(theta=np.zeros(7), sigma_p_sq=0.0).order == 7
+        # a size can no longer be given beside its array
+        with pytest.raises(TypeError):
+            Autocovariance(lags=np.array([1.0, 0.5]), max_lag=5)
+        with pytest.raises(TypeError):
+            PredictorCoefficients(theta=np.zeros(2), order=4, sigma_p_sq=0.0)
+
+    def test_short_autocovariance_raises_its_own_max_lag_error(self, noise):
+        short = Autocovariance(lags=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"^autocovariance max_lag 1 < order 5$"):
+            mmse_coefficients(short, noise, 5)
+        with pytest.raises(ValueError, match=r"^autocovariance max_lag 1 < order-1$"):
+            log_det_ky(short, noise, 3)
+
+
 class TestPredictOneStep:
     def test_scalar_product(self):
-        coeffs = PredictorCoefficients(theta=np.array([0.5]), order=1, sigma_p_sq=0.0)
+        coeffs = PredictorCoefficients(theta=np.array([0.5]), sigma_p_sq=0.0)
         assert predict_one_step(coeffs, [2.0]) == 1.0
 
     def test_zero_coefficients(self):
-        coeffs = PredictorCoefficients(theta=np.zeros(4), order=4, sigma_p_sq=0.0)
+        coeffs = PredictorCoefficients(theta=np.zeros(4), sigma_p_sq=0.0)
         assert predict_one_step(coeffs, [1.0, -2.0, 3.0, 4.0]) == 0.0
 
     def test_matches_naive_sum(self, ar4_acov, noise):
@@ -113,7 +164,7 @@ class TestZeroHolding:
 
     def test_static_noiseless_channel_has_zero_mse(self):
         # perfectly correlated limit kappa(1) == kappa(0), no noise
-        acov = Autocovariance(lags=np.array([2.0, 2.0]), max_lag=1)
+        acov = Autocovariance(lags=np.array([2.0, 2.0]))
         zh = zh_estimator(acov, NoiseSpec(0.0))
         assert zh.sigma_z_sq == pytest.approx(0.0, abs=1e-12)
 
@@ -125,7 +176,7 @@ class TestZeroHolding:
     def test_estimate_is_scaled_observation(self):
         assert zh_estimate(2.0, ZhEstimator(alpha=0.5, sigma_z_sq=1.0)) == 1.0
         noiseless = zh_estimator(
-            Autocovariance(lags=np.array([1.0, 0.5]), max_lag=1), NoiseSpec(0.0)
+            Autocovariance(lags=np.array([1.0, 0.5])), NoiseSpec(0.0)
         )
         assert noiseless.alpha == 1.0
         assert zh_estimate(3.25, noiseless) == 3.25
