@@ -17,6 +17,7 @@ to a C int.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -64,6 +65,13 @@ def _build() -> Path:
         os.replace(partial, library)
     finally:
         Path(partial).unlink(missing_ok=True)
+    # keep the two newest builds, so that two checkouts run in turn do not rebuild each
+    # time; partial .tmp files stay, and so does a build that cannot be removed
+    with contextlib.suppress(OSError):  # a build removed meanwhile
+        builds = sorted(cache.glob(f"kernel-{platform.machine()}-*.so"), key=os.path.getmtime)
+        for old in builds[:-2]:
+            with contextlib.suppress(OSError):
+                old.unlink()
     return library
 
 

@@ -117,9 +117,6 @@ class ChannelTrace:
 
     x: np.ndarray
     y: np.ndarray
-    seed: int
-    model: ArModel
-    noise: NoiseSpec
 
 
 def validate_stationarity(model: ArModel) -> bool:
@@ -222,28 +219,21 @@ def _ar_filter(coeffs: tuple[float, ...], psi: np.ndarray) -> np.ndarray:
     return x
 
 
-def generate_trace(
-    model: ArModel,
-    noise: NoiseSpec,
-    n: int,
-    seed: int,
-    burn_in: int | None = None,
-) -> ChannelTrace:
+def generate_trace(model: ArModel, noise: NoiseSpec, n: int, seed: int) -> ChannelTrace:
     """Generate a seeded channel realisation with its noisy observation.
 
-    The AR recursion starts from a zero state; the first ``burn_in`` samples
-    are discarded so the retained trace is effectively stationary.  The output
-    is a pure function of (model, noise, n, seed, burn_in).
+    The AR recursion starts from a zero state and drops its first
+    ``default_burn_in(model)`` samples, so the trace is effectively stationary.
+    The output is a pure function of (model, noise, n, seed).
     """
     if not validate_stationarity(model):
         raise NonStationaryModel(f"characteristic roots not inside unit circle: {model.coeffs}")
     if n <= 0:
         raise ValueError("n must be positive")
-    if burn_in is None:
-        burn_in = default_burn_in(model)
+    burn_in = default_burn_in(model)
 
     rng = np.random.default_rng(seed)
     psi = rng.normal(0.0, math.sqrt(model.innovation_var), size=burn_in + n)
     x = _ar_filter(model.coeffs, psi)[burn_in:]
     xi = rng.normal(0.0, math.sqrt(noise.obs_noise_var), size=n)
-    return ChannelTrace(x=x, y=x + xi, seed=seed, model=model, noise=noise)
+    return ChannelTrace(x=x, y=x + xi)

@@ -93,9 +93,13 @@ class UniformQuantizer:
         # saturate in float, where value / step may overflow to inf: an
         # out-of-range int64 cast wraps around
         with np.errstate(over="ignore"):
-            levels = np.floor(values / self.step)
-        indices = np.clip(levels, -half, half - 1).astype(np.int64) + half
-        return indices, (indices - half + 0.5) * self.step
+            levels = np.divide(values, self.step)
+        np.clip(np.floor(levels, out=levels), -half, half - 1, out=levels)
+        indices = levels.astype(np.int64)
+        indices += half
+        levels += 0.5  # levels is exactly indices - half, an integer of at most 2^52
+        levels *= self.step
+        return indices, levels
 
     def dequantize(self, index: int) -> float:
         """Reproduction value of a codeword index; UnknownIndex unless an integer in range."""
@@ -386,27 +390,54 @@ def run_codec(
     noise: NoiseSpec,
     quantizer: UniformQuantizer,
     observations,
-    reference=None,
+    reference,
 ) -> CodecOutput:
     """Encode observations and decode the index stream with fresh states.
 
-    ``reference`` (the true channel states) is only used for the empirical
-    MSE; without it the MSE field is NaN.
+    ``reference`` (the true channel states) scores the encoder's
+    reconstruction: the empirical MSE is finite, or DegenerateCovariance
+    when a squared error overflows to inf.
     """
     encoder = EncoderState(model, noise, quantizer)
     decoder = DecoderState(model, quantizer)
     indices, encoder_recon = encode_sequence(encoder, observations)
     decoder_recon = decode_sequence(decoder, indices)
-    if reference is None:
-        mse = math.nan
-    else:
-        mse = float(np.mean((np.asarray(reference, dtype=float) - encoder_recon) ** 2))
+    with np.errstate(over="ignore"):  # an overflow is checked by _finite
+        mse = _mean_squares(np.asarray(reference, dtype=float) - encoder_recon)
     return CodecOutput(
         indices=indices,
         encoder_recon=encoder_recon,
         decoder_recon=decoder_recon,
-        empirical_mse=mse,
+        empirical_mse=_finite(mse, "run_codec"),
     )
+
+
+def _mean_squares(errors: np.ndarray):
+    """``np.square(errors).mean(axis=-1).tolist()``, squaring ``errors`` in place.
+
+    Each finite mean keeps np.mean's bits.  A row of n squares whose mean is
+    not finite is averaged again as ldexp(mean(ldexp(squares, -k)), k) with
+    k = n.bit_length(): a power-of-two scaling moves no bit of a normal
+    float, and n < 2^k finite squares below 2^(1024 - k) cannot sum past the
+    largest float, so only a mean that itself overflows, or a square that
+    did, stays inf, for ``_finite`` to report.  Callers run it under
+    ``np.errstate(over="ignore")``.
+    """
+    means = np.square(errors, out=errors).mean(axis=-1)
+    if math.isfinite(means.sum()):  # no mean is negative, so each one is finite
+        return means.tolist()
+    rows, means = errors.reshape(-1, errors.shape[-1]), means.reshape(-1)
+    k = rows.shape[1].bit_length()
+    for row in np.flatnonzero(~np.isfinite(means)):
+        means[row] = np.ldexp(np.ldexp(rows[row], -k).mean(), k)
+    return means.reshape(errors.shape[:-1]).tolist()
+
+
+def _finite(mse: float, what: str) -> float:
+    """The mean squared error itself; DegenerateCovariance when it overflowed."""
+    if not math.isfinite(mse):
+        raise DegenerateCovariance(f"{what}: mean squared error overflows to {mse}")
+    return mse
 
 
 def innovation_quantizer(model: ArModel, noise: NoiseSpec, bits: int) -> UniformQuantizer:

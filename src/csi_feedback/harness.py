@@ -18,20 +18,9 @@ import numpy as np
 
 from . import analysis, bounds, codec
 from .channel import ArModel, NoiseSpec, generate_trace
-from .errors import ConfigError, DegenerateCovariance
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
-
-CSV_HEADER = (
-    "scheme",
-    "sigma_psi_sq",
-    "sigma_xi_sq",
-    "distortion",
-    "rate_bits",
-    "source",
-    "seed",
-    "n_samples",
-)
 
 # scheme tags for the quantized-feedback comparison
 DIRECT_QUANTIZATION = "direct_quantization"
@@ -50,6 +39,9 @@ class CsvRow(NamedTuple):
     source: str
     seed: int
     n_samples: int
+
+
+CSV_HEADER = CsvRow._fields
 
 
 @dataclass(frozen=True)
@@ -386,14 +378,14 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     with np.errstate(over="ignore"):
         for trial, trace in enumerate(traces):
             recon[:, trial] -= trace.x
-        codec_errors = _mean_squares(recon)
+        codec_errors = codec._mean_squares(recon)
         for bits, per_trial in zip(config.quantizer_bits, codec_errors):
             direct_q = codec.UniformQuantizer.with_clip(bits, direct_clip)
             sums = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
             for trace, predicted, (open_loop, closed_loop) in zip(traces, predictions, per_trial):
                 _, errors = direct_q.quantize_many(predicted)
                 errors -= trace.x[order:]
-                sums[DIRECT_QUANTIZATION] += _mean_squares(errors)
+                sums[DIRECT_QUANTIZATION] += codec._mean_squares(errors)
                 sums[AR1_OPEN_LOOP] += open_loop
                 sums[CLOSED_LOOP] += closed_loop
 
@@ -403,7 +395,7 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
                         scheme=scheme,
                         sigma_psi_sq=model.innovation_var,
                         sigma_xi_sq=noise.obs_noise_var,
-                        distortion=_finite(total / config.trials, f"{scheme} at {bits} bits"),
+                        distortion=codec._finite(total / config.trials, f"{scheme} at {bits} bits"),
                         rate_bits=float(bits),
                         source="simulation",
                         seed=config.seed,
@@ -411,34 +403,6 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
                     )
                 )
     return rows
-
-
-def _mean_squares(errors: np.ndarray):
-    """``np.square(errors).mean(axis=-1).tolist()``, squaring ``errors`` in place.
-
-    Each finite mean keeps np.mean's bits.  A row of n squares whose mean is
-    not finite is averaged again as ldexp(mean(ldexp(squares, -k)), k) with
-    k = n.bit_length(): a power-of-two scaling moves no bit of a normal
-    float, and n < 2^k finite squares below 2^(1024 - k) cannot sum past the
-    largest float, so only a mean that itself overflows, or a square that
-    did, stays inf, for ``_finite`` to report.  Callers run it under
-    ``np.errstate(over="ignore")``.
-    """
-    means = np.square(errors, out=errors).mean(axis=-1)
-    if math.isfinite(means.sum()):  # no mean is negative, so each one is finite
-        return means.tolist()
-    rows, means = errors.reshape(-1, errors.shape[-1]), means.reshape(-1)
-    k = rows.shape[1].bit_length()
-    for row in np.flatnonzero(~np.isfinite(means)):
-        means[row] = np.ldexp(np.ldexp(rows[row], -k).mean(), k)
-    return means.reshape(errors.shape[:-1]).tolist()
-
-
-def _finite(mse: float, what: str) -> float:
-    """The mean squared error itself; DegenerateCovariance when it overflowed."""
-    if not math.isfinite(mse):
-        raise DegenerateCovariance(f"{what}: mean squared error overflows to {mse}")
-    return mse
 
 
 @dataclass(frozen=True)
@@ -494,12 +458,15 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
 
     predictions = _predicted_states(trace.y, coeffs.theta)
     with np.errstate(over="ignore"):  # an overflow is checked below
-        empirical_p = _mean_squares(trace.x[order:] - predictions)
-        empirical_z = _mean_squares(trace.x[1:] - zh.alpha * trace.y[:-1])
+        empirical_p = codec._mean_squares(trace.x[order:] - predictions)
+        empirical_z = codec._mean_squares(trace.x[1:] - zh.alpha * trace.y[:-1])
 
     entries = [
-        ValidationEntry("sigma_p_sq", coeffs.sigma_p_sq, _finite(empirical_p, "sigma_p_sq"), 0.02),
-        ValidationEntry("sigma_z_sq", zh.sigma_z_sq, _finite(empirical_z, "sigma_z_sq"), 0.02),
+        ValidationEntry(name, analytic, codec._finite(empirical, name), 0.02)
+        for name, analytic, empirical in [
+            ("sigma_p_sq", coeffs.sigma_p_sq, empirical_p),
+            ("sigma_z_sq", zh.sigma_z_sq, empirical_z),
+        ]
     ]
 
     warmup = min(config.samples_per_trial // 4, 10_000)
@@ -512,11 +479,14 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
         states.append(codec.EncoderState(model, noise, quantizer))
     # every width in one call, which the kernel interleaves; each row keeps its own bits
     _, recon = codec.encode_batch(states, [trace.y] * len(states), with_indices=False)
-    for bits, analytic, row in zip(config.quantizer_bits, predicted, recon):
+    # scored in place, as in run_codec_experiment
+    errors = recon[:, warmup:]
+    with np.errstate(over="ignore"):  # an overflow is checked below
+        errors -= trace.x[warmup:]
+        long_runs = codec._mean_squares(errors)
+    for bits, analytic, long_run in zip(config.quantizer_bits, predicted, long_runs):
         name = f"varsigma_inf[bits={bits}]"
-        with np.errstate(over="ignore"):
-            long_run = _mean_squares(trace.x[warmup:] - row[warmup:])
-        entries.append(ValidationEntry(name, analytic, _finite(long_run, name), 0.15))
+        entries.append(ValidationEntry(name, analytic, codec._finite(long_run, name), 0.15))
 
     return ValidationReport(entries=tuple(entries))
 

@@ -224,7 +224,7 @@ class TestGenerateTrace:
         assert abs(np.var(residual) - 1.0) < 0.15
 
     def test_sample_lag1_ratio(self, ar1, noise):
-        trace = generate_trace(ar1, noise, 1_000_000, seed=7, burn_in=1000)
+        trace = generate_trace(ar1, noise, 1_000_000, seed=7)
         x = trace.x
         ratio = float(np.mean(x[1:] * x[:-1]) / np.var(x))
         assert 0.89 < ratio < 0.91

@@ -26,10 +26,10 @@ from csi_feedback import (
     steady_state,
     unpack_indices,
 )
-from csi_feedback import analysis
+from csi_feedback import analysis, codec
 from csi_feedback.analysis import kalman_gain, propagate_pred_err
 from csi_feedback.codec import MAX_BITS, _predict
-from csi_feedback.errors import UnknownIndex
+from csi_feedback.errors import DegenerateCovariance, UnknownIndex
 
 # finite quantizer inputs, with magnitudes whose value / step overflows
 _FINITE_INPUT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e300, -1e300])
@@ -108,6 +108,12 @@ class TestUniformQuantizer:
             q.quantize(bad)
         with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
             q.quantize_many(np.array([*values, bad]))
+
+    def test_quantize_many_leaves_its_input(self):
+        values = np.linspace(-3.0, 3.0, 101)
+        before = values.copy()
+        UniformQuantizer(4, 0.3).quantize_many(values)
+        assert np.array_equal(values, before)
 
     def test_unknown_index(self):
         q = UniformQuantizer(bits=3, step=1.0)
@@ -484,3 +490,31 @@ class TestQuantizerSizing:
         assert len({q.clip for q in quantizers}) == 1
         innovation_quantizer(model, NoiseSpec(0.8), 6)
         assert len(calls) == 2
+
+
+class TestRunCodecScore:
+    """run_codec scores through codec._mean_squares and codec._finite."""
+
+    def test_mse_keeps_the_bits_of_np_mean(self, ar4, noise, either_path):
+        trace = generate_trace(ar4, noise, 100_000, seed=7)
+        out = run_codec(ar4, noise, innovation_quantizer(ar4, noise, 6), trace.y, trace.x)
+        assert out.empirical_mse == float(np.mean((trace.x - out.encoder_recon) ** 2))
+
+    def test_finite_mean_whose_sum_overflows(self, either_path):
+        # squares of x ~ 3e153 are finite and so is their mean, not their sum
+        model, clean = ArModel((0.0,), 1e307), NoiseSpec(0.0)
+        trace = generate_trace(model, clean, 100_000, seed=1)
+        out = run_codec(model, clean, innovation_quantizer(model, clean, 2), trace.y, trace.x)
+        with np.errstate(over="ignore"):
+            errors = trace.x - out.encoder_recon
+            assert np.mean(errors**2) == math.inf
+            assert out.empirical_mse == codec._mean_squares(errors)
+        assert math.isfinite(out.empirical_mse)
+
+    def test_squared_error_that_overflows_raises(self, ar4, noise, either_path):
+        trace = generate_trace(ar4, noise, 2000, seed=3)
+        reference = trace.x.copy()
+        reference[1000] = 1e200
+        q = innovation_quantizer(ar4, noise, 4)
+        with pytest.raises(DegenerateCovariance, match="run_codec: mean squared error overflows"):
+            run_codec(ar4, noise, q, trace.y, reference)

@@ -23,7 +23,7 @@ from csi_feedback import (
     write_csv,
 )
 from csi_feedback.cli import main as cli_main
-from csi_feedback.codec import MAX_BITS
+from csi_feedback.codec import MAX_BITS, _mean_squares
 from csi_feedback.errors import ConfigError
 from csi_feedback.harness import (
     AR1_OPEN_LOOP,
@@ -31,7 +31,6 @@ from csi_feedback.harness import (
     CSV_HEADER,
     DIRECT_QUANTIZATION,
     MAX_POINTS,
-    _mean_squares,
     format_csv,
     parse_config,
     read_index_stream,
@@ -522,6 +521,23 @@ class TestValidateTheory:
         assert report.passed, report.format()
         names = [entry.name for entry in report.entries]
         assert names == ["sigma_p_sq", "sigma_z_sq", "varsigma_inf[bits=6]"]
+
+    def test_long_run_entries_keep_the_per_row_bits(self, either_path):
+        from csi_feedback import EncoderState, encode_batch, innovation_quantizer
+
+        config = parse_config_text(make_config(samples_per_trial=20000, quantizer_bits="2,4,6,8,10"))
+        entries = validate_theory(config).entries[2:]
+        model, noise = config.model, config.noise
+        trace = generate_trace(model, noise, 20000, config.seed)
+        states = [
+            EncoderState(model, noise, innovation_quantizer(model, noise, bits))
+            for bits in config.quantizer_bits
+        ]
+        _, recon = encode_batch(states, [trace.y] * len(states), with_indices=False)
+        warmup = 5000  # a quarter of the samples
+        for entry, row in zip(entries, recon, strict=True):
+            per_row = float(np.mean((trace.x[warmup:] - row[warmup:]) ** 2))
+            assert struct.pack("<d", entry.empirical) == struct.pack("<d", per_row), entry.name
 
     def test_reference_model_exposes_zh_gap(self):
         # the zero-holding closed form drops hold/filter cross terms, so the

@@ -12,6 +12,7 @@ import ctypes
 import logging
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -525,6 +526,34 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         check=True,
         capture_output=True,
     )
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_a_new_build_prunes_all_but_the_two_newest(tmp_path, monkeypatch):
+    monkeypatch.setattr(Path, "home", lambda: tmp_path)
+    cache = tmp_path / ".cache" / "csi_feedback"
+    cache.mkdir(parents=True)
+
+    def entry(name, mtime, directory=False):
+        path = cache / name
+        if directory:
+            path.mkdir()
+        else:
+            path.write_bytes(b"")
+        os.utime(path, (mtime, mtime))
+        return name
+
+    machine = platform.machine()
+    partial = entry(f"kernel-{machine}-a-x1.tmp", 0)
+    entry(f"kernel-{machine}-a.so", 1)
+    stuck = entry(f"kernel-{machine}-b.so", 2, directory=True)  # its unlink fails
+    entry(f"kernel-{machine}-c.so", 3)
+    newest = entry(f"kernel-{machine}-d.so", 4)
+    foreign = entry("kernel-other-e.so", 0)
+
+    library = _kernel._build()
+    kept = {library.name, newest, stuck, partial, foreign}
+    assert {path.name for path in cache.iterdir()} == kept
 
 
 # Packs a stream at every width, encodes two blocks and a remainder of rows

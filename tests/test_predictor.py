@@ -47,9 +47,9 @@ class TestMmseCoefficients:
         assert abs(coeffs.theta[0]) < 1e-10
         assert coeffs.sigma_p_sq == pytest.approx(AR1_KAPPA0, rel=1e-9)
 
-    def test_empirical_mse_10m(self, ar1_trace_10m):
+    def test_empirical_mse_10m(self, ar1, ar1_trace_10m):
         # Monte Carlo oracle: predict x_{k+1} from theta_1 * y_k
-        coeffs = mmse_coefficients(autocovariance(ar1_trace_10m.model, 1), NoiseSpec(1.0), 1)
+        coeffs = mmse_coefficients(autocovariance(ar1, 1), NoiseSpec(1.0), 1)
         x, y = ar1_trace_10m.x, ar1_trace_10m.y
         mse = float(np.mean((x[1:] - coeffs.theta[0] * y[:-1]) ** 2))
         assert abs(mse - coeffs.sigma_p_sq) / coeffs.sigma_p_sq < 0.01
