@@ -68,6 +68,7 @@ from .errors import (
     DistortionBelowFloor,
     LagOutOfRange,
     NonConvergence,
+    NonFiniteInput,
     NonStationaryModel,
     SingularSystem,
     UnknownIndex,

@@ -29,6 +29,8 @@ from .errors import (
 TWO_PI_E = 2.0 * math.pi * math.e
 
 GAIN_TOL = 1e-10
+# steps of converged_prediction_state before NonConvergence
+GAIN_MAX_ITER = 1_000_000
 
 # mse_recursion stops at the first value within MSE_RTOL * max(|previous|, MSE_MIN_SCALE)
 # of its predecessor
@@ -37,9 +39,6 @@ MSE_MIN_SCALE = 1e-12
 
 # first trajectory buffer of the compiled MSE recursion, in doubles; it doubles when full
 _MSE_CHUNK = 1024
-
-# an iteration budget no loop reaches, and which int64 holds
-_MAX_STEPS = 1 << 62
 
 
 def _check_quant_noise(sigma_q_sq: float) -> None:
@@ -256,20 +255,19 @@ def converged_prediction_state(
     model: ArModel,
     noise: NoiseSpec,
     sigma_q_sq: float = 0.0,
-    max_iter: int = 1_000_000,
 ) -> tuple[float, float]:
     """Fixed point (gain, prediction-error variance) of the codec recursion.
 
     Steps the encoder's gain and prediction-error recursion from its initial
-    state until the gain moves by less than 1e-10.  The filtered variance is
+    state until the gain moves by less than ``GAIN_TOL``, within
+    ``GAIN_MAX_ITER`` steps or NonConvergence.  The filtered variance is
     bounded by sigma_xi^2, so the iteration converges for every stationary
     model.
     """
     _check_quant_noise(sigma_q_sq)
-    max_iter = operator.index(max_iter)
     lib = _kernel.load()
     if lib is None:
-        state = _gain_steps(model, noise, sigma_q_sq, max_iter)
+        state = _gain_steps(model, noise, sigma_q_sq)
     else:
         order = model.order
         out = (ctypes.c_double * 2)()
@@ -281,23 +279,23 @@ def converged_prediction_state(
             sigma_q_sq,
             model.sigma_x_sq,
             GAIN_TOL,
-            min(max_iter, _MAX_STEPS),
+            GAIN_MAX_ITER,
             out,
             (ctypes.c_double * (2 * order))(),
         )
         state = tuple(out) if settled else None
     if state is None:
-        raise NonConvergence(f"gain iteration not settled after {max_iter} steps")
+        raise NonConvergence(f"gain iteration not settled after {GAIN_MAX_ITER} steps")
     return state
 
 
-def _gain_steps(model, noise, sigma_q_sq, max_iter):
+def _gain_steps(model, noise, sigma_q_sq):
     """The Python loop of ``converged_prediction_state``; None if the gain does not settle."""
     sigma_x_sq = model.sigma_x_sq
     filtered = [sigma_x_sq] * model.order
     pred_var = sigma_x_sq
     gain = kalman_gain(pred_var, noise.obs_noise_var)
-    for _ in range(max_iter):
+    for _ in range(GAIN_MAX_ITER):
         pred_var = propagate_pred_err(
             model.coeffs, model.innovation_var, filtered, (1.0 - gain) * pred_var, sigma_q_sq
         )

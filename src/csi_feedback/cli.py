@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import harness
 from .channel import generate_trace
@@ -72,11 +71,8 @@ def main(argv=None) -> int:
             trace = generate_trace(
                 config.model, config.noise, config.samples_per_trial, config.seed
             )
-            n = len(trace.x)
-            rows = zip(range(n), trace.x.tolist(), trace.y.tolist())
-            text = harness.format_rows("k,x,y", "%d,%.17g,%.17g", rows)
-            Path(config.output_path).write_text(text)
-            print(f"wrote {n} samples to {config.output_path}")
+            harness.write_trace(config.output_path, trace)
+            print(f"wrote {len(trace.x)} samples to {config.output_path}")
     except (CsiFeedbackError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

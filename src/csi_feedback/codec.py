@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernel, analysis
 from .channel import ArModel, NoiseSpec
-from .errors import DegenerateCovariance, UnknownIndex
+from .errors import DegenerateCovariance, NonFiniteInput, UnknownIndex
 
 # widest quantizer: beyond 2^53 the float clip bound 2^(bits-1) - 1 is not exact
 MAX_BITS = 53
@@ -70,10 +70,10 @@ class UniformQuantizer:
     def quantize(self, value: float) -> tuple[int, float]:
         """Nearest midrise level as (codeword index, reproduction value).
 
-        NaN or infinite values raise ValueError, as in ``quantize_many``.
+        NaN or infinite values raise NonFiniteInput, as in ``quantize_many``.
         """
         if not math.isfinite(value):
-            raise ValueError("cannot quantize NaN or infinite values")
+            raise NonFiniteInput("cannot quantize NaN or infinite values")
         half = 1 << (self.bits - 1)
         # saturate before the floor, where value / step may overflow to inf
         level = value / self.step
@@ -88,7 +88,7 @@ class UniformQuantizer:
         """Vectorized quantize for offline experiments; NaN or infinite values raise."""
         values = np.asarray(values, dtype=float)
         if not np.isfinite(values).all():
-            raise ValueError("cannot quantize NaN or infinite values")
+            raise NonFiniteInput("cannot quantize NaN or infinite values")
         half = 1 << (self.bits - 1)
         # saturate in float, where value / step may overflow to inf: an
         # out-of-range int64 cast wraps around
@@ -228,7 +228,7 @@ def encode_batch(
     row in its own operation order.  The streams must have equal lengths;
     rows may share one observation array, but not one state (ValueError,
     before any row is encoded).  A NaN or infinite quantizer input raises
-    ValueError with the rows before it encoded whole, its row advanced up to
+    NonFiniteInput with the rows before it encoded whole, its row advanced up to
     that sample and the rows after it untouched, as the per-sample loop
     leaves them.
     """
@@ -293,7 +293,7 @@ def encode_batch(
         s.pred_err_var, s.gain, s._settled = pred_err_var, gain, bool(settled)
         offset += order
     if stop < n_rows * n:
-        raise ValueError("cannot quantize NaN or infinite values")
+        raise NonFiniteInput("cannot quantize NaN or infinite values")
     return indices, recon
 
 
@@ -447,7 +447,9 @@ def innovation_quantizer(model: ArModel, noise: NoiseSpec, bits: int) -> Uniform
     lambda * (y - prediction) at the quantization-free steady state, which
     keeps the clip probability below 1e-2 for Gaussian innovations.  When the
     gain underflows to 0 (the observation noise swamps the channel), there
-    is nothing to size it for, and it raises DegenerateCovariance.
+    is nothing to size it for, and it raises DegenerateCovariance; so it does
+    when the step is so wide that its noise variance step^2 / 12 overflows,
+    which the gain recursion would read.
     """
     gain, pred_var = _noise_free_state(model, noise)
     zeta_std = gain * math.sqrt(pred_var + noise.obs_noise_var)
@@ -455,7 +457,12 @@ def innovation_quantizer(model: ArModel, noise: NoiseSpec, bits: int) -> Uniform
         raise DegenerateCovariance(
             f"weighted innovation has no spread: gain={gain}, prediction-error variance={pred_var}"
         )
-    return UniformQuantizer.with_clip(bits, CLIP_LOADING * zeta_std)
+    quantizer = UniformQuantizer.with_clip(bits, CLIP_LOADING * zeta_std)
+    if quantizer.noise_var == math.inf:
+        raise DegenerateCovariance(
+            f"{bits}-bit quantizer noise variance overflows: step={quantizer.step}"
+        )
+    return quantizer
 
 
 # callers size every width of one channel in a row, so one entry is enough

@@ -29,6 +29,10 @@ class UnknownIndex(CsiFeedbackError):
     """Codeword index outside the quantizer's codebook."""
 
 
+class NonFiniteInput(CsiFeedbackError, ValueError):
+    """A quantizer input is NaN or infinite; also a ValueError, as for any bad argument."""
+
+
 class NonConvergence(CsiFeedbackError):
     """An iterative recursion failed to converge within the step budget."""
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import logging
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -210,8 +211,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(path.read_text())
 
 
-# CSV_HEADER's fields; %.17g gives the bytes of f"{x:.17g}", so floats read back exactly
-_ROW_FORMAT = "%s,%.17g,%.17g,%.17g,%.17g,%s,%s,%s"
+# the bytes of f"{x:.17g}", so floats read back exactly
+_FLOAT = "%.17g"
+# CsvRow's field types, which write_csv formats and read_csv parses
+_CSV_TYPES = tuple(get_type_hints(CsvRow).values())
+_ROW_FORMAT = ",".join(_FLOAT if kind is float else "%s" for kind in _CSV_TYPES)
 
 
 def format_rows(header: str, row_format: str, rows) -> str:
@@ -230,6 +234,17 @@ def write_csv(path: str | Path, rows) -> None:
     Path(path).write_text(format_csv(rows))
 
 
+def write_trace(path: str | Path, trace) -> None:
+    """Write a channel trace as CSV columns k,x,y, floats as in write_csv."""
+    rows = zip(range(len(trace.x)), trace.x.tolist(), trace.y.tolist())
+    Path(path).write_text(format_rows("k,x,y", f"%d,{_FLOAT},{_FLOAT}", rows))
+
+
+# index-stream dump header: magic, width (1 byte), count (8 bytes, big-endian)
+_DUMP_HEADER = struct.Struct(">4sBQ")
+_DUMP_MAGIC = b"CSIF"
+
+
 def write_index_stream(path: str | Path, indices, bits: int) -> None:
     """Binary dump of a codec index stream: 'CSIF', bits, count, packed payload.
 
@@ -238,8 +253,8 @@ def write_index_stream(path: str | Path, indices, bits: int) -> None:
     transmission and check encoder/decoder synchrony offline.
     """
     indices = list(indices)
-    header = b"CSIF" + bytes([bits]) + len(indices).to_bytes(8, "big")
-    Path(path).write_bytes(header + codec.pack_indices(indices, bits))
+    payload = codec.pack_indices(indices, bits)  # a width outside 1..53 raises ValueError
+    Path(path).write_bytes(_DUMP_HEADER.pack(_DUMP_MAGIC, bits, len(indices)) + payload)
 
 
 def read_index_stream(path: str | Path) -> tuple[list[int], int]:
@@ -250,12 +265,11 @@ def read_index_stream(path: str | Path) -> tuple[list[int], int]:
     ConfigError.
     """
     blob = Path(path).read_bytes()
-    if blob[:4] != b"CSIF" or len(blob) < 13:
+    if len(blob) < _DUMP_HEADER.size or not blob.startswith(_DUMP_MAGIC):
         raise ConfigError(f"not an index-stream dump: {path}")
-    bits = blob[4]
-    count = int.from_bytes(blob[5:13], "big")
+    _, bits, count = _DUMP_HEADER.unpack_from(blob)
     try:
-        return codec.unpack_indices(blob[13:], bits, count), bits
+        return codec.unpack_indices(blob[_DUMP_HEADER.size :], bits, count), bits
     except ValueError as exc:  # a width outside 1..53, or fewer bytes than the count needs
         raise ConfigError(f"corrupt index-stream dump {path}: {exc}") from exc
 
@@ -272,18 +286,7 @@ def read_csv(path: str | Path) -> list[CsvRow]:
         parts = line.split(",")
         if len(parts) != len(CSV_HEADER):
             raise ConfigError(f"malformed CSV line: {line!r}")
-        rows.append(
-            CsvRow(
-                scheme=parts[0],
-                sigma_psi_sq=float(parts[1]),
-                sigma_xi_sq=float(parts[2]),
-                distortion=float(parts[3]),
-                rate_bits=float(parts[4]),
-                source=parts[5],
-                seed=int(parts[6]),
-                n_samples=int(parts[7]),
-            )
-        )
+        rows.append(CsvRow._make(kind(part) for kind, part in zip(_CSV_TYPES, parts)))
     return rows
 
 
@@ -414,6 +417,9 @@ class ValidationEntry:
 
     @property
     def rel_err(self) -> float:
+        """|empirical - analytic| / |analytic|; at analytic 0, 0 if empirical is 0, else inf."""
+        if self.analytic == 0.0:
+            return 0.0 if self.empirical == 0.0 else math.inf
         return abs(self.empirical - self.analytic) / abs(self.analytic)
 
     @property

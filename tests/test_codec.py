@@ -29,7 +29,12 @@ from csi_feedback import (
 from csi_feedback import analysis, codec
 from csi_feedback.analysis import kalman_gain, propagate_pred_err
 from csi_feedback.codec import MAX_BITS, _predict
-from csi_feedback.errors import DegenerateCovariance, UnknownIndex
+from csi_feedback.errors import (
+    CsiFeedbackError,
+    DegenerateCovariance,
+    NonFiniteInput,
+    UnknownIndex,
+)
 
 # finite quantizer inputs, with magnitudes whose value / step overflows
 _FINITE_INPUT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e300, -1e300])
@@ -68,6 +73,17 @@ class TestUniformQuantizer:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
                 q.quantize(bad)
+
+    def test_non_finite_input_is_a_toolkit_error_and_a_value_error(self, ar4, noise, either_path):
+        assert issubclass(NonFiniteInput, CsiFeedbackError)
+        assert issubclass(NonFiniteInput, ValueError)
+        q = UniformQuantizer(bits=3, step=1.0)
+        with pytest.raises(NonFiniteInput):
+            q.quantize(math.nan)
+        with pytest.raises(NonFiniteInput):
+            q.quantize_many(np.array([0.3, math.inf]))
+        with pytest.raises(NonFiniteInput):
+            encode_batch([EncoderState(ar4, noise, q)], [np.array([0.3, -math.inf])])
 
     def test_widest_quantizer_saturates_exactly(self):
         q = UniformQuantizer(bits=53, step=1.0)
@@ -474,6 +490,14 @@ class TestQuantizerSizing:
         outermost = (0, q.levels - 1)
         clipped = sum(1 for i in out.indices if i in outermost)
         assert clipped / len(out.indices) < 0.01
+
+    def test_a_step_whose_noise_variance_overflows_is_rejected(self):
+        # the clip is 4e154: at 1 and 2 bits step^2 overflows before the division by 12
+        model, noise = ArModel((0.0,), 1e308), NoiseSpec(1.0)
+        for bits in (1, 2):
+            with pytest.raises(DegenerateCovariance, match=f"{bits}-bit quantizer noise variance"):
+                innovation_quantizer(model, noise, bits)
+        assert math.isfinite(innovation_quantizer(model, noise, 3).noise_var)
 
     def test_widths_of_one_channel_solve_the_gain_once(self, monkeypatch):
         calls = []

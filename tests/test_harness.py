@@ -31,6 +31,7 @@ from csi_feedback.harness import (
     CSV_HEADER,
     DIRECT_QUANTIZATION,
     MAX_POINTS,
+    ValidationEntry,
     format_csv,
     parse_config,
     read_index_stream,
@@ -539,6 +540,14 @@ class TestValidateTheory:
             per_row = float(np.mean((trace.x[warmup:] - row[warmup:]) ** 2))
             assert struct.pack("<d", entry.empirical) == struct.pack("<d", per_row), entry.name
 
+    @pytest.mark.parametrize(
+        "empirical, rel_err, passed", [(0.0, 0.0, True), (5e-324, math.inf, False)]
+    )
+    def test_zero_analytic_value(self, empirical, rel_err, passed):
+        entry = ValidationEntry("varsigma_inf[bits=53]", 0.0, empirical, 0.15)
+        assert entry.rel_err == rel_err
+        assert entry.passed is passed
+
     def test_reference_model_exposes_zh_gap(self):
         # the zero-holding closed form drops hold/filter cross terms, so the
         # realised estimator MSE misses the 2% band on the reference model
@@ -787,6 +796,38 @@ class TestCli:
         failing.write_text(make_config(samples_per_trial=150000, quantizer_bits="6", trials=1))
         assert cli_main(["validate", "--config", str(failing)]) == 2
         assert "validation FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["theory", "codec", "validate", "trace"])
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # a 1-bit step of 4e154, whose noise variance step^2 / 12 overflows
+            (
+                "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 1.0\n"
+                "quantizer_bits = 1,2\nsamples_per_trial = 400\n",
+                {"codec": {1}},
+            ),
+            # the 53-bit sigma_Q^2 underflows to 0, and so does the analytic varsigma_inf
+            (
+                "ar_coeffs = 0.0\ninnovation_var = 1e-300\nobs_noise_var = 0.0\n"
+                "quantizer_bits = 2,53\nsamples_per_trial = 300\n",
+                {"validate": {0, 2}},
+            ),
+            # the encoder's prediction-error recursion overflows, and its gain is NaN
+            (
+                "ar_coeffs = 1.8, -0.81\ninnovation_var = 1e150\nobs_noise_var = 1e308\n"
+                "quantizer_bits = 1\nsamples_per_trial = 300\n",
+                {"codec": {1}, "validate": {1}},
+            ),
+        ],
+        ids=["noise variance overflows", "analytic zero", "gain is NaN"],
+    )
+    def test_extreme_variances_keep_the_exit_codes(
+        self, tmp_path, either_path, text, expected, command
+    ):
+        cfg = self.write(tmp_path, f"{text}trials = 1\n")
+        code = cli_main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        assert code in expected.get(command, {0, 1, 2})
 
     def test_trace_dump(self, tmp_path):
         out = tmp_path / "trace.csv"

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -724,7 +725,8 @@ _SIGMA_Q_SQ = st.sampled_from([0.0, 1e-12, 1e3]) | st.floats(0.0, 1e3)
 @example(pacf=[0.9, -0.5], innovation_var=0.0, noise_var=0.3, sigma_q_sq=0.3, lam=0.5)
 def test_steady_state_loops_match_python_loops(pacf, innovation_var, noise_var, sigma_q_sq, lam):
     model, noise = ArModel(_ar_from_pacf(pacf), innovation_var), NoiseSpec(noise_var)
-    assert_same_on_both_paths(analysis.converged_prediction_state, model, noise, sigma_q_sq, 20_000)
+    with mock.patch.object(analysis, "GAIN_MAX_ITER", 20_000):
+        assert_same_on_both_paths(analysis.converged_prediction_state, model, noise, sigma_q_sq)
     assert_same_on_both_paths(analysis.mse_recursion, model, noise, lam, sigma_q_sq, 5000)
 
 
@@ -747,9 +749,10 @@ def test_zero_innovation_variance_on_both_paths():
 
 
 @pytest.mark.parametrize("budget", [-1, 0, 1, 2])
-def test_small_budgets_raise_non_convergence_on_both_paths(budget):
+def test_small_budgets_raise_non_convergence_on_both_paths(budget, monkeypatch):
+    monkeypatch.setattr(analysis, "GAIN_MAX_ITER", budget)
     for function, args in [
-        (analysis.converged_prediction_state, (REF_AR4, UNIT_NOISE, 0.0, budget)),
+        (analysis.converged_prediction_state, (REF_AR4, UNIT_NOISE, 0.0)),
         (analysis.mse_recursion, (REF_AR4, UNIT_NOISE, 0.5, 0.01, budget)),
     ]:
         assert assert_same_on_both_paths(function, *args)[0] is NonConvergence
@@ -763,8 +766,9 @@ def test_nan_runs_to_the_budget_on_both_paths(monkeypatch):
         analysis, "propagate_pred_err", lambda *args: steps.append(1) or propagate(*args)
     )
     nan = float("nan")
+    monkeypatch.setattr(analysis, "GAIN_MAX_ITER", 300)
     gain_state = assert_same_on_both_paths(
-        analysis.converged_prediction_state, REF_AR4, UNIT_NOISE, nan, 300
+        analysis.converged_prediction_state, REF_AR4, UNIT_NOISE, nan
     )
     assert gain_state[0] is NonConvergence
     assert len(steps) == 300  # the fallback ran out its budget
