@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .channel import ArModel, Autocovariance, NoiseSpec
+from .channel import ArModel, Autocovariance, NoiseSpec, _dot
 from .errors import (
     ContractionViolated,
     DegenerateCovariance,
@@ -45,6 +45,11 @@ def _check_quant_noise(sigma_q_sq: float) -> None:
     # a NaN passes, and the recursions run out their budget on it
     if sigma_q_sq < 0.0:
         raise ValueError("sigma_q_sq must be non-negative")
+
+
+def _check_gain(lam: float) -> None:
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("lam must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -91,36 +96,30 @@ def mse_recursion(
     NonConvergence if that never happens within ``steps`` iterations.  Memory
     follows the trajectory's length, not ``steps``.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lam must lie in (0, 1]")
+    _check_gain(lam)
     _check_quant_noise(sigma_q_sq)
     steps = operator.index(steps)
-    sigma_x_sq = model.sigma_x_sq
+    ring, _, _ = _recursion_start(model, noise)
     shrink = (1.0 - lam) ** 2
     constant = shrink * model.innovation_var + lam * lam * noise.obs_noise_var + sigma_q_sq
     coeff_sq = [a * a for a in model.coeffs]
 
     lib = _kernel.load()
     if lib is None:
-        trajectory = _mse_steps(coeff_sq, shrink, constant, sigma_x_sq, steps)
+        trajectory = _mse_steps(coeff_sq, shrink, constant, ring, steps)
     else:
-        trajectory = _mse_trajectory(lib, coeff_sq, shrink, constant, sigma_x_sq, steps)
+        trajectory = _mse_trajectory(lib, coeff_sq, shrink, constant, ring, steps)
     if trajectory is None:
         raise NonConvergence(f"MSE recursion not converged after {steps} steps")
     return trajectory
 
 
-def _mse_steps(coeff_sq, shrink, constant, sigma_x_sq, steps):
-    """The Python loop of ``mse_recursion``; None if it does not converge."""
-    ring = [sigma_x_sq] * len(coeff_sq)  # most recent first
-    trajectory = [sigma_x_sq]
+def _mse_steps(coeff_sq, shrink, constant, ring, steps):
+    """The Python loop of ``mse_recursion`` from the lag ring; None if it does not converge."""
+    trajectory = [ring[0]]
     for _ in range(steps):
         previous = trajectory[-1]
-        # left to right from 0.0: builtin sum() compensates float sums since Python 3.12
-        total = 0.0
-        for c, v in zip(coeff_sq, ring):
-            total += c * v
-        value = shrink * total + constant
+        value = shrink * _dot(coeff_sq, ring) + constant
         trajectory.append(value)
         ring.insert(0, value)
         ring.pop()
@@ -129,7 +128,7 @@ def _mse_steps(coeff_sq, shrink, constant, sigma_x_sq, steps):
     return None
 
 
-def _mse_trajectory(lib, coeff_sq, shrink, constant, sigma_x_sq, steps):
+def _mse_trajectory(lib, coeff_sq, shrink, constant, ring, steps):
     """``_mse_steps`` in the compiled kernel; a full buffer is doubled and the run restarted."""
     order = len(coeff_sq)
     pad = order - 1  # copies of varsigma_0 standing for the lags before it
@@ -137,7 +136,7 @@ def _mse_trajectory(lib, coeff_sq, shrink, constant, sigma_x_sq, steps):
     capacity = min(max(steps, 0) + 1, _MSE_CHUNK)
     while True:
         buffer = (ctypes.c_double * (pad + capacity))()
-        buffer[: pad + 1] = [sigma_x_sq] * (pad + 1)
+        buffer[:order] = ring
         length = lib.mse_trajectory(
             order, coeffs, shrink, constant, MSE_RTOL, MSE_MIN_SCALE, buffer, capacity
         )
@@ -150,8 +149,7 @@ def _mse_trajectory(lib, coeff_sq, shrink, constant, sigma_x_sq, steps):
 
 def steady_state(approx: Ar1Approx, noise: NoiseSpec, lam: float, sigma_q_sq: float) -> SteadyState:
     """Closed-form long-term MSE of the AR(1)-approximated codec."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lam must lie in (0, 1]")
+    _check_gain(lam)
     _check_quant_noise(sigma_q_sq)
     contraction = (1.0 - lam) ** 2 * approx.beta**2
     if contraction >= 1.0:
@@ -233,6 +231,12 @@ def kalman_gain(pred_err_var: float, obs_noise_var: float) -> float:
     return pred_err_var / (pred_err_var + obs_noise_var)
 
 
+def _recursion_start(model: ArModel, noise: NoiseSpec) -> tuple[list[float], float, float]:
+    """Start of the codec's recursions: a new lag ring [sigma_x^2] * L, sigma_x^2 and its gain."""
+    sigma_x_sq = model.sigma_x_sq
+    return [sigma_x_sq] * model.order, sigma_x_sq, kalman_gain(sigma_x_sq, noise.obs_noise_var)
+
+
 def propagate_pred_err(
     coeffs, innovation_var: float, filtered: list, filtered_err_var: float, sigma_q_sq: float
 ) -> float:
@@ -291,10 +295,7 @@ def converged_prediction_state(
 
 def _gain_steps(model, noise, sigma_q_sq):
     """The Python loop of ``converged_prediction_state``; None if the gain does not settle."""
-    sigma_x_sq = model.sigma_x_sq
-    filtered = [sigma_x_sq] * model.order
-    pred_var = sigma_x_sq
-    gain = kalman_gain(pred_var, noise.obs_noise_var)
+    filtered, pred_var, gain = _recursion_start(model, noise)
     for _ in range(GAIN_MAX_ITER):
         pred_var = propagate_pred_err(
             model.coeffs, model.innovation_var, filtered, (1.0 - gain) * pred_var, sigma_q_sq

@@ -22,11 +22,12 @@ import numpy as np
 
 from . import analysis
 from .analysis import TWO_PI_E
-from .channel import ArModel, Autocovariance, NoiseSpec, autocovariance
+from .channel import ArModel, Autocovariance, NoiseSpec, _dot, autocovariance
 from .errors import DegenerateCovariance, DistortionBelowFloor, SingularSystem
 from .predictor import (
     PredictorCoefficients,
     ZhEstimator,
+    _filtering_mse,
     kappa_y_matrix,
     mmse_coefficients,
     zh_estimator,
@@ -70,14 +71,6 @@ class RdCurve:
     scheme: Scheme
     points: list[RdPoint]
     skipped: int = 0
-
-    @property
-    def distortions(self) -> np.ndarray:
-        return np.array([p.distortion for p in self.points])
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([p.rate for p in self.points])
 
 
 def log_det_ky(acov: Autocovariance, noise: NoiseSpec, order: int) -> float:
@@ -189,12 +182,8 @@ def nu_variance(model: ArModel, noise: NoiseSpec) -> float:
     sigma_nu^2 = (sigma_x^2 sigma_xi^2 / (sigma_x^2 + sigma_xi^2)) * sum_m a_m^2
                + sigma_psi^2 + sigma_xi^2
     """
-    sigma_x_sq = model.sigma_x_sq
-    total = sigma_x_sq + noise.obs_noise_var
-    filter_mse = sigma_x_sq * noise.obs_noise_var / total if total > 0 else 0.0
-    sum_a_sq = 0.0  # left to right, as in analysis.mse_recursion
-    for a in model.coeffs:
-        sum_a_sq += a * a
+    filter_mse = _filtering_mse(model.sigma_x_sq, noise)
+    sum_a_sq = _dot(model.coeffs, model.coeffs)
     return filter_mse * sum_a_sq + model.innovation_var + noise.obs_noise_var
 
 

@@ -124,10 +124,22 @@ def validate_stationarity(model: ArModel) -> bool:
     return model._spectral_radius < 1.0 - STATIONARITY_MARGIN
 
 
-def _solve_yule_walker(model: ArModel) -> np.ndarray:
-    """Check stationarity, then solve the Yule-Walker system for kappa_x(0..L)."""
+def _check_stationary(model: ArModel) -> None:
     if not validate_stationarity(model):
         raise NonStationaryModel(f"characteristic roots not inside unit circle: {model.coeffs}")
+
+
+def _dot(coeffs, values) -> float:
+    """sum_m coeffs[m] * values[m] left to right from 0.0, unlike sum() since Python 3.12."""
+    total = 0.0
+    for a, v in zip(coeffs, values):
+        total += a * v
+    return total
+
+
+def _solve_yule_walker(model: ArModel) -> np.ndarray:
+    """Check stationarity, then solve the Yule-Walker system for kappa_x(0..L)."""
+    _check_stationary(model)
     order = model.order
     a = model.coeffs
     system = np.eye(order + 1)
@@ -160,13 +172,10 @@ def autocovariance(model: ArModel, max_lag: int) -> Autocovariance:
     if max_lag < model.order:
         raise ValueError(f"max_lag ({max_lag}) must be >= model order ({model.order})")
 
-    order = model.order
-    a = model.coeffs
-    lags = np.empty(max_lag + 1)
-    lags[: order + 1] = head
-    for tau in range(order + 1, max_lag + 1):
-        lags[tau] = sum(a[m - 1] * lags[tau - m] for m in range(1, order + 1))
-    return Autocovariance(lags=lags)
+    lags = head.tolist()
+    for _ in range(model.order, max_lag):  # each lag from the last L, most recent first
+        lags.append(_dot(model.coeffs, lags[: -model.order - 1 : -1]))
+    return Autocovariance(lags=np.array(lags))
 
 
 def obs_autocovariance(acov: Autocovariance, noise: NoiseSpec, lag: int) -> float:
@@ -226,8 +235,7 @@ def generate_trace(model: ArModel, noise: NoiseSpec, n: int, seed: int) -> Chann
     ``default_burn_in(model)`` samples, so the trace is effectively stationary.
     The output is a pure function of (model, noise, n, seed).
     """
-    if not validate_stationarity(model):
-        raise NonStationaryModel(f"characteristic roots not inside unit circle: {model.coeffs}")
+    _check_stationary(model)
     if n <= 0:
         raise ValueError("n must be positive")
     burn_in = default_burn_in(model)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel, analysis
-from .channel import ArModel, NoiseSpec
+from .channel import ArModel, NoiseSpec, _dot
 from .errors import DegenerateCovariance, NonFiniteInput, UnknownIndex
 
 # widest quantizer: beyond 2^53 the float clip bound 2^(bits-1) - 1 is not exact
@@ -48,11 +48,11 @@ class UniformQuantizer:
             raise ValueError("step must be positive")
 
     @classmethod
-    def with_clip(cls, bits: int, clip: float) -> "UniformQuantizer":
-        """Quantizer whose half-range equals ``clip``."""
-        if clip <= 0:
-            raise ValueError("clip must be positive")
-        return cls(bits=bits, step=clip / (1 << (bits - 1)))
+    def loaded(cls, bits: int, std: float) -> "UniformQuantizer":
+        """Quantizer whose half-range is ``CLIP_LOADING`` times the std of its input."""
+        if std <= 0:
+            raise ValueError("std must be positive")
+        return cls(bits=bits, step=CLIP_LOADING * std / (1 << (bits - 1)))
 
     @property
     def levels(self) -> int:
@@ -114,14 +114,6 @@ class UniformQuantizer:
         return (index - (1 << (self.bits - 1)) + 0.5) * self.step
 
 
-def _predict(coeffs: tuple[float, ...], history: list[float]) -> float:
-    # shared by encoder and decoder so both sides run identical arithmetic
-    total = 0.0
-    for a, h in zip(coeffs, history):
-        total += a * h
-    return total
-
-
 class EncoderState:
     """Sequential closed-loop encoder.
 
@@ -138,10 +130,7 @@ class EncoderState:
         self.quantizer = quantizer
         self._coeffs = model.coeffs
         self.history = [0.0] * model.order  # most recent reconstruction first
-        sigma_x_sq = model.sigma_x_sq
-        self._filtered = [sigma_x_sq] * model.order
-        self.pred_err_var = sigma_x_sq
-        self.gain = analysis.kalman_gain(sigma_x_sq, noise.obs_noise_var)
+        self._filtered, self.pred_err_var, self.gain = analysis._recursion_start(model, noise)
         self._settled = False
 
     def encode_step(self, y_k: float) -> tuple[int, float]:
@@ -150,7 +139,7 @@ class EncoderState:
         ``_kernel.c`` repeats this arithmetic operation by operation; change
         both together.
         """
-        prediction = _predict(self._coeffs, self.history)
+        prediction = _dot(self._coeffs, self.history)
         gain = self.gain
         innovation = y_k - prediction
         index, quantized = self.quantizer.quantize(gain * innovation)
@@ -187,7 +176,7 @@ class DecoderState:
         ``_kernel.c`` repeats this arithmetic operation by operation; change
         both together.
         """
-        value = _predict(self._coeffs, self.history) + self.quantizer.dequantize(index)
+        value = _dot(self._coeffs, self.history) + self.quantizer.dequantize(index)
         self.history.insert(0, value)
         self.history.pop()
         return value
@@ -203,16 +192,28 @@ class CodecOutput:
     empirical_mse: float
 
 
-def _encode_steps(state: EncoderState, observations: np.ndarray) -> tuple[list[int], list[float]]:
-    """The per-sample encoder loop, run when the compiled kernel is unavailable."""
+def _encode_steps(
+    state: EncoderState, observations: np.ndarray, row: int
+) -> tuple[list[int], list[float]]:
+    """The per-sample encoder loop of row ``row``, run when the compiled kernel is unavailable."""
     indices: list[int] = []
     recon: list[float] = []
     step = state.encode_step
-    for y_k in observations.tolist():
-        index, value = step(y_k)
-        indices.append(index)
-        recon.append(value)
+    try:
+        for y_k in observations.tolist():
+            index, value = step(y_k)
+            indices.append(index)
+            recon.append(value)
+    except NonFiniteInput:
+        raise _non_finite(row, len(indices)) from None
     return indices, recon
+
+
+def _non_finite(row: int, sample: int) -> NonFiniteInput:
+    """The error of a NaN or infinite quantizer input; its ``row`` attribute names the stream."""
+    error = NonFiniteInput(f"cannot quantize NaN or infinite values at sample {sample}")
+    error.row = row
+    return error
 
 
 def encode_batch(
@@ -228,7 +229,8 @@ def encode_batch(
     row in its own operation order.  The streams must have equal lengths;
     rows may share one observation array, but not one state (ValueError,
     before any row is encoded).  A NaN or infinite quantizer input raises
-    NonFiniteInput with the rows before it encoded whole, its row advanced up to
+    NonFiniteInput, naming the sample and carrying the row in its ``row``
+    attribute, with the rows before it encoded whole, its row advanced up to
     that sample and the rows after it untouched, as the per-sample loop
     leaves them.
     """
@@ -244,7 +246,7 @@ def encode_batch(
 
     lib = _kernel.load()
     if lib is None:
-        rows = [_encode_steps(state, y) for state, y in zip(states, streams)]
+        rows = [_encode_steps(state, y, row) for row, (state, y) in enumerate(zip(states, streams))]
         recon = np.array([values for _, values in rows]).reshape(n_rows, n)
         if not with_indices:
             return None, recon
@@ -293,7 +295,7 @@ def encode_batch(
         s.pred_err_var, s.gain, s._settled = pred_err_var, gain, bool(settled)
         offset += order
     if stop < n_rows * n:
-        raise NonFiniteInput("cannot quantize NaN or infinite values")
+        raise _non_finite(*divmod(stop, n))
     return indices, recon
 
 
@@ -457,7 +459,7 @@ def innovation_quantizer(model: ArModel, noise: NoiseSpec, bits: int) -> Uniform
         raise DegenerateCovariance(
             f"weighted innovation has no spread: gain={gain}, prediction-error variance={pred_var}"
         )
-    quantizer = UniformQuantizer.with_clip(bits, CLIP_LOADING * zeta_std)
+    quantizer = UniformQuantizer.loaded(bits, zeta_std)
     if quantizer.noise_var == math.inf:
         raise DegenerateCovariance(
             f"{bits}-bit quantizer noise variance overflows: step={quantizer.step}"

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, bounds, codec
 from .channel import ArModel, NoiseSpec, generate_trace
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteInput
 
 log = logging.getLogger(__name__)
 
@@ -334,6 +334,15 @@ def _predicted_states(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return predictions
 
 
+def _encode(states, observations, labels) -> np.ndarray:
+    """Reconstructions of ``codec.encode_batch`` without indices; a NaN or infinite
+    quantizer input raises NonFiniteInput naming the label of its row."""
+    try:
+        return codec.encode_batch(states, observations, with_indices=False)[1]
+    except NonFiniteInput as exc:
+        raise NonFiniteInput(f"{labels[exc.row]}: {exc}") from exc
+
+
 def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     """Mean reconstruction MSE per quantizer width for three practical schemes.
 
@@ -344,14 +353,16 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     over ``trials`` seeded traces, each generated once; the two codec schemes
     of every width and trial are encoded together by one kernel call, which
     keeps no indices.  A mean squared error that overflows to inf raises
-    DegenerateCovariance naming the scheme and the width.
+    DegenerateCovariance naming the scheme and the width, and a NaN or
+    infinite quantizer input NonFiniteInput naming the scheme, the width, the
+    trial and the sample.
     """
     model, noise = config.model, config.noise
     params = bounds.make_scheme_params(model, noise, config.predictor_order)
     coeffs, approx = params.coeffs, params.ar1
     open_loop_model = ArModel((approx.beta,), approx.iota_var)
 
-    direct_clip = codec.CLIP_LOADING * math.sqrt(params.acov.sigma_x_sq + coeffs.sigma_p_sq)
+    direct_std = math.sqrt(params.acov.sigma_x_sq + coeffs.sigma_p_sq)
     # gain-1 innovation is iota + xi - beta * xi (plus quantization residue)
     open_loop_std = math.sqrt(approx.iota_var + (1.0 + approx.beta**2) * noise.obs_noise_var)
 
@@ -361,15 +372,17 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     ]
     order = coeffs.theta.size
     predictions = [_predicted_states(trace.y, coeffs.theta) for trace in traces]
-    states, observations = [], []
+    states, observations, labels = [], [], []
     for bits in config.quantizer_bits:
-        open_loop_q = codec.UniformQuantizer.with_clip(bits, codec.CLIP_LOADING * open_loop_std)
+        open_loop_q = codec.UniformQuantizer.loaded(bits, open_loop_std)
         closed_loop_q = codec.innovation_quantizer(model, noise, bits)
-        for trace in traces:
+        for trial, trace in enumerate(traces):
             states.append(codec.EncoderState(open_loop_model, NoiseSpec(0.0), open_loop_q))
             states.append(codec.EncoderState(model, noise, closed_loop_q))
             observations += [trace.y, trace.y]
-    _, recon = codec.encode_batch(states, observations, with_indices=False)
+            where = f"at {bits} bits, trial {trial}"
+            labels += [f"{AR1_OPEN_LOOP} {where}", f"{CLOSED_LOOP} {where}"]
+    recon = _encode(states, observations, labels)
     # rows run width-major, then trial, then (open loop, closed loop)
     recon = recon.reshape(len(config.quantizer_bits), config.trials, 2, -1)
 
@@ -383,7 +396,7 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
             recon[:, trial] -= trace.x
         codec_errors = codec._mean_squares(recon)
         for bits, per_trial in zip(config.quantizer_bits, codec_errors):
-            direct_q = codec.UniformQuantizer.with_clip(bits, direct_clip)
+            direct_q = codec.UniformQuantizer.loaded(bits, direct_std)
             sums = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
             for trace, predicted, (open_loop, closed_loop) in zip(traces, predictions, per_trial):
                 _, errors = direct_q.quantize_many(predicted)
@@ -453,9 +466,11 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
     Checks sigma_P^2 and sigma_Z^2 at 2% and the codec steady-state MSE at 15%
     for every configured quantizer width; failures become report entries, not
     exceptions, except an empirical MSE that overflows to inf, which raises
-    DegenerateCovariance naming the entry.  The sigma_z_sq entry compares the
-    paper's form, which drops the hold/filter cross term, with the realised
-    MSE of the zero-holding forecast, so it fails on fast-varying channels.
+    DegenerateCovariance naming the entry, and a NaN or infinite quantizer
+    input, which raises NonFiniteInput naming the entry and the sample.  The
+    sigma_z_sq entry compares the paper's form, which drops the hold/filter
+    cross term, with the realised MSE of the zero-holding forecast, so it
+    fails on fast-varying channels.
     """
     model, noise, order = config.model, config.noise, config.predictor_order
     params = bounds.make_scheme_params(model, noise, order)
@@ -476,6 +491,7 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
     ]
 
     warmup = min(config.samples_per_trial // 4, 10_000)
+    names = [f"varsigma_inf[bits={bits}]" for bits in config.quantizer_bits]
     states, predicted = [], []
     for bits in config.quantizer_bits:
         quantizer = codec.innovation_quantizer(model, noise, bits)
@@ -484,14 +500,13 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
         predicted.append(analysis.steady_state(params.ar1, noise, gain, sigma_q_sq).varsigma_inf)
         states.append(codec.EncoderState(model, noise, quantizer))
     # every width in one call, which the kernel interleaves; each row keeps its own bits
-    _, recon = codec.encode_batch(states, [trace.y] * len(states), with_indices=False)
+    recon = _encode(states, [trace.y] * len(states), names)
     # scored in place, as in run_codec_experiment
     errors = recon[:, warmup:]
     with np.errstate(over="ignore"):  # an overflow is checked below
         errors -= trace.x[warmup:]
         long_runs = codec._mean_squares(errors)
-    for bits, analytic, long_run in zip(config.quantizer_bits, predicted, long_runs):
-        name = f"varsigma_inf[bits={bits}]"
+    for name, analytic, long_run in zip(names, predicted, long_runs):
         entries.append(ValidationEntry(name, analytic, codec._finite(long_run, name), 0.15))
 
     return ValidationReport(entries=tuple(entries))

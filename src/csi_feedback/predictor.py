@@ -93,9 +93,13 @@ def zh_estimator(acov: Autocovariance, noise: NoiseSpec) -> ZhEstimator:
     sigma_x_sq = acov.sigma_x_sq
     total = sigma_x_sq + noise.obs_noise_var
     alpha = sigma_x_sq / total if total > 0 else 0.0
-    filter_mse = sigma_x_sq * noise.obs_noise_var / total if total > 0 else 0.0
-    sigma_z_sq = 2.0 * sigma_x_sq - 2.0 * float(acov.lags[1]) + filter_mse
+    sigma_z_sq = 2.0 * sigma_x_sq - 2.0 * float(acov.lags[1]) + _filtering_mse(sigma_x_sq, noise)
     return ZhEstimator(alpha=alpha, sigma_z_sq=sigma_z_sq)
+
+
+def _filtering_mse(sigma_x_sq: float, noise: NoiseSpec) -> float:
+    total = sigma_x_sq + noise.obs_noise_var
+    return sigma_x_sq * noise.obs_noise_var / total if total > 0 else 0.0
 
 
 def zh_estimate(y_k: float, est: ZhEstimator) -> float:

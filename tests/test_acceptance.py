@@ -212,7 +212,7 @@ def test_criterion_07_variance_shift():
 
 def test_criterion_08_practical_scheme_ordering(acov, coeffs):
     approx = ar1_fit(acov)
-    direct_clip = 4.0 * math.sqrt(acov.sigma_x_sq + coeffs.sigma_p_sq)
+    direct_std = math.sqrt(acov.sigma_x_sq + coeffs.sigma_p_sq)
     open_std = math.sqrt(approx.iota_var + (1 + approx.beta**2) * UNIT_NOISE.obs_noise_var)
     trace = generate_trace(REF_AR4, UNIT_NOISE, 50_000, seed=777)
 
@@ -230,10 +230,10 @@ def test_criterion_08_practical_scheme_ordering(acov, coeffs):
     lines = []
     direct_at_10 = None
     for bits in range(2, 11):
-        direct_q = UniformQuantizer.with_clip(bits, direct_clip)
+        direct_q = UniformQuantizer.loaded(bits, direct_std)
         _, quantized = direct_q.quantize_many(sliding_predictions(trace.y, coeffs.theta))
         direct = float(np.mean((trace.x[ORDER:] - quantized) ** 2))
-        open_loop = open_loop_mse(UniformQuantizer.with_clip(bits, 4 * open_std))
+        open_loop = open_loop_mse(UniformQuantizer.loaded(bits, open_std))
         closed = run_codec(
             REF_AR4, UNIT_NOISE, innovation_quantizer(REF_AR4, UNIT_NOISE, bits), trace.y, trace.x
         ).empirical_mse
@@ -258,7 +258,7 @@ def test_criterion_09_quantizer_high_resolution():
     ok = True
     lines = []
     for bits in (6, 8):
-        quantizer = UniformQuantizer.with_clip(bits, 4 * sigma)
+        quantizer = UniformQuantizer.loaded(bits, sigma)
         _, recon = quantizer.quantize_many(samples)
         mse = float(np.mean((samples - recon) ** 2))
         ratio = mse / quantizer.noise_var

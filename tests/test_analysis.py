@@ -170,7 +170,8 @@ class TestEpVariance:
         # kappa(1) < 0 gives beta < 0, which the AR(1) spectrum handles like beta > 0
         params = make_scheme_params(ArModel((-0.5,), 1.0), noise, 1)
         d_min, d_max = default_distortion_grid(Scheme.PRACTICAL_AR1, params)
-        rates = sweep(Scheme.PRACTICAL_AR1, params, d_min, d_max, 10).rates
+        curve = sweep(Scheme.PRACTICAL_AR1, params, d_min, d_max, 10)
+        rates = np.array([point.rate for point in curve.points])
         assert rates.size == 10
         assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
 

@@ -232,22 +232,22 @@ class TestSweep:
         for scheme in ALL_SCHEMES:
             d_min, d_max = default_distortion_grid(scheme, ar4_params)
             curve = sweep(scheme, ar4_params, d_min, d_max, 20)
-            rates = curve.rates
+            rates = np.array([point.rate for point in curve.points])
             assert math.isfinite(rates[0])
             assert rates[0] == rates.max()
             # close enough to the floor every scheme's rate is strictly positive
             floor = distortion_floor(scheme, ar4_params)
             tight = sweep(scheme, ar4_params, floor * (1 + 1e-9), d_max, 20)
-            assert tight.rates[0] > 0
+            assert tight.points[0].rate > 0
 
     def test_curve_invariants(self, ar4_params):
         for scheme in ALL_SCHEMES:
             d_min, d_max = default_distortion_grid(scheme, ar4_params)
             curve = sweep(scheme, ar4_params, d_min, d_max, 30)
-            distortions = curve.distortions
+            distortions, rates = np.array(curve.points).T
             assert np.all(np.diff(distortions) > 0)
-            assert np.all(np.diff(curve.rates) <= 1e-12)
-            assert np.all(curve.rates >= 0)
+            assert np.all(np.diff(rates) <= 1e-12)
+            assert np.all(rates >= 0)
 
     def test_points_below_floor_are_skipped(self, ar1_params):
         floor = distortion_floor(Scheme.PERIODIC, ar1_params)

@@ -27,6 +27,7 @@ from csi_feedback import (
 from csi_feedback import channel
 from csi_feedback.channel import STATIONARITY_MARGIN
 from csi_feedback.errors import LagOutOfRange, NonStationaryModel
+from test_codec import _ar_from_pacf
 
 # closed forms for AR(1) a=0.9, sigma_psi^2=1: kappa0 = 1/(1-a^2), kappa1 = a*kappa0
 AR1_KAPPA0 = 5.2631578947368421
@@ -142,6 +143,21 @@ class TestAutocovariance:
                     for m in range(1, model.order + 1)
                 )
                 assert abs(acov.lags[tau] - predicted) < 1e-9 * acov.lags[0]
+
+    def test_tail_keeps_the_bits_of_a_numpy_scalar_sum(self):
+        # the recursion as builtin sum() over numpy scalars, which numpy adds left to right
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            order = int(rng.integers(1, 9))
+            coeffs = _ar_from_pacf(rng.uniform(-0.95, 0.95, size=order))
+            model = ArModel(coeffs, float(rng.uniform(0.2, 3.0)))
+            expected = np.empty(order + 21)
+            expected[: order + 1] = autocovariance(model, order).lags
+            for tau in range(order + 1, expected.size):
+                expected[tau] = sum(
+                    coeffs[m - 1] * expected[tau - m] for m in range(1, order + 1)
+                )
+            assert autocovariance(model, order + 20).lags.tobytes() == expected.tobytes()
 
     def test_toeplitz_positive_semidefinite(self):
         rng = np.random.default_rng(2)

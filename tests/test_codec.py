@@ -28,7 +28,8 @@ from csi_feedback import (
 )
 from csi_feedback import analysis, codec
 from csi_feedback.analysis import kalman_gain, propagate_pred_err
-from csi_feedback.codec import MAX_BITS, _predict
+from csi_feedback.channel import _dot
+from csi_feedback.codec import MAX_BITS
 from csi_feedback.errors import (
     CsiFeedbackError,
     DegenerateCovariance,
@@ -142,7 +143,7 @@ class TestUniformQuantizer:
         rng = np.random.default_rng(19)
         sigma = 1.7
         samples = rng.normal(0, sigma, size=500_000)
-        q = UniformQuantizer.with_clip(6, 4 * sigma)
+        q = UniformQuantizer.loaded(6, sigma)
         _, recon = q.quantize_many(samples)
         mse = float(np.mean((samples - recon) ** 2))
         assert abs(mse - q.noise_var) / q.noise_var < 0.1
@@ -157,7 +158,7 @@ class TestUniformQuantizer:
         with pytest.raises(ValueError):
             UniformQuantizer(bits=3, step=math.nan)
         with pytest.raises(ValueError):
-            UniformQuantizer.with_clip(3, -1.0)
+            UniformQuantizer.loaded(3, -1.0)
 
 
 @pytest.fixture
@@ -167,16 +168,16 @@ def encoder(ar4, noise):
 
 class TestEncoderPieces:
     def test_predict_zero_history(self, encoder):
-        assert _predict(encoder.model.coeffs, encoder.history) == 0.0
+        assert _dot(encoder.model.coeffs, encoder.history) == 0.0
 
     def test_predict_scalar(self):
-        assert _predict((0.9,), [2.0]) == pytest.approx(1.8, abs=1e-15)
+        assert _dot((0.9,), [2.0]) == pytest.approx(1.8, abs=1e-15)
 
     def test_predict_matches_naive_sum(self, ar4):
         rng = np.random.default_rng(20)
         history = list(rng.normal(size=4))
         naive = sum(a * h for a, h in zip(ar4.coeffs, history))
-        assert _predict(ar4.coeffs, history) == pytest.approx(naive, abs=1e-12)
+        assert _dot(ar4.coeffs, history) == pytest.approx(naive, abs=1e-12)
 
     def test_gain_limits(self, ar4):
         sigma_x_sq = autocovariance(ar4, 4).sigma_x_sq
@@ -280,7 +281,7 @@ class TestEncodeStep:
     def test_noiseless_fine_quantizer_tracks_channel(self, ar4):
         clean = NoiseSpec(0.0)
         trace = generate_trace(ar4, clean, 3000, seed=29)
-        q = UniformQuantizer.with_clip(14, 8 * float(np.std(trace.x)))
+        q = UniformQuantizer.loaded(14, 2 * float(np.std(trace.x)))
         out = run_codec(ar4, clean, q, trace.y, trace.x)
         # gain is 1, so reconstruction equals y = x up to one quantizer cell
         assert np.max(np.abs(out.encoder_recon - trace.x)) <= q.step / 2 + 1e-12

@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, CSV schema, sweeps, validation, CLI."""
 
+import logging
 import math
 import struct
 import sys
@@ -15,10 +16,12 @@ from csi_feedback import (
     CsvRow,
     Scheme,
     generate_trace,
+    make_scheme_params,
     parse_config_text,
     read_csv,
     run_codec_experiment,
     run_theory_sweep,
+    sweep,
     validate_theory,
     write_csv,
 )
@@ -274,6 +277,15 @@ class TestTheorySweep:
                 assert zh_row.rate_bits >= pred_row.rate_bits
             assert pairs[0][0].rate_bits > pairs[0][1].rate_bits
 
+    def test_skipped_points_are_logged(self, caplog):
+        config = parse_config_text("ar_coeffs = 0.9\nd_min = 0.01\nd_max = 10\nn_points = 20")
+        with caplog.at_level(logging.INFO, logger="csi_feedback.harness"):
+            rows = run_theory_sweep(config)
+        params = make_scheme_params(config.model, config.noise)
+        skipped = sum(sweep(scheme, params, 0.01, 10.0, 20).skipped for scheme in config.schemes)
+        assert (skipped, len(rows)) == (72, 28)
+        assert caplog.messages == [f"theory sweep skipped {skipped} grid points below scheme floors"]
+
 
 @pytest.fixture(scope="module")
 def codec_rows():
@@ -328,7 +340,7 @@ class TestCodecExperiment:
         rows = run_codec_experiment(config)
         for bits in (2, 5):
             by_scheme = {r.scheme: r.distortion for r in rows if r.rate_bits == bits}
-            open_loop_q = UniformQuantizer.with_clip(bits, 4.0 * open_loop_std)
+            open_loop_q = UniformQuantizer(bits, 4.0 * open_loop_std / (1 << (bits - 1)))
             closed_loop_q = innovation_quantizer(model, noise, bits)
             open_loop = [
                 scalar_mse(open_loop_model, NoiseSpec(0.0), open_loop_q, t) for t in traces
@@ -366,8 +378,9 @@ class TestCodecExperiment:
         rows = run_codec_experiment(config)
         assert len(rows) == 9
         for bits in (2, 5, 8):
-            direct_q = UniformQuantizer.with_clip(bits, direct_clip)
-            open_loop_q = UniformQuantizer.with_clip(bits, CLIP_LOADING * open_loop_std)
+            half = 1 << (bits - 1)
+            direct_q = UniformQuantizer(bits, direct_clip / half)
+            open_loop_q = UniformQuantizer(bits, CLIP_LOADING * open_loop_std / half)
             closed_loop_q = innovation_quantizer(model, noise, bits)
             expected = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
             for trace in traces:
@@ -799,35 +812,47 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["theory", "codec", "validate", "trace"])
     @pytest.mark.parametrize(
-        "text, expected",
+        "text, expected, errors",
         [
             # a 1-bit step of 4e154, whose noise variance step^2 / 12 overflows
             (
                 "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 1.0\n"
                 "quantizer_bits = 1,2\nsamples_per_trial = 400\n",
                 {"codec": {1}},
+                {},
             ),
             # the 53-bit sigma_Q^2 underflows to 0, and so does the analytic varsigma_inf
             (
                 "ar_coeffs = 0.0\ninnovation_var = 1e-300\nobs_noise_var = 0.0\n"
                 "quantizer_bits = 2,53\nsamples_per_trial = 300\n",
                 {"validate": {0, 2}},
+                {},
             ),
-            # the encoder's prediction-error recursion overflows, and its gain is NaN
+            # codec: the open-loop std sqrt(iota + (1 + beta^2) sigma_xi^2) overflows, so
+            # its 1-bit step is inf; validate: the encoder's prediction-error recursion
+            # overflows, and its gain is NaN
             (
                 "ar_coeffs = 1.8, -0.81\ninnovation_var = 1e150\nobs_noise_var = 1e308\n"
                 "quantizer_bits = 1\nsamples_per_trial = 300\n",
                 {"codec": {1}, "validate": {1}},
+                {
+                    "codec": "error: ar1_open_loop at 1 bits, trial 0: "
+                    "cannot quantize NaN or infinite values at sample 1\n",
+                    "validate": "error: varsigma_inf[bits=1]: "
+                    "cannot quantize NaN or infinite values at sample 292\n",
+                },
             ),
         ],
         ids=["noise variance overflows", "analytic zero", "gain is NaN"],
     )
     def test_extreme_variances_keep_the_exit_codes(
-        self, tmp_path, either_path, text, expected, command
+        self, tmp_path, capsys, either_path, text, expected, errors, command
     ):
         cfg = self.write(tmp_path, f"{text}trials = 1\n")
         code = cli_main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
         assert code in expected.get(command, {0, 1, 2})
+        if command in errors:
+            assert capsys.readouterr().err == errors[command]
 
     def test_trace_dump(self, tmp_path):
         out = tmp_path / "trace.csv"

@@ -43,7 +43,7 @@ from csi_feedback import (
 )
 from csi_feedback import _kernel, analysis, channel, codec
 from csi_feedback.codec import MAX_BITS
-from csi_feedback.errors import CsiFeedbackError, NonConvergence, UnknownIndex
+from csi_feedback.errors import CsiFeedbackError, NonConvergence, NonFiniteInput, UnknownIndex
 from shared import REF_AR1, REF_AR4, UNIT_NOISE
 from test_codec import _ar_from_pacf
 
@@ -154,8 +154,9 @@ def test_blocks_match_step_loops_across_boundaries(data):
             failed = True
             break
     if failed:
-        with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
+        with pytest.raises(ValueError, match="cannot quantize NaN or infinite values") as caught:
             codec.encode_batch(states, observations, with_indices=with_indices)
+        assert caught.value.row == len(expected)
     else:
         indices, recon = codec.encode_batch(states, observations, with_indices=with_indices)
         for r, (expected_indices, expected_recon) in enumerate(expected):
@@ -218,6 +219,21 @@ def test_non_finite_observation_stops_where_the_step_loop_stops(bad):
     step_encode(full, y)
     fresh = EncoderState(REF_AR4, UNIT_NOISE, quantizer)
     assert [encoder_state(s) for s in rows] == [encoder_state(s) for s in (full, oracle, fresh)]
+
+
+def test_non_finite_input_names_its_row_and_sample(either_path):
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 6)
+    y = generate_trace(REF_AR4, UNIT_NOISE, 400, seed=73).y
+    corrupted = y.copy()
+    corrupted[250] = np.nan
+    rows = [EncoderState(REF_AR4, UNIT_NOISE, quantizer) for _ in range(3)]
+    message = "^cannot quantize NaN or infinite values at sample 250$"
+    with pytest.raises(NonFiniteInput, match=message) as caught:
+        encode_batch(rows, [y, corrupted, corrupted])
+    assert caught.value.row == 1
+    with pytest.raises(NonFiniteInput, match="at sample 0$") as caught:
+        encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), corrupted[250:])
+    assert caught.value.row == 0
 
 
 @pytest.mark.parametrize("bad", [-1, 64, 1 << 63, 1 << 70])
