@@ -16,10 +16,11 @@ from csi_feedback import (
     CsvRow,
     NoiseSpec,
     Scheme,
-    default_distortion_grid,
     distortion_floor,
     make_scheme_params,
-    sweep,
+    parse_config_text,
+    rate_aperiodic_zh,
+    run_theory_sweep,
     write_csv,
 )
 
@@ -36,27 +37,20 @@ def describe(model: ArModel) -> None:
 
 
 def sweep_all(model: ArModel) -> list[CsvRow]:
+    """Every scheme's theory rows on its automatic 40-point grid, as ``csi-feedback theory``."""
+    config = parse_config_text(
+        f"ar_coeffs = {', '.join(map(repr, model.coeffs))}\n"
+        f"innovation_var = {model.innovation_var!r}\n"
+        f"obs_noise_var = {NOISE.obs_noise_var!r}\n"
+        "n_points = 40\n"
+    )
+    rows = run_theory_sweep(config)
     params = make_scheme_params(model, NOISE)
-    rows = []
     for scheme in Scheme:
-        d_min, d_max = default_distortion_grid(scheme, params)
-        curve = sweep(scheme, params, d_min, d_max, n_points=40)
+        first = next(row for row in rows if row.scheme == scheme.value)
         print(
             f"  {scheme.value:22s} floor={distortion_floor(scheme, params):7.4f} "
-            f"rate at floor*1.001 = {curve.points[0].rate:7.3f} bits"
-        )
-        rows.extend(
-            CsvRow(
-                scheme=scheme.value,
-                sigma_psi_sq=model.innovation_var,
-                sigma_xi_sq=NOISE.obs_noise_var,
-                distortion=p.distortion,
-                rate_bits=p.rate,
-                source="theory",
-                seed=0,
-                n_samples=0,
-            )
-            for p in curve.points
+            f"rate at floor*1.001 = {first.rate_bits:7.3f} bits"
         )
     return rows
 
@@ -77,8 +71,6 @@ def main() -> None:
     # floors, the doubled-variance channel always needs at least as many bits
     params_1 = make_scheme_params(reference, NOISE)
     params_2 = make_scheme_params(ArModel(reference.coeffs, 2.0), NOISE)
-    from csi_feedback import rate_aperiodic_zh
-
     d = params_2.zh.sigma_z_sq * 1.05
     print(
         f"\nzero-holding bound at D={d:.3f}: "

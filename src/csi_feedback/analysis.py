@@ -21,6 +21,7 @@ from . import _kernel
 from .channel import ArModel, Autocovariance, NoiseSpec, _dot
 from .errors import (
     ContractionViolated,
+    CsiFeedbackError,
     DegenerateCovariance,
     DistortionBelowFloor,
     NonConvergence,
@@ -44,12 +45,12 @@ _MSE_CHUNK = 1024
 def _check_quant_noise(sigma_q_sq: float) -> None:
     # a NaN passes, and the recursions run out their budget on it
     if sigma_q_sq < 0.0:
-        raise ValueError("sigma_q_sq must be non-negative")
+        raise CsiFeedbackError("sigma_q_sq must be non-negative")
 
 
 def _check_gain(lam: float) -> None:
     if not 0.0 < lam <= 1.0:
-        raise ValueError("lam must lie in (0, 1]")
+        raise CsiFeedbackError("lam must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def ar1_fit(acov: Autocovariance) -> Ar1Approx:
     if kappa0 <= 0:
         raise DegenerateCovariance("kappa_x(0) must be positive")
     if acov.max_lag < 1:
-        raise ValueError("need kappa_x up to lag 1")
+        raise CsiFeedbackError("need kappa_x up to lag 1")
     kappa1 = float(acov.lags[1])
     beta = kappa1 / kappa0
     return Ar1Approx(beta=beta, iota_var=kappa0 - kappa1 * kappa1 / kappa0)
@@ -169,7 +170,7 @@ def _spectral_variance(approx: Ar1Approx) -> float:
     """
     beta = approx.beta
     if not -1.0 < beta < 1.0:
-        raise ValueError("spectral variance needs |beta| < 1")
+        raise CsiFeedbackError("spectral variance needs |beta| < 1")
     return approx.iota_var / (1.0 - beta * beta)
 
 

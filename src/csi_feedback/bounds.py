@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis
 from .analysis import TWO_PI_E
 from .channel import ArModel, Autocovariance, NoiseSpec, _dot, autocovariance
-from .errors import DegenerateCovariance, DistortionBelowFloor, SingularSystem
+from .errors import CsiFeedbackError, DegenerateCovariance, DistortionBelowFloor, SingularSystem
 from .predictor import (
     PredictorCoefficients,
     ZhEstimator,
@@ -76,9 +76,9 @@ class RdCurve:
 def log_det_ky(acov: Autocovariance, noise: NoiseSpec, order: int) -> float:
     """log2 determinant of the order x order Toeplitz kappa_y matrix."""
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise CsiFeedbackError("order must be >= 1")
     if acov.max_lag < order - 1:
-        raise ValueError(f"autocovariance max_lag {acov.max_lag} < order-1")
+        raise CsiFeedbackError(f"autocovariance max_lag {acov.max_lag} < order-1")
     sign, log_det = np.linalg.slogdet(kappa_y_matrix(acov, noise, order))
     if sign <= 0:
         raise SingularSystem("kappa_y Toeplitz matrix is not positive definite")
@@ -156,8 +156,9 @@ def rate_aperiodic_zh(
 
     Default form: 1/2 h(y) + 1/2 log2 alpha - 1/2 log2(2 pi e (D - sigma_Z^2))
     with h(y) = 1/2 log2(2 pi e sigma_y^2).  Normalized form is the scalar
-    Gaussian bound 1/2 log2(alpha^2 sigma_y^2 / (D - sigma_Z^2)).  An alpha
-    that underflows to 0 has no log and raises DegenerateCovariance.
+    Gaussian bound 1/2 log2(alpha^2 sigma_y^2 / (D - sigma_Z^2)).  An alpha,
+    or in the normalized form that ratio, that underflows to 0 has no log and
+    raises DegenerateCovariance.
     """
     if p.zh.alpha == 0.0:
         raise DegenerateCovariance("zero-holding weight alpha underflows to 0")
@@ -166,7 +167,13 @@ def rate_aperiodic_zh(
         raise DistortionBelowFloor(f"D={d_x} <= sigma_Z^2={floor}")
     sigma_y_sq = p.acov.sigma_x_sq + p.noise.obs_noise_var
     if normalized:
-        rate = 0.5 * math.log2(p.zh.alpha**2 * sigma_y_sq / (d_x - floor))
+        ratio = p.zh.alpha**2 * sigma_y_sq / (d_x - floor)
+        if ratio == 0.0:
+            raise DegenerateCovariance(
+                "normalized zero-holding ratio alpha^2 sigma_y^2 / (D - sigma_Z^2) "
+                f"underflows to 0: alpha={p.zh.alpha}"
+            )
+        rate = 0.5 * math.log2(ratio)
     else:
         rate = (
             0.25 * math.log2(TWO_PI_E * sigma_y_sq)
@@ -259,9 +266,9 @@ def sweep(
     curve's ``skipped`` field rather than aborting the sweep.
     """
     if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+        raise CsiFeedbackError("n_points must be >= 2")
     if not 0 < d_min < d_max:
-        raise ValueError("need 0 < d_min < d_max")
+        raise CsiFeedbackError("need 0 < d_min < d_max")
 
     # rate(d, *args) for this scheme, chosen once per curve
     if scheme is Scheme.APERIODIC_PREDICTION:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .errors import LagOutOfRange, NonStationaryModel, SingularSystem
+from .errors import CsiFeedbackError, LagOutOfRange, NonStationaryModel, SingularSystem
 
 # A root of modulus 1 - 1e-9 is already uselessly slow to mix; treat it as
 # non-stationary rather than letting burn-in estimates blow up.
@@ -44,11 +44,11 @@ class ArModel:
     def __post_init__(self) -> None:
         coeffs = tuple(float(a) for a in self.coeffs)
         if len(coeffs) == 0:
-            raise ValueError("ArModel needs at least one coefficient")
+            raise CsiFeedbackError("ArModel needs at least one coefficient")
         if not all(math.isfinite(a) for a in coeffs):
-            raise ValueError("ar_coeffs must be finite")
+            raise CsiFeedbackError("ar_coeffs must be finite")
         if not (math.isfinite(self.innovation_var) and self.innovation_var >= 0):
-            raise ValueError("innovation_var must be finite and non-negative")
+            raise CsiFeedbackError("innovation_var must be finite and non-negative")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "innovation_var", float(self.innovation_var))
         object.__setattr__(self, "order", len(coeffs))
@@ -92,7 +92,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.obs_noise_var) and self.obs_noise_var >= 0):
-            raise ValueError("obs_noise_var must be finite and non-negative")
+            raise CsiFeedbackError("obs_noise_var must be finite and non-negative")
         object.__setattr__(self, "obs_noise_var", float(self.obs_noise_var))
 
 
@@ -170,7 +170,7 @@ def autocovariance(model: ArModel, max_lag: int) -> Autocovariance:
     """
     head = model._acov_head
     if max_lag < model.order:
-        raise ValueError(f"max_lag ({max_lag}) must be >= model order ({model.order})")
+        raise CsiFeedbackError(f"max_lag ({max_lag}) must be >= model order ({model.order})")
 
     lags = head.tolist()
     for _ in range(model.order, max_lag):  # each lag from the last L, most recent first
@@ -237,7 +237,7 @@ def generate_trace(model: ArModel, noise: NoiseSpec, n: int, seed: int) -> Chann
     """
     _check_stationary(model)
     if n <= 0:
-        raise ValueError("n must be positive")
+        raise CsiFeedbackError("n must be positive")
     burn_in = default_burn_in(model)
 
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernel, analysis
 from .channel import ArModel, NoiseSpec, _dot
-from .errors import DegenerateCovariance, NonFiniteInput, UnknownIndex
+from .errors import CsiFeedbackError, DegenerateCovariance, NonFiniteInput, UnknownIndex
 
 # widest quantizer: beyond 2^53 the float clip bound 2^(bits-1) - 1 is not exact
 MAX_BITS = 53
@@ -45,14 +45,21 @@ class UniformQuantizer:
     def __post_init__(self) -> None:
         _check_width(self.bits)
         if not self.step > 0:  # NaN too
-            raise ValueError("step must be positive")
+            raise CsiFeedbackError("step must be positive")
 
     @classmethod
     def loaded(cls, bits: int, std: float) -> "UniformQuantizer":
-        """Quantizer whose half-range is ``CLIP_LOADING`` times the std of its input."""
+        """Quantizer whose half-range is ``CLIP_LOADING`` times the std of its input.
+
+        A step that underflows to 0 raises DegenerateCovariance, naming the width.
+        """
+        _check_width(bits)
         if std <= 0:
-            raise ValueError("std must be positive")
-        return cls(bits=bits, step=CLIP_LOADING * std / (1 << (bits - 1)))
+            raise CsiFeedbackError("std must be positive")
+        step = CLIP_LOADING * std / (1 << (bits - 1))
+        if step == 0.0:
+            raise DegenerateCovariance(f"{bits}-bit quantizer step underflows to 0: std={std}")
+        return cls(bits=bits, step=step)
 
     @property
     def levels(self) -> int:
@@ -227,7 +234,7 @@ def encode_batch(
     as that call would; pass fresh states to encode the streams from their
     start.  The compiled kernel steps blocks of rows sample by sample, each
     row in its own operation order.  The streams must have equal lengths;
-    rows may share one observation array, but not one state (ValueError,
+    rows may share one observation array, but not one state (CsiFeedbackError,
     before any row is encoded).  A NaN or infinite quantizer input raises
     NonFiniteInput, naming the sample and carrying the row in its ``row``
     attribute, with the rows before it encoded whole, its row advanced up to
@@ -236,13 +243,13 @@ def encode_batch(
     """
     states = list(states)
     if len({id(state) for state in states}) < len(states):
-        raise ValueError("each row needs its own encoder state")
+        raise CsiFeedbackError("each row needs its own encoder state")
     streams = [np.ascontiguousarray(obs, dtype=float) for obs in observations]
     if len(streams) != len(states):
-        raise ValueError("need one observation stream per encoder state")
+        raise CsiFeedbackError("need one observation stream per encoder state")
     n_rows, n = len(states), streams[0].size if streams else 0
     if any(y.ndim != 1 or y.size != n for y in streams):
-        raise ValueError("observation streams must be one-dimensional and of equal length")
+        raise CsiFeedbackError("observation streams must be one-dimensional and of equal length")
 
     lib = _kernel.load()
     if lib is None:
@@ -334,7 +341,7 @@ def _codewords(indices, bits: int) -> tuple[np.ndarray, tuple]:
         except (TypeError, OverflowError):
             values = np.asarray(indices)
     if values.ndim != 1:
-        raise ValueError("index stream must be one-dimensional")
+        raise CsiFeedbackError("index stream must be one-dimensional")
     bad = ()
     if np.can_cast(values.dtype, np.int64):
         codes = np.ascontiguousarray(values, dtype=np.int64)
@@ -450,8 +457,8 @@ def innovation_quantizer(model: ArModel, noise: NoiseSpec, bits: int) -> Uniform
     keeps the clip probability below 1e-2 for Gaussian innovations.  When the
     gain underflows to 0 (the observation noise swamps the channel), there
     is nothing to size it for, and it raises DegenerateCovariance; so it does
-    when the step is so wide that its noise variance step^2 / 12 overflows,
-    which the gain recursion would read.
+    when the step is so narrow that it underflows to 0, or so wide that its
+    noise variance step^2 / 12 overflows, which the gain recursion would read.
     """
     gain, pred_var = _noise_free_state(model, noise)
     zeta_std = gain * math.sqrt(pred_var + noise.obs_noise_var)
@@ -475,7 +482,7 @@ def _noise_free_state(model: ArModel, noise: NoiseSpec) -> tuple[float, float]:
 
 def _check_width(bits: int) -> None:
     if not 1 <= bits <= MAX_BITS:
-        raise ValueError(f"bits must lie in 1..{MAX_BITS}")
+        raise CsiFeedbackError(f"bits must lie in 1..{MAX_BITS}")
 
 
 def pack_indices(indices, bits: int) -> bytes:
@@ -483,7 +490,7 @@ def pack_indices(indices, bits: int) -> bytes:
 
     Each index takes ``bits`` bits and the last byte is zero-padded.  An
     entry that is not a ``bits``-bit codeword raises UnknownIndex, and a
-    stream that is not one-dimensional ValueError.  The compiled kernel packs
+    stream that is not one-dimensional CsiFeedbackError.  The compiled kernel packs
     them; without it, numpy cuts each index to the low ``bits`` bits of a
     big-endian 64-bit word, one row of a (indices, bits) bit matrix that
     np.packbits packs row after row, to the same bytes.
@@ -513,7 +520,7 @@ def unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
     count = max(count, 0)
     # before any allocation: the count may come from a corrupt header
     if payload.size * 8 < count * bits:
-        raise ValueError(f"stream too short: got {payload.size * 8 // bits} of {count} indices")
+        raise CsiFeedbackError(f"stream too short: got {payload.size * 8 // bits} of {count} indices")
     lib = _kernel.load()
     if lib is None:
         matrix = np.zeros((count, 64), dtype=np.uint8)

@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit."""
 
 
-class CsiFeedbackError(Exception):
-    """Base class for all toolkit errors."""
+class CsiFeedbackError(ValueError):
+    """Base class for all toolkit errors; each names a bad input value, so it is a ValueError."""
 
 
 class NonStationaryModel(CsiFeedbackError):
@@ -29,8 +29,8 @@ class UnknownIndex(CsiFeedbackError):
     """Codeword index outside the quantizer's codebook."""
 
 
-class NonFiniteInput(CsiFeedbackError, ValueError):
-    """A quantizer input is NaN or infinite; also a ValueError, as for any bad argument."""
+class NonFiniteInput(CsiFeedbackError):
+    """A quantizer input is NaN or infinite."""
 
 
 class NonConvergence(CsiFeedbackError):

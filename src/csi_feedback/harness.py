@@ -253,7 +253,7 @@ def write_index_stream(path: str | Path, indices, bits: int) -> None:
     transmission and check encoder/decoder synchrony offline.
     """
     indices = list(indices)
-    payload = codec.pack_indices(indices, bits)  # a width outside 1..53 raises ValueError
+    payload = codec.pack_indices(indices, bits)  # a width outside 1..53 raises CsiFeedbackError
     Path(path).write_bytes(_DUMP_HEADER.pack(_DUMP_MAGIC, bits, len(indices)) + payload)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Autocovariance, NoiseSpec
-from .errors import DimensionMismatch, SingularSystem
+from .errors import CsiFeedbackError, DimensionMismatch, SingularSystem
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +55,9 @@ def mmse_coefficients(acov: Autocovariance, noise: NoiseSpec, order: int) -> Pre
     prediction MSE is sigma_x^2 - r' K^-1 r.
     """
     if order < 1:
-        raise ValueError("predictor order must be >= 1")
+        raise CsiFeedbackError("predictor order must be >= 1")
     if acov.max_lag < order:
-        raise ValueError(f"autocovariance max_lag {acov.max_lag} < order {order}")
+        raise CsiFeedbackError(f"autocovariance max_lag {acov.max_lag} < order {order}")
 
     r = acov.lags[1 : order + 1]
     try:

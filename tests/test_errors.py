@@ -1,0 +1,201 @@
+"""One error root: every error the package raises is a CsiFeedbackError, itself a ValueError."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import csi_feedback
+from csi_feedback import (
+    Ar1Approx,
+    ArModel,
+    Autocovariance,
+    EncoderState,
+    NoiseSpec,
+    Scheme,
+    UniformQuantizer,
+    ar1_fit,
+    autocovariance,
+    encode_batch,
+    ep_variance,
+    errors,
+    generate_trace,
+    innovation_quantizer,
+    log_det_ky,
+    make_scheme_params,
+    mse_recursion,
+    pack_indices,
+    steady_state,
+    sweep,
+    unpack_indices,
+)
+from csi_feedback.errors import CsiFeedbackError, NonFiniteInput
+from csi_feedback.predictor import mmse_coefficients
+from shared import REF_AR1, REF_AR4, UNIT_NOISE
+
+SOURCES = sorted(Path(csi_feedback.__file__).parent.glob("*.py"))
+
+
+def _state():
+    return EncoderState(REF_AR1, UNIT_NOISE, innovation_quantizer(REF_AR1, UNIT_NOISE, 4))
+
+
+def _encode_one_state_twice():
+    state, y = _state(), np.zeros(20)
+    encode_batch([state, state], [y, y])
+
+
+# (entry point with a bad argument, the message it raises)
+BAD_ARGUMENTS = {
+    "analysis quant noise": (
+        lambda: steady_state(Ar1Approx(0.5, 1.0), UNIT_NOISE, 0.5, -1.0),
+        "sigma_q_sq must be non-negative",
+    ),
+    "analysis gain": (
+        lambda: mse_recursion(REF_AR1, UNIT_NOISE, 0.0, 0.0, 10),
+        "lam must lie in (0, 1]",
+    ),
+    "analysis ar1 lag": (
+        lambda: ar1_fit(Autocovariance(np.array([1.0]))),
+        "need kappa_x up to lag 1",
+    ),
+    "analysis spectral beta": (
+        lambda: ep_variance(Autocovariance(np.array([1.0, 1.0])), UNIT_NOISE),
+        "spectral variance needs |beta| < 1",
+    ),
+    "bounds log det order": (
+        lambda: log_det_ky(autocovariance(REF_AR1, 1), UNIT_NOISE, 0),
+        "order must be >= 1",
+    ),
+    "bounds log det lag": (
+        lambda: log_det_ky(Autocovariance(np.array([1.0])), UNIT_NOISE, 3),
+        "autocovariance max_lag 0 < order-1",
+    ),
+    "bounds sweep points": (
+        lambda: sweep(Scheme.PERIODIC, make_scheme_params(REF_AR1, UNIT_NOISE), 1.0, 2.0, 1),
+        "n_points must be >= 2",
+    ),
+    "bounds sweep grid": (
+        lambda: sweep(Scheme.PERIODIC, make_scheme_params(REF_AR1, UNIT_NOISE), 2.0, 1.0, 5),
+        "need 0 < d_min < d_max",
+    ),
+    "channel no coefficient": (
+        lambda: ArModel((), 1.0),
+        "ArModel needs at least one coefficient",
+    ),
+    "channel coefficient": (
+        lambda: ArModel((math.nan,), 1.0),
+        "ar_coeffs must be finite",
+    ),
+    "channel innovation var": (
+        lambda: ArModel((0.5,), -1.0),
+        "innovation_var must be finite and non-negative",
+    ),
+    "channel noise var": (
+        lambda: NoiseSpec(-1.0),
+        "obs_noise_var must be finite and non-negative",
+    ),
+    "channel max lag": (
+        lambda: autocovariance(REF_AR4, 2),
+        "max_lag (2) must be >= model order (4)",
+    ),
+    "channel trace length": (
+        lambda: generate_trace(REF_AR1, UNIT_NOISE, 0, seed=0),
+        "n must be positive",
+    ),
+    "codec step": (
+        lambda: UniformQuantizer(bits=2, step=0.0),
+        "step must be positive",
+    ),
+    "codec std": (
+        lambda: UniformQuantizer.loaded(2, 0.0),
+        "std must be positive",
+    ),
+    "codec width": (
+        lambda: UniformQuantizer(bits=0, step=1.0),
+        "bits must lie in 1..53",
+    ),
+    "codec loaded width": (  # checked before the step 4 std / 2^(bits - 1) is formed
+        lambda: UniformQuantizer.loaded(0, 1.0),
+        "bits must lie in 1..53",
+    ),
+    "codec shared state": (
+        _encode_one_state_twice,
+        "each row needs its own encoder state",
+    ),
+    "codec stream count": (
+        lambda: encode_batch([_state()], [np.zeros(20), np.zeros(20)]),
+        "need one observation stream per encoder state",
+    ),
+    "codec stream lengths": (
+        lambda: encode_batch([_state(), _state()], [np.zeros(20), np.zeros(19)]),
+        "observation streams must be one-dimensional and of equal length",
+    ),
+    "codec index dimension": (
+        lambda: pack_indices([[0, 1]], 2),
+        "index stream must be one-dimensional",
+    ),
+    "codec short stream": (
+        lambda: unpack_indices(b"", 2, 1),
+        "stream too short: got 0 of 1 indices",
+    ),
+    "predictor order": (
+        lambda: mmse_coefficients(autocovariance(REF_AR1, 1), UNIT_NOISE, 0),
+        "predictor order must be >= 1",
+    ),
+    "predictor lag": (
+        lambda: mmse_coefficients(Autocovariance(np.array([1.0, 0.5])), UNIT_NOISE, 2),
+        "autocovariance max_lag 1 < order 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_bad_argument_raises_the_toolkit_error(call, message):
+    with pytest.raises(CsiFeedbackError) as raised:
+        call()
+    assert isinstance(raised.value, ValueError)
+    assert str(raised.value) == message
+
+
+def test_one_error_root():
+    assert issubclass(CsiFeedbackError, ValueError)
+    assert NonFiniteInput.__bases__ == (CsiFeedbackError,)
+    classes = [value for value in vars(errors).values() if isinstance(value, type)]
+    assert all(issubclass(cls, CsiFeedbackError) for cls in classes)
+
+
+def _rule_breaks(source: str) -> list[tuple[int, str]]:
+    """(line, rule) of each raise of a bare ValueError and each call of the builtin sum."""
+    breaks = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                breaks.append((node.lineno, "raise ValueError"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+            breaks.append((node.lineno, "builtin sum"))
+    return sorted(breaks)
+
+
+def test_rule_check_reads_code_not_text():
+    source = (
+        '"""A docstring may say raise ValueError(...) or sum(x)."""\n'
+        "total = np.sum(x)\n"
+        "if total:\n"
+        "    raise ValueError('bad')\n"
+        "raise ValueError\n"
+        "total = sum(x)\n"
+    )
+    expected = [(4, "raise ValueError"), (5, "raise ValueError"), (6, "builtin sum")]
+    assert _rule_breaks(source) == expected
+
+
+def test_sources_raise_no_bare_value_error_and_call_no_builtin_sum():
+    # a bare ValueError escapes the CLI's one except clause; builtin sum() of
+    # floats is compensated from Python 3.12 on, so channel._dot sums instead
+    assert SOURCES
+    breaks = {path.name: _rule_breaks(path.read_text()) for path in SOURCES}
+    assert {name: found for name, found in breaks.items() if found} == {}

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from csi_feedback import (
@@ -39,6 +39,7 @@ from csi_feedback.harness import (
     parse_config,
     read_index_stream,
 )
+from test_codec import _ar_from_pacf
 
 REFERENCE_CONFIG = """
 # reference fading model
@@ -56,6 +57,9 @@ samples_per_trial = 2000
 seed = 7
 """
 
+
+# a variance log-uniform over 1e-320..1e308, subnormals included
+_LOG_UNIFORM_VAR = st.floats(-320.0, 308.0).map(lambda exponent: 10.0**exponent)
 
 # white channel and noise of variance 1e308: each is finite, their sum is not
 _HUGE_CHANNEL = "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 1e308\n"
@@ -842,8 +846,34 @@ class TestCli:
                     "cannot quantize NaN or infinite values at sample 292\n",
                 },
             ),
+            # alpha^2 = (1.3e-170)^2 underflows to 0, so the normalized ratio has no log
+            (
+                "ar_coeffs = 0.5\ninnovation_var = 1e-300\nobs_noise_var = 1e-130\n"
+                "normalized_bounds = true\nsamples_per_trial = 300\n",
+                {"theory": {1}},
+                {
+                    "theory": "error: normalized zero-holding ratio alpha^2 sigma_y^2 / "
+                    "(D - sigma_Z^2) underflows to 0: alpha=1.3333333333333332e-170\n",
+                },
+            ),
+            # the 53-bit step 4 zeta / 2^52 of a weighted innovation std of 1.3e-310 underflows
+            (
+                "ar_coeffs = 0.5\ninnovation_var = 1e-310\nobs_noise_var = 1.0\n"
+                "quantizer_bits = 53\nsamples_per_trial = 300\n",
+                {"codec": {1}, "validate": {1}},
+                dict.fromkeys(
+                    ("codec", "validate"),
+                    "error: 53-bit quantizer step underflows to 0: std=1.3333333333333e-310\n",
+                ),
+            ),
         ],
-        ids=["noise variance overflows", "analytic zero", "gain is NaN"],
+        ids=[
+            "noise variance overflows",
+            "analytic zero",
+            "gain is NaN",
+            "normalized alpha squared underflows",
+            "step underflows",
+        ],
     )
     def test_extreme_variances_keep_the_exit_codes(
         self, tmp_path, capsys, either_path, text, expected, errors, command
@@ -935,3 +965,54 @@ class TestCli:
         rows = read_csv(out)
         assert len(rows) == 7
         assert all(np.isfinite([row.distortion, row.rate_bits]).all() for row in rows)
+
+    # the examples once ended in a traceback: a log of the normalized zero-holding
+    # ratio alpha^2 ... = 0, and a 53-bit closed-loop step that underflows to 0
+    @settings(
+        derandomize=True,
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        pacf=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=6),
+        innovation_var=_LOG_UNIFORM_VAR,
+        noise_var=st.one_of(st.just(0.0), _LOG_UNIFORM_VAR),
+        normalized=st.booleans(),
+        widths=st.lists(st.sampled_from([1, 52, 53]) | st.integers(1, 53), min_size=1, max_size=3),
+        samples=st.integers(60, 300),
+        seed=st.integers(0, 1 << 16),
+    )
+    @example(
+        pacf=[0.5], innovation_var=1e-300, noise_var=1e-130, normalized=True,
+        widths=[4], samples=300, seed=0,
+    )
+    @example(
+        pacf=[0.5], innovation_var=1e-310, noise_var=1.0, normalized=False,
+        widths=[53], samples=300, seed=0,
+    )
+    def test_cli_contract(
+        self, tmp_path, either_path, pacf, innovation_var, noise_var, normalized, widths,
+        samples, seed,
+    ):
+        # every command exits 0, 1 or 2 without a traceback, and exit 0 means finite rows
+        coeffs = ", ".join(map(repr, _ar_from_pacf(pacf)))
+        cfg = self.write(
+            tmp_path,
+            f"ar_coeffs = {coeffs}\ninnovation_var = {innovation_var!r}\n"
+            f"obs_noise_var = {noise_var!r}\nnormalized_bounds = {normalized}\n"
+            f"quantizer_bits = {','.join(map(str, widths))}\ntrials = 1\n"
+            f"samples_per_trial = {samples}\nseed = {seed}\n",
+        )
+        out = tmp_path / "o.csv"
+        for command in ("theory", "codec", "validate", "trace"):
+            out.unlink(missing_ok=True)
+            code = cli_main([command, "--config", cfg, "--out", str(out)])
+            assert code in (0, 1, 2), command
+            if code != 0 or command == "validate":
+                continue
+            if command == "trace":
+                values = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+            else:
+                values = np.array([[row.distortion, row.rate_bits] for row in read_csv(out)])
+            assert np.isfinite(values).all(), command
