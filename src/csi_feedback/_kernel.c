@@ -12,11 +12,11 @@
  * matrix in codec.pack_indices and codec.unpack_indices.  decode_row and
  * pack_bits trust their codewords: codec._codewords cuts every index stream
  * at its first entry outside [0, 2^bits) before either loop sees it.
- * The encoder's settle loop and gain_fixed_point share one gain recursion,
- * propagate_pred_err and kalman_gain.  Bit-identity holds only without
- * floating-point contraction: build with -ffp-contract=off, since a fused
- * multiply-add rounds once where the Python code rounds twice.  _kernel.py
- * compiles and loads this file.
+ * The encoder's settle branch and gain_fixed_point call one step of the gain
+ * recursion, gain_step, as their Python twins call analysis.gain_step.
+ * Bit-identity holds only without floating-point contraction: build with
+ * -ffp-contract=off, since a fused multiply-add rounds once where the Python
+ * code rounds twice.  _kernel.py compiles and loads this file.
  *
  * Rows are independent streams.  Per-row arrays of length `order` (AR
  * coefficients, histories, per-lag error variances) are concatenated in row
@@ -75,17 +75,30 @@ static double kalman_gain(double pred_err_var, double noise_var)
     return noise_var == 0.0 ? 1.0 : pred_err_var / (pred_err_var + noise_var);
 }
 
-/* The prediction-error variance after a step of the recursion, as
- * analysis.propagate_pred_err: sigma_psi^2 + sum_m a_m^2 (f_m + sigma_Q^2),
- * summed in lag order over the per-lag filtered variances f, most recent
- * first, into which the step has pushed its filtered variance. */
-static double propagate_pred_err(const double *a, int64_t order, double innovation_var,
-                                 double sigma_q_sq, const double *f)
+/* One step of the gain recursion, as analysis.gain_step: push the filtered
+ * variance (1 - gain) E into the per-lag ring f at *head, set E to
+ * sigma_psi^2 + sum_m a_m^2 (f_m + sigma_Q^2), summed in lag order, most
+ * recent first, and the gain to its kalman_gain.  Returns whether the step
+ * left E and the ring exactly unchanged: the ring after the push equals the
+ * ring before it iff every entry equals the pushed value.  `inline`: gcc -O2
+ * does not inline a plain static step with two callers, and the call makes
+ * each gain_fixed_point step about a quarter slower. */
+static inline int gain_step(const double *a, int64_t order, double innovation_var,
+                            double noise_var, double sigma_q_sq, double *f, int64_t *head,
+                            double *pred_err_var, double *gain)
 {
+    double pushed = (1.0 - *gain) * *pred_err_var;
+    int same = 1;
+    for (int64_t m = 0; m < order; m++)
+        same &= f[*head + m] == pushed;
+    *head = ring_push(f, *head, order, pushed);
     double total = innovation_var;
     for (int64_t m = 0; m < order; m++)
-        total = total + a[m] * a[m] * (f[m] + sigma_q_sq);
-    return total;
+        total = total + a[m] * a[m] * (f[*head + m] + sigma_q_sq);
+    int settled = total == *pred_err_var && same;
+    *pred_err_var = total;
+    *gain = kalman_gain(total, noise_var);
+    return settled;
 }
 
 /* One row of encode_rows: its inputs and outputs there, and the encoder state
@@ -142,21 +155,9 @@ static int encoder_step(struct encoder *e, int64_t k)
         e->indices[k] = (int64_t)(level + half);
     e->recon[k] = prediction + (level + 0.5) * step;
     e->hh = ring_push(e->h, e->hh, order, e->recon[k]);
-    if (e->settled)
-        return 1;
-
-    /* The recursion has settled when a step leaves the variance and the
-     * per-lag ring exactly unchanged: the ring after the push equals the
-     * ring before it iff every entry equals the pushed value. */
-    double pushed = (1.0 - gain) * e->pred_err_var;
-    int same = 1;
-    for (int64_t m = 0; m < order; m++)
-        same &= e->f[e->fh + m] == pushed;
-    e->fh = ring_push(e->f, e->fh, order, pushed);
-    double total = propagate_pred_err(a, order, p[P_INNOVATION_VAR], p[P_SIGMA_Q_SQ], e->f + e->fh);
-    e->settled = total == e->pred_err_var && same;
-    e->pred_err_var = total;
-    e->gain = kalman_gain(total, p[P_NOISE_VAR]);
+    if (!e->settled)
+        e->settled = gain_step(a, order, p[P_INNOVATION_VAR], p[P_NOISE_VAR], p[P_SIGMA_Q_SQ],
+                               e->f, &e->fh, &e->pred_err_var, &e->gain);
     return 1;
 }
 
@@ -233,7 +234,7 @@ int64_t encode_rows(int64_t n_rows, int64_t n, const double *const *observations
 
 /* The fixed point of the gain recursion, as analysis.converged_prediction_state:
  * from per-lag filtered variances and prediction-error variance sigma_x^2,
- * step propagate_pred_err until the gain moves by less than `tol`.  Writes
+ * step gain_step until the gain moves by less than `tol`.  Writes
  * (gain, prediction-error variance) to `out` and returns the steps taken, or
  * returns 0 if the gain has not settled after max_iter steps.  `work` has
  * room for one ring, 2 * order doubles. */
@@ -246,12 +247,9 @@ int64_t gain_fixed_point(int64_t order, const double *a, double innovation_var, 
     for (int64_t m = 0; m < 2 * order; m++)
         work[m] = sigma_x_sq;
     for (int64_t k = 1; k <= max_iter; k++) {
-        head = ring_push(work, head, order, (1.0 - gain) * pred_var);
-        pred_var = propagate_pred_err(a, order, innovation_var, sigma_q_sq, work + head);
-        double new_gain = kalman_gain(pred_var, noise_var);
-        int settled = fabs(new_gain - gain) < tol;
-        gain = new_gain;
-        if (settled) {
+        double previous = gain;
+        gain_step(a, order, innovation_var, noise_var, sigma_q_sq, work, &head, &pred_var, &gain);
+        if (fabs(gain - previous) < tol) {
             out[0] = gain;
             out[1] = pred_var;
             return k;

@@ -238,22 +238,32 @@ def _recursion_start(model: ArModel, noise: NoiseSpec) -> tuple[list[float], flo
     return [sigma_x_sq] * model.order, sigma_x_sq, kalman_gain(sigma_x_sq, noise.obs_noise_var)
 
 
-def propagate_pred_err(
-    coeffs, innovation_var: float, filtered: list, filtered_err_var: float, sigma_q_sq: float
-) -> float:
-    """One step of the codec's prediction-error recursion.
+def gain_step(
+    model: ArModel,
+    noise: NoiseSpec,
+    sigma_q_sq: float,
+    filtered: list,
+    pred_err_var: float,
+    gain: float,
+) -> tuple[float, float, bool]:
+    """One step of the codec's gain recursion: (prediction-error variance, gain, settled).
 
-    Pushes ``filtered_err_var`` into the per-lag ring ``filtered`` (most recent
-    first, updated in place) and returns
-    sigma_psi^2 + sum_m a_m^2 (filtered_m + sigma_Q^2), summed in lag order.
-    ``_kernel.c`` repeats this arithmetic; change both together.
+    Pushes the filtered variance (1 - gain) * pred_err_var into the per-lag
+    ring ``filtered`` (most recent first, updated in place), sums
+    sigma_psi^2 + sum_m a_m^2 (filtered_m + sigma_Q^2) in lag order and takes
+    its ``kalman_gain``.  ``settled`` says whether the step left the variance
+    and the ring exactly unchanged: the ring after the push equals the ring
+    before it iff every entry equals the pushed value.  ``_kernel.c`` repeats
+    this arithmetic; change both together.
     """
-    filtered.insert(0, filtered_err_var)
+    pushed = (1.0 - gain) * pred_err_var
+    same = all(f == pushed for f in filtered)
+    filtered.insert(0, pushed)
     filtered.pop()
-    total = innovation_var
-    for a, f in zip(coeffs, filtered):
+    total = model.innovation_var
+    for a, f in zip(model.coeffs, filtered):
         total = total + a * a * (f + sigma_q_sq)
-    return total
+    return total, kalman_gain(total, noise.obs_noise_var), total == pred_err_var and same
 
 
 def converged_prediction_state(
@@ -263,11 +273,10 @@ def converged_prediction_state(
 ) -> tuple[float, float]:
     """Fixed point (gain, prediction-error variance) of the codec recursion.
 
-    Steps the encoder's gain and prediction-error recursion from its initial
-    state until the gain moves by less than ``GAIN_TOL``, within
-    ``GAIN_MAX_ITER`` steps or NonConvergence.  The filtered variance is
-    bounded by sigma_xi^2, so the iteration converges for every stationary
-    model.
+    Steps the encoder's recursion, ``gain_step``, from its initial state
+    until the gain moves by less than ``GAIN_TOL``, within ``GAIN_MAX_ITER``
+    steps or NonConvergence.  The filtered variance is bounded by sigma_xi^2,
+    so the iteration converges for every stationary model.
     """
     _check_quant_noise(sigma_q_sq)
     lib = _kernel.load()
@@ -298,13 +307,9 @@ def _gain_steps(model, noise, sigma_q_sq):
     """The Python loop of ``converged_prediction_state``; None if the gain does not settle."""
     filtered, pred_var, gain = _recursion_start(model, noise)
     for _ in range(GAIN_MAX_ITER):
-        pred_var = propagate_pred_err(
-            model.coeffs, model.innovation_var, filtered, (1.0 - gain) * pred_var, sigma_q_sq
-        )
-        new_gain = kalman_gain(pred_var, noise.obs_noise_var)
-        settled = abs(new_gain - gain) < GAIN_TOL
-        gain = new_gain
-        if settled:
+        previous = gain
+        pred_var, gain, _ = gain_step(model, noise, sigma_q_sq, filtered, pred_var, gain)
+        if abs(gain - previous) < GAIN_TOL:
             return gain, pred_var
     return None
 

@@ -176,7 +176,7 @@ def rate_aperiodic_zh(
         rate = 0.5 * math.log2(ratio)
     else:
         rate = (
-            0.25 * math.log2(TWO_PI_E * sigma_y_sq)
+            0.25 * _log2(TWO_PI_E, sigma_y_sq, "2 pi e sigma_y^2", divide=False)
             + 0.5 * math.log2(p.zh.alpha)
             - 0.5 * math.log2(TWO_PI_E * (d_x - floor))
         )
@@ -195,23 +195,50 @@ def nu_variance(model: ArModel, noise: NoiseSpec) -> float:
 
 
 def rate_periodic(d_x: float, p: SchemeParams, clamp: bool = True) -> float:
-    """Lower bound on bits per sample for periodic innovation feedback."""
+    """Lower bound on bits per sample for periodic innovation feedback.
+
+    A quotient sigma_nu^2 / (D - sigma_P^2) out of the float range is logged
+    as a difference of logs (``_log2``).
+    """
     floor = p.coeffs.sigma_p_sq
     if d_x <= floor:
         raise DistortionBelowFloor(f"D={d_x} <= sigma_P^2={floor}")
-    rate = 0.5 * math.log2(p.sigma_nu_sq / (d_x - floor)) + 0.5 * p.log2_theta_sq_sum
+    gap = _log2(p.sigma_nu_sq, d_x - floor, "sigma_nu^2 / (D - sigma_P^2)")
+    rate = 0.5 * gap + 0.5 * p.log2_theta_sq_sum
     return max(0.0, rate) if clamp else rate
 
 
 def rate_uniform_aperiodic(
     mse_target: float, sigma_x_sq: float, sigma_p_sq: float, clamp: bool = True
 ) -> float:
-    """High-resolution uniform-quantizer rate for aperiodic prediction feedback."""
+    """High-resolution uniform-quantizer rate for aperiodic prediction feedback.
+
+    A quotient out of the float range is logged as a difference of logs
+    (``_log2``); a scale sqrt(2 pi e (sigma_x^2 + sigma_P^2)) that overflows
+    raises DegenerateCovariance.
+    """
     if mse_target <= sigma_p_sq:
         raise DistortionBelowFloor(f"target {mse_target} <= sigma_P^2={sigma_p_sq}")
     scale = math.sqrt(TWO_PI_E * (sigma_x_sq + sigma_p_sq)) / 12.0
-    rate = 0.5 * math.log2(scale / (mse_target - sigma_p_sq))
+    gap = mse_target - sigma_p_sq
+    rate = 0.5 * _log2(scale, gap, "sqrt(2 pi e (sigma_x^2 + sigma_P^2)) / 12 / (D - sigma_P^2)")
     return max(0.0, rate) if clamp else rate
+
+
+def _log2(a: float, b: float, what: str, divide: bool = True) -> float:
+    """log2(a / b), or log2(a * b) without ``divide``.
+
+    Where a / b (a * b) is finite and positive, its log keeps its bits.  Where
+    it under- or overflows though a and b are finite and positive, the log is
+    log2 a - log2 b (log2 a + log2 b).  Anything else has no log and raises
+    DegenerateCovariance, naming ``what``.
+    """
+    value = a / b if divide else a * b
+    if 0.0 < value < math.inf:
+        return math.log2(value)
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DegenerateCovariance(f"{what} has no log: factors {a} and {b}")
+    return math.log2(a) - math.log2(b) if divide else math.log2(a) + math.log2(b)
 
 
 def distortion_floor(scheme: Scheme, p: SchemeParams) -> float:

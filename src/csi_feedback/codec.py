@@ -154,17 +154,10 @@ class EncoderState:
         self.history.insert(0, reconstruction)
         self.history.pop()
         if not self._settled:
-            pred_err_var, filtered = self.pred_err_var, list(self._filtered)
-            # pushes (1 - gain) * pred_err_var into the per-lag ring
-            self.pred_err_var = analysis.propagate_pred_err(
-                self._coeffs,
-                self.model.innovation_var,
-                self._filtered,
-                (1.0 - gain) * pred_err_var,
-                self.quantizer.noise_var,
+            self.pred_err_var, self.gain, self._settled = analysis.gain_step(
+                self.model, self.noise, self.quantizer.noise_var, self._filtered,
+                self.pred_err_var, gain,
             )
-            self.gain = analysis.kalman_gain(self.pred_err_var, self.noise.obs_noise_var)
-            self._settled = self.pred_err_var == pred_err_var and self._filtered == filtered
         return index, reconstruction
 
 

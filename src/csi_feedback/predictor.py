@@ -7,6 +7,7 @@ closed-form MSEs are the distortion floors used by every bound downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +99,20 @@ def zh_estimator(acov: Autocovariance, noise: NoiseSpec) -> ZhEstimator:
 
 
 def _filtering_mse(sigma_x_sq: float, noise: NoiseSpec) -> float:
+    """MSE sigma_x^2 sigma_xi^2 / (sigma_x^2 + sigma_xi^2) of alpha y_k for x_k; 0 if both are 0.
+
+    The product sigma_x^2 sigma_xi^2 can overflow where the MSE, below
+    sigma_x^2, does not.  Only then, and only under a finite sum, is it taken
+    as sigma_x^2 (sigma_xi^2 / (sigma_x^2 + sigma_xi^2)), so every finite
+    value keeps its bits.
+    """
     total = sigma_x_sq + noise.obs_noise_var
-    return sigma_x_sq * noise.obs_noise_var / total if total > 0 else 0.0
+    if not total > 0:
+        return 0.0
+    mse = sigma_x_sq * noise.obs_noise_var / total
+    if math.isfinite(mse) or not math.isfinite(total):
+        return mse
+    return sigma_x_sq * (noise.obs_noise_var / total)
 
 
 def zh_estimate(y_k: float, est: ZhEstimator) -> float:

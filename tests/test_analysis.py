@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csi_feedback import (
     Ar1Approx,
@@ -25,6 +27,7 @@ from csi_feedback import (
     rate_practical,
     steady_state,
     sweep,
+    validate_stationarity,
 )
 from csi_feedback.errors import (
     ContractionViolated,
@@ -32,6 +35,9 @@ from csi_feedback.errors import (
     DistortionBelowFloor,
     NonConvergence,
 )
+from csi_feedback.analysis import MSE_RTOL
+from test_codec import _ar_from_pacf
+from test_kernel import assert_same_on_both_paths
 from test_predictor import AR1_SIGMA_P_SQ
 
 # frozen via arbitrary-precision evaluation
@@ -251,3 +257,44 @@ class TestCrossModuleConsistency:
         trajectory = mse_recursion(surrogate, noise, lam, 0.03, steps=5000)
         closed = steady_state(approx, noise, lam, 0.03).varsigma_inf
         assert trajectory[-1] == pytest.approx(closed, abs=1e-9)
+
+
+def _codec_cases(max_order):
+    """(model, noise, sigma_Q^2): a stationary AR(1..max_order) from partial
+    autocorrelations, sigma_psi^2 log-uniform over 1e-3..1e3, sigma_xi^2 / sigma_psi^2
+    log-uniform over 1e-6..1e6, and sigma_Q^2 >= 0."""
+    return st.builds(
+        lambda pacf, drive, ratio, sigma_q_sq: (
+            ArModel(_ar_from_pacf(pacf), drive), NoiseSpec(drive * ratio), sigma_q_sq
+        ),
+        st.lists(st.floats(-0.98, 0.98), min_size=1, max_size=max_order),
+        st.floats(-3.0, 3.0).map(lambda exponent: 10.0**exponent),
+        st.floats(-6.0, 6.0).map(lambda exponent: 10.0**exponent),
+        st.just(0.0) | st.floats(0.0, 10.0),
+    )
+
+
+class TestAnalyticOracles:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=_codec_cases(8))
+    def test_gain_fixed_point_and_mse_recursion_agree_on_both_paths(self, case):
+        # the kernel's gain_step against analysis.gain_step, through both loops that use it
+        model, noise, sigma_q_sq = case
+        assume(validate_stationarity(model))  # a root within 1e-9 of the unit circle is refused
+        state = assert_same_on_both_paths(converged_prediction_state, model, noise, sigma_q_sq)
+        gain = np.frombuffer(state[0])[0]
+        assert 0.0 < gain <= 1.0
+        assert_same_on_both_paths(mse_recursion, model, noise, gain, sigma_q_sq, 5000)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=_codec_cases(1))
+    def test_ar1_steady_state_is_the_limit_of_the_mse_recursion(self, case):
+        # the recursion stops within MSE_RTOL of its last step, which leaves it up to
+        # MSE_RTOL / (1 - (1 - lam)^2 beta^2) from its limit
+        model, noise, sigma_q_sq = case
+        lam = converged_gain(model, noise, sigma_q_sq)
+        beta = model.coeffs[0]
+        closed = steady_state(Ar1Approx(beta, model.innovation_var), noise, lam, sigma_q_sq)
+        last = mse_recursion(model, noise, lam, sigma_q_sq, 100_000)[-1]
+        rel = 2.0 * MSE_RTOL / (1.0 - (1.0 - lam) ** 2 * beta**2)
+        assert closed.varsigma_inf == pytest.approx(last, rel=rel)

@@ -24,8 +24,9 @@ from csi_feedback import (
     sweep,
 )
 from csi_feedback import analysis
-from csi_feedback.bounds import _log_grid, _sum_log2_theta_sq
-from csi_feedback.errors import DistortionBelowFloor
+from csi_feedback.analysis import TWO_PI_E
+from csi_feedback.bounds import _log2, _log_grid, _sum_log2_theta_sq
+from csi_feedback.errors import DegenerateCovariance, DistortionBelowFloor
 from test_channel import AR1_KAPPA0, random_stationary_model
 from test_codec import _ar_from_pacf
 from test_predictor import AR1_SIGMA_P_SQ, AR1_SIGMA_Z_SQ
@@ -220,6 +221,53 @@ class TestUniformAperiodic:
     def test_below_floor_raises(self):
         with pytest.raises(DistortionBelowFloor):
             rate_uniform_aperiodic(AR1_SIGMA_P_SQ, AR1_KAPPA0, AR1_SIGMA_P_SQ)
+
+
+class TestLogOfFactors:
+    @pytest.mark.parametrize("a, b", [(2.68, 0.3), (1e-300, 1e-8), (3.0, 1e300), (TWO_PI_E, 1.0)])
+    def test_finite_quotient_and_product_keep_their_bits(self, a, b):
+        assert _log2(a, b, "a / b") == math.log2(a / b)
+        assert _log2(a, b, "a b", divide=False) == math.log2(a * b)
+
+    @pytest.mark.parametrize("a, b", [(1e-300, 1e30), (1e300, 1e-20)])
+    def test_quotient_out_of_range_subtracts_the_logs(self, a, b):
+        assert _log2(a, b, "a / b") == math.log2(a) - math.log2(b)
+
+    @pytest.mark.parametrize("a, b", [(TWO_PI_E, 2e307), (1e-200, 1e-200)])
+    def test_product_out_of_range_adds_the_logs(self, a, b):
+        assert _log2(a, b, "a b", divide=False) == math.log2(a) + math.log2(b)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.0), (math.inf, 1.0), (math.nan, 1.0)])
+    def test_a_factor_without_a_log_raises(self, a, b):
+        for divide in (True, False):
+            with pytest.raises(DegenerateCovariance, match="^a b has no log: factors"):
+                _log2(a, b, "a b", divide=divide)
+
+    def test_underflowing_periodic_quotient_gives_a_finite_rate(self):
+        # sigma_nu^2 = 1.3e-300 over D - sigma_P^2 = 1e30 underflows to 0
+        params = make_scheme_params(ArModel((0.5,), 1e-300), NoiseSpec(0.0))
+        raw = rate_periodic(1e30, params, clamp=False)
+        gap = math.log2(params.sigma_nu_sq) - math.log2(1e30 - params.coeffs.sigma_p_sq)
+        assert raw == 0.5 * gap + 0.5 * params.log2_theta_sq_sum
+        assert rate_periodic(1e30, params) == 0.0
+
+    def test_underflowing_uniform_quotient_gives_a_finite_rate(self):
+        params = make_scheme_params(ArModel((0.5,), 1e-300), NoiseSpec(0.0))
+        args = (params.acov.sigma_x_sq, params.coeffs.sigma_p_sq)
+        assert math.isfinite(rate_uniform_aperiodic(1e300, *args, clamp=False))
+        assert rate_uniform_aperiodic(1e300, *args) == 0.0
+
+    def test_overflowing_uniform_scale_raises(self):
+        # sqrt(2 pi e (sigma_x^2 + sigma_P^2)) overflows once sigma_x^2 exceeds about 5e306
+        with pytest.raises(DegenerateCovariance, match="has no log: factors inf and"):
+            rate_uniform_aperiodic(6e307, 5e307, 5e307)
+
+    def test_overflowing_output_entropy_gives_a_finite_zh_rate(self):
+        # 2 pi e sigma_y^2 overflows once sigma_y^2 > 1.05e307
+        params = make_scheme_params(ArModel((0.5,), 1.0), NoiseSpec(2e307))
+        low, high = default_distortion_grid(Scheme.APERIODIC_ZH, params)
+        for d in (low, high):
+            assert math.isfinite(rate_aperiodic_zh(d, params, clamp=False))
 
 
 class TestSweep:

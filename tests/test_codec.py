@@ -27,7 +27,7 @@ from csi_feedback import (
     unpack_indices,
 )
 from csi_feedback import analysis, codec
-from csi_feedback.analysis import kalman_gain, propagate_pred_err
+from csi_feedback.analysis import gain_step, kalman_gain
 from csi_feedback.channel import _dot
 from csi_feedback.codec import MAX_BITS
 from csi_feedback.errors import (
@@ -191,9 +191,7 @@ class TestEncoderPieces:
     def test_propagate_memoryless(self):
         model, q = ArModel((0.0,), 1.3), UniformQuantizer(bits=3, step=1.0)
         filtered = [model.sigma_x_sq]
-        pred_err_var = propagate_pred_err(
-            model.coeffs, model.innovation_var, filtered, 0.7, q.noise_var
-        )
+        pred_err_var, _, _ = gain_step(model, NoiseSpec(0.0), q.noise_var, filtered, 0.7, 0.0)
         assert pred_err_var == pytest.approx(1.3, rel=1e-12)
 
     def test_propagate_plug_in(self):
@@ -201,18 +199,14 @@ class TestEncoderPieces:
         model = ArModel((0.9,), 1.0)
         q = UniformQuantizer(bits=5, step=float(np.sqrt(0.12)))
         filtered = [model.sigma_x_sq]
-        pred_err_var = propagate_pred_err(
-            model.coeffs, model.innovation_var, filtered, 1.0, q.noise_var
-        )
+        pred_err_var, _, _ = gain_step(model, NoiseSpec(0.0), q.noise_var, filtered, 1.0, 0.0)
         assert pred_err_var == pytest.approx(1.8181, rel=1e-12)
 
     def test_propagate_vanishing_step_recovers_kalman(self, ar4):
         q = UniformQuantizer(bits=6, step=1e-12)
         filtered = [0.5, 0.4, 0.3, 0.2]
         kalman_only = sum(a * a * f for a, f in zip(ar4.coeffs, [0.9, 0.5, 0.4, 0.3])) + 1.0
-        pred_err_var = propagate_pred_err(
-            ar4.coeffs, ar4.innovation_var, filtered, 0.9, q.noise_var
-        )
+        pred_err_var, _, _ = gain_step(ar4, NoiseSpec(0.0), q.noise_var, filtered, 0.9, 0.0)
         assert pred_err_var == pytest.approx(kalman_only, rel=1e-9)
 
     def test_filtered_never_exceeds_predicted(self, ar4, noise):
@@ -262,11 +256,9 @@ class TestEncodeStep:
         trace = generate_trace(model, noise, 400, seed=31)
         for y_k in trace.y.tolist():
             state.encode_step(y_k)
-            filtered_err_var = (1.0 - gain) * pred_err_var
-            pred_err_var = propagate_pred_err(
-                model.coeffs, model.innovation_var, filtered, filtered_err_var, q.noise_var
+            pred_err_var, gain, _ = gain_step(
+                model, noise, q.noise_var, filtered, pred_err_var, gain
             )
-            gain = kalman_gain(pred_err_var, noise.obs_noise_var)
             assert state.gain == gain
             assert state.pred_err_var == pred_err_var
         assert state._settled is settles
@@ -491,6 +483,26 @@ class TestQuantizerSizing:
         outermost = (0, q.levels - 1)
         clipped = sum(1 for i in out.indices if i in outermost)
         assert clipped / len(out.indices) < 0.01
+
+    def test_ar8_start_up_transient_stays_inside_the_quantizer(self, either_path):
+        # The gain fixed point stops after 4 steps on this AR(8) (sigma_x^2 = 4681), at
+        # (0.99999976, 88874), far from the recursion's true fixed point (0.99148625,
+        # 2.4624929).  A quantizer sized from the true one cannot absorb the start-up
+        # transient, a reconstruction from 0 against sigma_x ~ 68, and the loop never
+        # recovers: its long-run MSE is 2.2e5.  The shipped sizing gives 0.47.
+        model = ArModel(
+            (
+                2.1831545299901833, -2.9435055608133407, 2.1635616741560972,
+                0.05231970636373928, -2.207651172559616, 2.9353339170207935,
+                -2.141386185582266, 0.9535254597508533,
+            ),
+            1.684715411618765,
+        )
+        noise = NoiseSpec(0.021145065481650932)
+        trace = generate_trace(model, noise, 20_000, seed=1)
+        out = run_codec(model, noise, innovation_quantizer(model, noise, 10), trace.y, trace.x)
+        long_run = float(np.mean((out.encoder_recon[5000:] - trace.x[5000:]) ** 2))
+        assert long_run < 0.01 * model.sigma_x_sq
 
     def test_a_step_whose_noise_variance_overflows_is_rejected(self):
         # the clip is 4e154: at 1 and 2 bits step^2 overflows before the division by 12

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 import struct
 import sys
 import tracemalloc
@@ -60,6 +61,9 @@ seed = 7
 
 # a variance log-uniform over 1e-320..1e308, subnormals included
 _LOG_UNIFORM_VAR = st.floats(-320.0, 308.0).map(lambda exponent: 10.0**exponent)
+
+# an end of an explicit distortion grid, log-uniform over 1e-300..1e300, or None for "auto"
+_GRID_END = st.none() | st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
 
 # white channel and noise of variance 1e308: each is finite, their sum is not
 _HUGE_CHANNEL = "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 1e308\n"
@@ -884,6 +888,49 @@ class TestCli:
         if command in errors:
             assert capsys.readouterr().err == errors[command]
 
+    # sigma_x^2 sigma_xi^2 = 1.3e350 overflows, though the filtering MSE is below sigma_x^2
+    FILTERING_OVERFLOW = "ar_coeffs = 0.5\ninnovation_var = 1e150\nobs_noise_var = 1e200\n"
+    TINY_DRIVE = "ar_coeffs = 0.5\ninnovation_var = 1e-300\nobs_noise_var = 0\n"
+
+    @pytest.mark.parametrize(
+        "text, schemes",
+        [
+            (FILTERING_OVERFLOW, 5),
+            (FILTERING_OVERFLOW + "schemes = aperiodic_prediction, periodic, practical_ar1\n", 3),
+            # sigma_nu^2 / (D - sigma_P^2) and the uniform quotient underflow to 0
+            (TINY_DRIVE + "d_min = 1e20\nd_max = 1e30\n", 5),
+            (TINY_DRIVE + "d_min = 1e200\nd_max = 1e300\nschemes = uniform_aperiodic\n", 1),
+            # 2 pi e sigma_y^2 overflows
+            ("ar_coeffs = 0.5\ninnovation_var = 1\nobs_noise_var = 2e307\n", 5),
+        ],
+        ids=[
+            "filtering product overflows",
+            "filtering product overflows, no zero-holding",
+            "periodic quotient underflows",
+            "uniform quotient underflows",
+            "output entropy overflows",
+        ],
+    )
+    def test_out_of_range_intermediates_give_finite_theory_rows(
+        self, tmp_path, either_path, text, schemes
+    ):
+        cfg = self.write(tmp_path, text)
+        out = tmp_path / "t.csv"
+        assert cli_main(["theory", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 25 * schemes
+        assert np.isfinite([[row.distortion, row.rate_bits] for row in rows]).all()
+
+    def test_overflowing_filtering_product_validates_a_finite_sigma_z(
+        self, tmp_path, capsys, either_path
+    ):
+        cfg = self.write(tmp_path, self.FILTERING_OVERFLOW + "samples_per_trial = 2000\ntrials = 1")
+        # the paper's sigma_Z^2 drops the hold/filter cross term, and fails its 2% check
+        assert cli_main(["validate", "--config", cfg]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  sigma_z_sq: analytic=2.66667e+150 empirical=" in out
+        assert re.search(r"=[-+]?(inf|nan)", out) is None
+
     def test_trace_dump(self, tmp_path):
         out = tmp_path / "trace.csv"
         cfg = self.write(
@@ -966,8 +1013,11 @@ class TestCli:
         assert len(rows) == 7
         assert all(np.isfinite([row.distortion, row.rate_bits]).all() for row in rows)
 
-    # the examples once ended in a traceback: a log of the normalized zero-holding
-    # ratio alpha^2 ... = 0, and a 53-bit closed-loop step that underflows to 0
+    # the examples once ended in a traceback or in non-finite rows: a log of the
+    # normalized zero-holding ratio alpha^2 ... = 0, a 53-bit closed-loop step that
+    # underflows to 0, a filtering MSE whose product sigma_x^2 sigma_xi^2 overflows,
+    # a log of a periodic and of a uniform-aperiodic quotient that underflows to 0,
+    # and a log of 2 pi e sigma_y^2 that overflows
     @settings(
         derandomize=True,
         max_examples=80,
@@ -975,34 +1025,58 @@ class TestCli:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        pacf=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=6),
+        pacf=st.lists(st.floats(-0.99999, 0.99999), min_size=1, max_size=12),
         innovation_var=_LOG_UNIFORM_VAR,
         noise_var=st.one_of(st.just(0.0), _LOG_UNIFORM_VAR),
         normalized=st.booleans(),
         widths=st.lists(st.sampled_from([1, 52, 53]) | st.integers(1, 53), min_size=1, max_size=3),
-        samples=st.integers(60, 300),
+        samples=st.integers(60, 2000),
         seed=st.integers(0, 1 << 16),
+        order_shift=st.integers(-3, 4),  # predictor order minus model order
+        n_points=st.sampled_from([2, 3, 25]),
+        grid=st.tuples(_GRID_END, _GRID_END),
     )
     @example(
         pacf=[0.5], innovation_var=1e-300, noise_var=1e-130, normalized=True,
-        widths=[4], samples=300, seed=0,
+        widths=[4], samples=300, seed=0, order_shift=0, n_points=25, grid=(None, None),
     )
     @example(
         pacf=[0.5], innovation_var=1e-310, noise_var=1.0, normalized=False,
-        widths=[53], samples=300, seed=0,
+        widths=[53], samples=300, seed=0, order_shift=0, n_points=25, grid=(None, None),
+    )
+    @example(
+        pacf=[0.5], innovation_var=1e150, noise_var=1e200, normalized=False,
+        widths=[4], samples=300, seed=0, order_shift=0, n_points=25, grid=(None, None),
+    )
+    @example(
+        pacf=[0.5], innovation_var=1e-300, noise_var=0.0, normalized=False,
+        widths=[4], samples=300, seed=0, order_shift=0, n_points=25, grid=(1e20, 1e30),
+    )
+    @example(
+        pacf=[0.5], innovation_var=1e-300, noise_var=0.0, normalized=False,
+        widths=[4], samples=300, seed=0, order_shift=0, n_points=25, grid=(1e200, 1e300),
+    )
+    @example(
+        pacf=[0.5], innovation_var=1.0, noise_var=2e307, normalized=False,
+        widths=[4], samples=300, seed=0, order_shift=0, n_points=25, grid=(None, None),
     )
     def test_cli_contract(
         self, tmp_path, either_path, pacf, innovation_var, noise_var, normalized, widths,
-        samples, seed,
+        samples, seed, order_shift, n_points, grid,
     ):
         # every command exits 0, 1 or 2 without a traceback, and exit 0 means finite rows
-        coeffs = ", ".join(map(repr, _ar_from_pacf(pacf)))
+        coeffs = _ar_from_pacf(pacf)
+        if None not in grid:
+            grid = sorted(grid)
+        d_min, d_max = ("auto" if end is None else repr(end) for end in grid)
         cfg = self.write(
             tmp_path,
-            f"ar_coeffs = {coeffs}\ninnovation_var = {innovation_var!r}\n"
+            f"ar_coeffs = {', '.join(map(repr, coeffs))}\ninnovation_var = {innovation_var!r}\n"
             f"obs_noise_var = {noise_var!r}\nnormalized_bounds = {normalized}\n"
             f"quantizer_bits = {','.join(map(str, widths))}\ntrials = 1\n"
-            f"samples_per_trial = {samples}\nseed = {seed}\n",
+            f"samples_per_trial = {samples}\nseed = {seed}\n"
+            f"predictor_order = {max(1, len(coeffs) + order_shift)}\n"
+            f"n_points = {n_points}\nd_min = {d_min}\nd_max = {d_max}\n",
         )
         out = tmp_path / "o.csv"
         for command in ("theory", "codec", "validate", "trace"):

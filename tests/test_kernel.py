@@ -777,10 +777,8 @@ def test_small_budgets_raise_non_convergence_on_both_paths(budget, monkeypatch):
 def test_nan_runs_to_the_budget_on_both_paths(monkeypatch):
     # max(NaN, 1e-12) is NaN, where C's fmax is not: a NaN must never pass
     steps = []
-    propagate = analysis.propagate_pred_err
-    monkeypatch.setattr(
-        analysis, "propagate_pred_err", lambda *args: steps.append(1) or propagate(*args)
-    )
+    step = analysis.gain_step
+    monkeypatch.setattr(analysis, "gain_step", lambda *args: steps.append(1) or step(*args))
     nan = float("nan")
     monkeypatch.setattr(analysis, "GAIN_MAX_ITER", 300)
     gain_state = assert_same_on_both_paths(

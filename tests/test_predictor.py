@@ -1,5 +1,7 @@
 """MMSE one-step prediction and zero-holding baselines."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -18,7 +20,7 @@ from csi_feedback import (
 )
 from csi_feedback.bounds import log_det_ky
 from csi_feedback.errors import DimensionMismatch, SingularSystem
-from csi_feedback.predictor import kappa_y_matrix
+from csi_feedback.predictor import _filtering_mse, kappa_y_matrix
 from shared import sliding_predictions
 from test_channel import AR1_KAPPA0, AR1_KAPPA1, random_stationary_model
 from test_codec import _ar_from_pacf
@@ -202,6 +204,26 @@ class TestZeroHolding:
         hold_gap = float(np.mean((x[1:] - x[:-1]) ** 2))
         filtering = float(np.mean((x - zh.alpha * y) ** 2))
         assert abs(hold_gap + filtering - zh.sigma_z_sq) / zh.sigma_z_sq < 0.01
+
+
+    @pytest.mark.parametrize(
+        "sigma_x_sq, noise_var", [(4.0 / 3.0, 1.0), (1e150, 1e-10), (1e-300, 1e-10), (0.0, 1.0)]
+    )
+    def test_finite_filtering_mse_keeps_its_bits(self, sigma_x_sq, noise_var):
+        expected = sigma_x_sq * noise_var / (sigma_x_sq + noise_var)
+        assert _filtering_mse(sigma_x_sq, NoiseSpec(noise_var)) == expected
+
+    def test_filtering_mse_survives_an_overflowing_product(self):
+        # sigma_x^2 sigma_xi^2 = 1.3e350 overflows, though the MSE is below sigma_x^2
+        model, noise = ArModel((0.5,), 1e150), NoiseSpec(1e200)
+        sigma_x_sq = model.sigma_x_sq
+        mse = _filtering_mse(sigma_x_sq, noise)
+        assert mse == sigma_x_sq * (1e200 / (sigma_x_sq + 1e200))
+        assert mse == pytest.approx(sigma_x_sq, rel=1e-12)
+        zh = zh_estimator(autocovariance(model, 1), noise)
+        assert zh.sigma_z_sq == pytest.approx(2.0 * sigma_x_sq, rel=1e-12)
+        # an overflowing sum sigma_x^2 + sigma_xi^2 leaves the NaN it always gave
+        assert math.isnan(_filtering_mse(1e308, NoiseSpec(1e308)))
 
 
 class TestDominance:
