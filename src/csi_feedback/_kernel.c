@@ -163,14 +163,14 @@ static int encoder_step(struct encoder *e, int64_t k)
 
 /* Step m rows through n samples, sample by sample and within a sample row by
  * row, so the CPU overlaps their independent chains of dependent steps.
- * Returns n, or the first sample at which some row's step failed. */
-static int64_t encode_block(struct encoder *e, int64_t m, int64_t n)
+ * Returns 1, or 0 as soon as some row's step fails. */
+static int encode_block(struct encoder *e, int64_t m, int64_t n)
 {
     for (int64_t k = 0; k < n; k++)
         for (int64_t i = 0; i < m; i++)
             if (!encoder_step(e + i, k))
-                return k;
-    return n;
+                return 0;
+    return 1;
 }
 
 /* Rows encoded together by encode_rows: enough independent steps in flight to
@@ -185,9 +185,9 @@ int64_t encode_rows_work(int64_t n_rows, int64_t max_order)
 }
 
 /* Encode n samples of every row, BLOCK rows at a time.  `indices` may be NULL.
- * Returns n_rows * n, or row * n + k for the first sample k whose quantizer
- * input is not finite; earlier rows are then encoded whole, that row is left
- * as the samples before k left it, and later rows are left untouched.
+ * Returns 1, or 0 at the first quantizer input that is not finite, with the
+ * outputs and saved states partly written: codec.encode_batch then replays
+ * the batch through EncoderState.encode_step, which names the failing sample.
  * `work` has room for encode_rows_work(n_rows, max order) doubles. */
 int64_t encode_rows(int64_t n_rows, int64_t n, const double *const *observations,
                     const int64_t *orders, const double *coeffs, const double *params,
@@ -215,21 +215,12 @@ int64_t encode_rows(int64_t n_rows, int64_t n, const double *const *observations
             offset += e->order;
             ring += 4 * e->order;
         }
-        if (encode_block(block, m, n) < n) {
-            /* A row failed.  Encode the block again row by row from its saved
-             * state, so the rows after the failing one stay untouched. */
-            for (int64_t i = 0; i < m; i++) {
-                encoder_load(block + i, block[i].h);
-                int64_t k = encode_block(block + i, 1, n);
-                encoder_save(block + i);
-                if (k < n)
-                    return (first + i) * n + k;
-            }
-        }
+        if (!encode_block(block, m, n))
+            return 0;
         for (int64_t i = 0; i < m; i++)
             encoder_save(block + i);
     }
-    return n_rows * n;
+    return 1;
 }
 
 /* The fixed point of the gain recursion, as analysis.converged_prediction_state:

@@ -53,6 +53,35 @@ def _check_gain(lam: float) -> None:
         raise CsiFeedbackError("lam must lie in (0, 1]")
 
 
+def _log2(a: float, b: float, what: str, divide: bool = True) -> float:
+    """log2(a / b), or log2(a * b) without ``divide``.
+
+    Where a / b (a * b) is finite and positive, its log keeps its bits.  Where
+    it under- or overflows though a and b are finite and positive, the log is
+    log2 a - log2 b (log2 a + log2 b).  Anything else has no log and raises
+    DegenerateCovariance, naming ``what``.
+    """
+    value = a / b if divide else a * b
+    if 0.0 < value < math.inf:
+        return math.log2(value)
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DegenerateCovariance(f"{what} has no log: factors {a} and {b}")
+    return math.log2(a) - math.log2(b) if divide else math.log2(a) + math.log2(b)
+
+
+def _log2_sqrt_two_pi_e(variance: float, what: str) -> float:
+    """log2 sqrt(2 pi e v), the high-resolution scale of a Gaussian of variance v.
+
+    Where 2 pi e v is finite and positive, the log keeps its bits.  Otherwise it
+    is 0.5 * (log2(2 pi e) + log2 v) by ``_log2``, which raises
+    DegenerateCovariance, naming ``what``, for a v that is not finite and positive.
+    """
+    product = TWO_PI_E * variance
+    if 0.0 < product < math.inf:
+        return math.log2(math.sqrt(product))
+    return 0.5 * _log2(TWO_PI_E, variance, what, divide=False)
+
+
 @dataclass(frozen=True)
 class Ar1Approx:
     """First-order fit of the channel: beta = kappa(1)/kappa(0), drive sigma_iota^2."""
@@ -216,7 +245,7 @@ def rate_practical(
     innovation_var = _ep_variance_from_approx(approx, noise)
     rate = (
         0.5 * math.log2(1.0 / 12.0)
-        + 0.5 * math.log2(math.sqrt(TWO_PI_E * innovation_var))
+        + 0.5 * _log2_sqrt_two_pi_e(innovation_var, "2 pi e e_P")
         - 0.5 * math.log2(implied_q)
     )
     return max(0.0, rate) if clamp else rate

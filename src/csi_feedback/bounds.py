@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis
-from .analysis import TWO_PI_E
+from .analysis import TWO_PI_E, _log2
 from .channel import ArModel, Autocovariance, NoiseSpec, _dot, autocovariance
 from .errors import CsiFeedbackError, DegenerateCovariance, DistortionBelowFloor, SingularSystem
 from .predictor import (
@@ -214,31 +214,22 @@ def rate_uniform_aperiodic(
     """High-resolution uniform-quantizer rate for aperiodic prediction feedback.
 
     A quotient out of the float range is logged as a difference of logs
-    (``_log2``); a scale sqrt(2 pi e (sigma_x^2 + sigma_P^2)) that overflows
-    raises DegenerateCovariance.
+    (``_log2``), and a scale sqrt(2 pi e (sigma_x^2 + sigma_P^2)) that
+    overflows as a sum of logs (``analysis._log2_sqrt_two_pi_e``).
     """
     if mse_target <= sigma_p_sq:
         raise DistortionBelowFloor(f"target {mse_target} <= sigma_P^2={sigma_p_sq}")
-    scale = math.sqrt(TWO_PI_E * (sigma_x_sq + sigma_p_sq)) / 12.0
+    variance = sigma_x_sq + sigma_p_sq
+    scale = math.sqrt(TWO_PI_E * variance) / 12.0
     gap = mse_target - sigma_p_sq
-    rate = 0.5 * _log2(scale, gap, "sqrt(2 pi e (sigma_x^2 + sigma_P^2)) / 12 / (D - sigma_P^2)")
+    if scale < math.inf:
+        rate = 0.5 * _log2(scale, gap, "sqrt(2 pi e (sigma_x^2 + sigma_P^2)) / 12 / (D - sigma_P^2)")
+    else:
+        rate = 0.5 * (
+            analysis._log2_sqrt_two_pi_e(variance, "2 pi e (sigma_x^2 + sigma_P^2)")
+            - _log2(12.0, gap, "12 (D - sigma_P^2)", divide=False)
+        )
     return max(0.0, rate) if clamp else rate
-
-
-def _log2(a: float, b: float, what: str, divide: bool = True) -> float:
-    """log2(a / b), or log2(a * b) without ``divide``.
-
-    Where a / b (a * b) is finite and positive, its log keeps its bits.  Where
-    it under- or overflows though a and b are finite and positive, the log is
-    log2 a - log2 b (log2 a + log2 b).  Anything else has no log and raises
-    DegenerateCovariance, naming ``what``.
-    """
-    value = a / b if divide else a * b
-    if 0.0 < value < math.inf:
-        return math.log2(value)
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise DegenerateCovariance(f"{what} has no log: factors {a} and {b}")
-    return math.log2(a) - math.log2(b) if divide else math.log2(a) + math.log2(b)
 
 
 def distortion_floor(scheme: Scheme, p: SchemeParams) -> float:

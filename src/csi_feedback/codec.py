@@ -195,7 +195,7 @@ class CodecOutput:
 def _encode_steps(
     state: EncoderState, observations: np.ndarray, row: int
 ) -> tuple[list[int], list[float]]:
-    """The per-sample encoder loop of row ``row``, run when the compiled kernel is unavailable."""
+    """The per-sample encoder loop of row ``row``, run without the kernel or after it gives up."""
     indices: list[int] = []
     recon: list[float] = []
     step = state.encode_step
@@ -205,15 +205,10 @@ def _encode_steps(
             indices.append(index)
             recon.append(value)
     except NonFiniteInput:
-        raise _non_finite(row, len(indices)) from None
+        error = NonFiniteInput(f"cannot quantize NaN or infinite values at sample {len(indices)}")
+        error.row = row  # names the stream
+        raise error from None
     return indices, recon
-
-
-def _non_finite(row: int, sample: int) -> NonFiniteInput:
-    """The error of a NaN or infinite quantizer input; its ``row`` attribute names the stream."""
-    error = NonFiniteInput(f"cannot quantize NaN or infinite values at sample {sample}")
-    error.row = row
-    return error
 
 
 def encode_batch(
@@ -232,7 +227,8 @@ def encode_batch(
     NonFiniteInput, naming the sample and carrying the row in its ``row``
     attribute, with the rows before it encoded whole, its row advanced up to
     that sample and the rows after it untouched, as the per-sample loop
-    leaves them.
+    leaves them.  The kernel gives up on such a batch without advancing any
+    state, and the per-sample loop replays it, at Python speed.
     """
     states = list(states)
     if len({id(state) for state in states}) < len(states):
@@ -245,58 +241,57 @@ def encode_batch(
         raise CsiFeedbackError("observation streams must be one-dimensional and of equal length")
 
     lib = _kernel.load()
-    if lib is None:
-        rows = [_encode_steps(state, y, row) for row, (state, y) in enumerate(zip(states, streams))]
-        recon = np.array([values for _, values in rows]).reshape(n_rows, n)
-        if not with_indices:
-            return None, recon
-        return np.array([codes for codes, _ in rows], dtype=np.int64).reshape(n_rows, n), recon
-
-    orders = np.array([s.model.order for s in states], dtype=np.int64)
-    coeffs = np.array([a for s in states for a in s._coeffs])
-    # per-row parameter and state records, in the field order of _kernel.c
-    params = np.array(
-        [
+    if lib is not None:
+        orders = np.array([s.model.order for s in states], dtype=np.int64)
+        coeffs = np.array([a for s in states for a in s._coeffs])
+        # per-row parameter and state records, in the field order of _kernel.c
+        params = np.array(
             [
-                s.quantizer.step,
-                float(1 << (s.quantizer.bits - 1)),
-                s.model.innovation_var,
-                s.noise.obs_noise_var,
-                s.quantizer.noise_var,
+                [
+                    s.quantizer.step,
+                    float(1 << (s.quantizer.bits - 1)),
+                    s.model.innovation_var,
+                    s.noise.obs_noise_var,
+                    s.quantizer.noise_var,
+                ]
+                for s in states
             ]
-            for s in states
-        ]
-    )
-    history = np.array([h for s in states for h in s.history])
-    filtered = np.array([f for s in states for f in s._filtered])
-    record = np.array([[s.pred_err_var, s.gain, s._settled] for s in states], dtype=float)
-    indices = np.empty((n_rows, n), dtype=np.int64) if with_indices else None
-    recon = np.empty((n_rows, n))
-    work = np.empty(lib.encode_rows_work(n_rows, int(orders.max(initial=1))))
-    stop = lib.encode_rows(
-        n_rows,
-        n,
-        (ctypes.c_void_p * n_rows)(*[y.ctypes.data for y in streams]),
-        orders.ctypes.data,
-        coeffs.ctypes.data,
-        params.ctypes.data,
-        history.ctypes.data,
-        filtered.ctypes.data,
-        record.ctypes.data,
-        None if indices is None else indices.ctypes.data,
-        recon.ctypes.data,
-        work.ctypes.data,
-    )
-    offset = 0
-    for s, (pred_err_var, gain, settled) in zip(states, record.tolist()):
-        order = s.model.order
-        s.history = history[offset : offset + order].tolist()
-        s._filtered = filtered[offset : offset + order].tolist()
-        s.pred_err_var, s.gain, s._settled = pred_err_var, gain, bool(settled)
-        offset += order
-    if stop < n_rows * n:
-        raise _non_finite(*divmod(stop, n))
-    return indices, recon
+        )
+        history = np.array([h for s in states for h in s.history])
+        filtered = np.array([f for s in states for f in s._filtered])
+        record = np.array([[s.pred_err_var, s.gain, s._settled] for s in states], dtype=float)
+        indices = np.empty((n_rows, n), dtype=np.int64) if with_indices else None
+        recon = np.empty((n_rows, n))
+        work = np.empty(lib.encode_rows_work(n_rows, int(orders.max(initial=1))))
+        finished = lib.encode_rows(
+            n_rows,
+            n,
+            (ctypes.c_void_p * n_rows)(*[y.ctypes.data for y in streams]),
+            orders.ctypes.data,
+            coeffs.ctypes.data,
+            params.ctypes.data,
+            history.ctypes.data,
+            filtered.ctypes.data,
+            record.ctypes.data,
+            None if indices is None else indices.ctypes.data,
+            recon.ctypes.data,
+            work.ctypes.data,
+        )
+        if finished:
+            offset = 0
+            for s, (pred_err_var, gain, settled) in zip(states, record.tolist()):
+                order = s.model.order
+                s.history = history[offset : offset + order].tolist()
+                s._filtered = filtered[offset : offset + order].tolist()
+                s.pred_err_var, s.gain, s._settled = pred_err_var, gain, bool(settled)
+                offset += order
+            return indices, recon
+
+    rows = [_encode_steps(state, y, row) for row, (state, y) in enumerate(zip(states, streams))]
+    recon = np.array([values for _, values in rows]).reshape(n_rows, n)
+    if not with_indices:
+        return None, recon
+    return np.array([codes for codes, _ in rows], dtype=np.int64).reshape(n_rows, n), recon
 
 
 def encode_sequence(state: EncoderState, observations) -> tuple[list[int], np.ndarray]:

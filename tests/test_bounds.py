@@ -24,8 +24,8 @@ from csi_feedback import (
     sweep,
 )
 from csi_feedback import analysis
-from csi_feedback.analysis import TWO_PI_E
-from csi_feedback.bounds import _log2, _log_grid, _sum_log2_theta_sq
+from csi_feedback.analysis import TWO_PI_E, _log2, _log2_sqrt_two_pi_e
+from csi_feedback.bounds import _log_grid, _sum_log2_theta_sq
 from csi_feedback.errors import DegenerateCovariance, DistortionBelowFloor
 from test_channel import AR1_KAPPA0, random_stationary_model
 from test_codec import _ar_from_pacf
@@ -257,10 +257,38 @@ class TestLogOfFactors:
         assert math.isfinite(rate_uniform_aperiodic(1e300, *args, clamp=False))
         assert rate_uniform_aperiodic(1e300, *args) == 0.0
 
-    def test_overflowing_uniform_scale_raises(self):
+    @pytest.mark.parametrize("v", [1e-320, 0.3, 1.0, 2.68, 1e300, 1.05e307])
+    def test_finite_gaussian_scale_keeps_its_bits(self, v):
+        assert _log2_sqrt_two_pi_e(v, "v") == math.log2(math.sqrt(TWO_PI_E * v))
+
+    def test_overflowing_gaussian_scale_adds_the_logs(self):
+        assert _log2_sqrt_two_pi_e(1e308, "v") == 0.5 * (math.log2(TWO_PI_E) + math.log2(1e308))
+
+    @pytest.mark.parametrize("v", [0.0, -1.0, math.inf, math.nan])
+    def test_a_variance_without_a_gaussian_scale_raises(self, v):
+        with pytest.raises(DegenerateCovariance, match="^2 pi e v has no log: factors"):
+            _log2_sqrt_two_pi_e(v, "2 pi e v")
+
+    def test_overflowing_uniform_scale_gives_a_finite_rate(self):
         # sqrt(2 pi e (sigma_x^2 + sigma_P^2)) overflows once sigma_x^2 exceeds about 5e306
-        with pytest.raises(DegenerateCovariance, match="has no log: factors inf and"):
-            rate_uniform_aperiodic(6e307, 5e307, 5e307)
+        raw = rate_uniform_aperiodic(6e307, 5e307, 5e307, clamp=False)
+        gap = 6e307 - 5e307
+        expected = 0.25 * (math.log2(TWO_PI_E) + math.log2(1e308)) - 0.5 * math.log2(12.0 * gap)
+        assert math.isclose(raw, expected, rel_tol=1e-12)
+        assert rate_uniform_aperiodic(6e307, 5e307, 5e307) == 0.0
+
+    def test_overflowing_practical_scale_gives_a_finite_rate(self):
+        # 2 pi e e_P overflows once e_P exceeds about 1.05e307; a white channel
+        # without noise has e_P = sigma_x^2 and gain 1
+        approx, noise = analysis.Ar1Approx(beta=0.0, iota_var=5e307), NoiseSpec(0.0)
+        assert analysis._ep_variance_from_approx(approx, noise) == 5e307
+        raw = analysis.rate_practical(6e307, approx, noise, 1.0, clamp=False)
+        # 1/2 log2(1/12) + 1/2 log2 sqrt(2 pi e e_P) - 1/2 log2 sigma_Q^2
+        sigma_q_sq = 6e307  # the quantization budget at gain 1
+        scale = TWO_PI_E * (5e307 / sigma_q_sq) / sigma_q_sq
+        expected = 0.5 * math.log2(1.0 / 12.0) + 0.25 * math.log2(scale)
+        assert math.isclose(raw, expected, rel_tol=1e-12)
+        assert analysis.rate_practical(6e307, approx, noise, 1.0) == 0.0
 
     def test_overflowing_output_entropy_gives_a_finite_zh_rate(self):
         # 2 pi e sigma_y^2 overflows once sigma_y^2 > 1.05e307

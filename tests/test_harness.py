@@ -62,8 +62,9 @@ seed = 7
 # a variance log-uniform over 1e-320..1e308, subnormals included
 _LOG_UNIFORM_VAR = st.floats(-320.0, 308.0).map(lambda exponent: 10.0**exponent)
 
-# an end of an explicit distortion grid, log-uniform over 1e-300..1e300, or None for "auto"
-_GRID_END = st.none() | st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+# an end of an explicit distortion grid, log-uniform over 1e-300..1e308, or None for
+# "auto"; 10.0**308.0 is the largest power that does not overflow
+_GRID_END = st.none() | st.floats(-300.0, 308.0).map(lambda exponent: 10.0**exponent)
 
 # white channel and noise of variance 1e308: each is finite, their sum is not
 _HUGE_CHANNEL = "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 1e308\n"
@@ -891,6 +892,11 @@ class TestCli:
     # sigma_x^2 sigma_xi^2 = 1.3e350 overflows, though the filtering MSE is below sigma_x^2
     FILTERING_OVERFLOW = "ar_coeffs = 0.5\ninnovation_var = 1e150\nobs_noise_var = 1e200\n"
     TINY_DRIVE = "ar_coeffs = 0.5\ninnovation_var = 1e-300\nobs_noise_var = 0\n"
+    # 2 pi e times sigma_x^2 + sigma_P^2 = 1e308, or times e_P = 5e307, overflows
+    TOP_OF_RANGE = (
+        "ar_coeffs = 0.0\ninnovation_var = 5e307\nobs_noise_var = 0\n"
+        "d_min = 6e307\nd_max = 1e308\n"
+    )
 
     @pytest.mark.parametrize(
         "text, schemes",
@@ -902,6 +908,8 @@ class TestCli:
             (TINY_DRIVE + "d_min = 1e200\nd_max = 1e300\nschemes = uniform_aperiodic\n", 1),
             # 2 pi e sigma_y^2 overflows
             ("ar_coeffs = 0.5\ninnovation_var = 1\nobs_noise_var = 2e307\n", 5),
+            (TOP_OF_RANGE + "schemes = uniform_aperiodic\n", 1),
+            (TOP_OF_RANGE + "schemes = practical_ar1\n", 1),
         ],
         ids=[
             "filtering product overflows",
@@ -909,6 +917,8 @@ class TestCli:
             "periodic quotient underflows",
             "uniform quotient underflows",
             "output entropy overflows",
+            "uniform scale overflows",
+            "practical scale overflows",
         ],
     )
     def test_out_of_range_intermediates_give_finite_theory_rows(
@@ -1017,7 +1027,8 @@ class TestCli:
     # normalized zero-holding ratio alpha^2 ... = 0, a 53-bit closed-loop step that
     # underflows to 0, a filtering MSE whose product sigma_x^2 sigma_xi^2 overflows,
     # a log of a periodic and of a uniform-aperiodic quotient that underflows to 0,
-    # and a log of 2 pi e sigma_y^2 that overflows
+    # a log of 2 pi e sigma_y^2 that overflows, and high-resolution scales
+    # sqrt(2 pi e v) that overflow (aperiodic_zh's floor lies above that grid)
     @settings(
         derandomize=True,
         max_examples=80,
@@ -1059,6 +1070,10 @@ class TestCli:
     @example(
         pacf=[0.5], innovation_var=1.0, noise_var=2e307, normalized=False,
         widths=[4], samples=300, seed=0, order_shift=0, n_points=25, grid=(None, None),
+    )
+    @example(
+        pacf=[0.0], innovation_var=5e307, noise_var=0.0, normalized=False,
+        widths=[4], samples=300, seed=0, order_shift=0, n_points=25, grid=(6e307, 1e308),
     )
     def test_cli_contract(
         self, tmp_path, either_path, pacf, innovation_var, noise_var, normalized, widths,

@@ -236,6 +236,39 @@ def test_non_finite_input_names_its_row_and_sample(either_path):
     assert caught.value.row == 0
 
 
+def test_only_a_batch_the_kernel_gives_up_on_is_replayed(monkeypatch):
+    if _kernel.load() is None:
+        pytest.skip("without the compiled kernel every batch runs through the step loop")
+    replayed, steps = [], codec._encode_steps
+    monkeypatch.setattr(
+        codec, "_encode_steps", lambda state, y, row: replayed.append(row) or steps(state, y, row)
+    )
+    quantizers = [innovation_quantizer(REF_AR4, UNIT_NOISE, 2 + r % 9) for r in range(30)]
+
+    def fresh():
+        return [EncoderState(REF_AR4, UNIT_NOISE, q) for q in quantizers]
+
+    y = generate_trace(REF_AR4, UNIT_NOISE, 2000, seed=83).y
+    codec.encode_batch(fresh(), [y] * 30)
+    assert replayed == []  # a finished batch never runs the step loop
+
+    # row 17 lies in the third block of 8 rows
+    corrupted = y.copy()
+    corrupted[500] = np.nan
+    states = fresh()
+    message = "^cannot quantize NaN or infinite values at sample 500$"
+    with pytest.raises(NonFiniteInput, match=message) as caught:
+        codec.encode_batch(states, [y] * 17 + [corrupted] + [y] * 12)
+    assert caught.value.row == 17
+    assert replayed == list(range(18))
+    oracles = fresh()
+    for oracle in oracles[:17]:
+        step_encode(oracle, y)
+    with pytest.raises(NonFiniteInput):
+        step_encode(oracles[17], corrupted)
+    assert [encoder_state(s) for s in states] == [encoder_state(o) for o in oracles]
+
+
 @pytest.mark.parametrize("bad", [-1, 64, 1 << 63, 1 << 70])
 def test_unknown_index_stops_where_the_step_loop_stops(bad):
     quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 6)
@@ -537,9 +570,10 @@ def test_fallback_without_compiler_gives_the_same_bits(monkeypatch, caplog):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror"]
+    # the build's own command, with warnings as errors, into a private directory
     subprocess.run(
-        ["cc", *flags, "-o", str(tmp_path / "kernel.so"), str(_kernel.SOURCE)],
+        [*_kernel.COMPILE, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"),
+         str(_kernel.SOURCE)],
         check=True,
         capture_output=True,
     )
