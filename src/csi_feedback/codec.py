@@ -301,7 +301,44 @@ def encode_sequence(state: EncoderState, observations) -> tuple[list[int], np.nd
     that loop would, so the stream can go on with either.
     """
     indices, recon = encode_batch([state], [observations])
-    return indices[0].tolist(), recon[0]
+    return _listed(indices[0]), recon[0]
+
+
+# the last index stream handed out as a list: a private copy of that list and
+# its int64 codes, read-only; one entry, since a receiver replays one stream
+# at a time, and one tuple replaced whole, so no reader sees half an entry
+_last_listed: tuple[list[int], np.ndarray] | None = None
+
+
+def _listed(codes: np.ndarray) -> list[int]:
+    """``codes.tolist()``, remembered so that ``_codewords`` need not convert it back.
+
+    The old entry goes first, so that the memo never holds two streams.
+    """
+    global _last_listed
+    _last_listed = None
+    listed = codes.tolist()
+    codes.flags.writeable = False
+    _last_listed = (listed.copy(), codes)
+    return listed
+
+
+def _remembered(indices) -> np.ndarray | None:
+    """The codes of the last list ``_listed`` handed out, if ``indices`` still equals it.
+
+    A list that was edited in place, appended to or shortened since misses,
+    and is converted as any other list is.  An entry swapped for an equal
+    value of another type (2.0, True, np.int64(2)) hits and decodes as the
+    int it equals, as a conversion would; so does 2+0j, which a conversion
+    rejects.
+    """
+    memo = _last_listed
+    if memo is None or type(indices) is not list:
+        return None
+    try:
+        return memo[1] if indices == memo[0] else None
+    except (TypeError, ValueError):  # an entry whose == has no truth value
+        return None
 
 
 def _is_int64(value) -> bool:
@@ -317,11 +354,13 @@ def _codewords(indices, bits: int) -> tuple[np.ndarray, tuple]:
     A codeword is an integer in [0, 2^bits).  Returns that prefix and () if it
     is the whole stream, else the 1-tuple of the entry that ends it, so that a
     None entry is not taken for the end.  A list of ints or an integer array
-    needs no check per entry, only one pass over the values for the range.
+    needs no check per entry, only one pass over the values for the range,
+    and a list that still equals the last one ``_listed`` handed out is not
+    converted at all.
     """
     if isinstance(indices, np.ndarray):
         values = indices
-    else:
+    elif (values := _remembered(indices)) is None:
         if not isinstance(indices, list):
             indices = list(indices)
         try:  # a float raises TypeError, an int beyond int64 OverflowError
@@ -513,7 +552,8 @@ def unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
     if lib is None:
         matrix = np.zeros((count, 64), dtype=np.uint8)
         matrix[:, 64 - bits :] = np.unpackbits(payload, count=count * bits).reshape(count, bits)
-        return np.packbits(matrix, axis=1).view(">u8").reshape(-1).tolist()
-    values = np.empty(count, dtype=np.int64)
-    lib.unpack_bits(count, bits, payload.ctypes.data, values.ctypes.data)
-    return values.tolist()
+        values = np.packbits(matrix, axis=1).view(">u8").reshape(-1).astype(np.int64)
+    else:
+        values = np.empty(count, dtype=np.int64)
+        lib.unpack_bits(count, bits, payload.ctypes.data, values.ctypes.data)
+    return _listed(values)

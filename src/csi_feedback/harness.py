@@ -252,7 +252,8 @@ def write_index_stream(path: str | Path, indices, bits: int) -> None:
     first, so a dump plus the decoder state is enough to replay a
     transmission and check encoder/decoder synchrony offline.
     """
-    indices = list(indices)
+    if not isinstance(indices, (list, np.ndarray)):
+        indices = list(indices)
     payload = codec.pack_indices(indices, bits)  # a width outside 1..53 raises CsiFeedbackError
     Path(path).write_bytes(_DUMP_HEADER.pack(_DUMP_MAGIC, bits, len(indices)) + payload)
 
@@ -269,7 +270,7 @@ def read_index_stream(path: str | Path) -> tuple[list[int], int]:
         raise ConfigError(f"not an index-stream dump: {path}")
     _, bits, count = _DUMP_HEADER.unpack_from(blob)
     try:
-        return codec.unpack_indices(blob[_DUMP_HEADER.size :], bits, count), bits
+        return codec.unpack_indices(memoryview(blob)[_DUMP_HEADER.size :], bits, count), bits
     except ValueError as exc:  # a width outside 1..53, or fewer bytes than the count needs
         raise ConfigError(f"corrupt index-stream dump {path}: {exc}") from exc
 

@@ -469,6 +469,21 @@ class TestIndexStreamDump:
         recon = decode_sequence(DecoderState(REF_AR4, quantizer), replayed)
         assert np.array_equal(recon, out.encoder_recon)
 
+    def test_array_list_and_generator_dump_alike(self, tmp_path):
+        from csi_feedback.harness import write_index_stream
+
+        codes = np.random.default_rng(17).integers(0, 1 << 6, 1000)
+        dumps = []
+        for name, stream in [
+            ("array", codes),
+            ("list", codes.tolist()),
+            ("generator", (code for code in codes)),
+        ]:
+            write_index_stream(tmp_path / name, stream, 6)
+            dumps.append((tmp_path / name).read_bytes())
+        assert dumps[0] == dumps[1] == dumps[2]
+        assert read_index_stream(tmp_path / "array") == (codes.tolist(), 6)
+
     def test_rejects_foreign_blob(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"whatever")

@@ -8,6 +8,7 @@ import, is the oracle of the AR trace filter on both paths, the kernel's
 ``ar_trace`` and the Python loop of ``channel._ar_filter``.
 """
 
+import array
 import ctypes
 import logging
 import math
@@ -19,11 +20,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
@@ -536,6 +538,108 @@ def test_packing_allocates_near_the_stream_size():
     # 1.25 MB packed, 8 MB of int64 and 1e6 Python ints
     assert pack_peak < 8e6
     assert unpack_peak < 60e6
+
+
+def test_the_memo_holds_one_stream():
+    count = 10**6
+    packed = pack_indices(np.random.default_rng(13).integers(0, 1 << 10, count), 10)
+    tracemalloc.start()
+    try:
+        first, second = unpack_indices(packed, 10, count), unpack_indices(packed, 10, count)
+        del first, second
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one entry, a copy of the list with its ints and the int64 codes, traces 40 MB; two 80 MB
+    assert held < 60e6
+
+
+def test_handed_out_lists_are_not_converted_again(either_path, monkeypatch):
+    conversions = []
+
+    def counting_array(typecode, values):
+        conversions.append(len(values))
+        return array.array(typecode, values)
+
+    monkeypatch.setattr(codec, "array", SimpleNamespace(array=counting_array))
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 6)
+
+    def conversions_of(stream):
+        conversions.clear()
+        decode_sequence(DecoderState(REF_AR4, quantizer), stream)
+        pack_indices(stream, quantizer.bits)
+        return list(conversions)
+
+    y = generate_trace(REF_AR4, UNIT_NOISE, 500, seed=107).y
+    encoded, _ = encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), y)
+    assert conversions_of(encoded) == []
+    unpacked = unpack_indices(pack_indices(np.array(encoded), 6), 6, len(encoded))
+    assert conversions_of(unpacked) == []
+    assert conversions_of(unpacked[:-1]) == [499, 499]  # a list the caller built
+    assert conversions_of(encoded) == []  # equal to the last list handed out
+
+
+def entry_edits(bits):
+    """In-place edits of an index list: set an entry, append, pop or clear."""
+    top = 1 << bits
+    value = st.one_of(
+        st.integers(0, top - 1),
+        st.integers(0, top - 1).map(np.int64),
+        st.sampled_from([-1, top, 1 << 70, 2.7, 2.0, math.nan, math.inf, -math.inf, True]),
+    )
+    return st.one_of(
+        st.tuples(st.just("set"), st.integers(0, 1 << 16), value),  # position modulo the length
+        st.tuples(st.just("append"), st.just(0), value),
+        st.tuples(st.sampled_from(["pop", "clear"]), st.just(0), st.none()),
+    )
+
+
+def replay(stream, quantizer):
+    """What decode_sequence (reconstruction and decoder history) and
+    pack_indices make of ``stream``, or the errors they raise."""
+    decoder = DecoderState(REF_AR4, quantizer)
+    try:
+        decoded = decode_sequence(decoder, stream).tobytes()
+    except CsiFeedbackError as exc:
+        decoded = type(exc), str(exc)
+    try:
+        packed = pack_indices(stream, quantizer.bits)
+    except CsiFeedbackError as exc:
+        packed = type(exc), str(exc)
+    return decoded, decoder.history, packed
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    bits=st.sampled_from([1, 4, 10]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 1 << 16),
+    unpacked=st.booleans(),
+    data=st.data(),
+)
+def test_edited_lists_decode_and_pack_as_without_the_memo(either_path, bits, n, seed, unpacked, data):
+    quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, bits)
+    y = generate_trace(REF_AR4, UNIT_NOISE, n, seed=seed).y
+    stream, _ = encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), y)
+    if unpacked:
+        stream = unpack_indices(pack_indices(np.array(stream), bits), bits, n)
+    for kind, where, value in data.draw(st.lists(entry_edits(bits), max_size=3)):
+        if kind == "set" and stream:
+            stream[where % len(stream)] = value
+        elif kind == "append":
+            stream.append(value)
+        elif kind == "pop" and stream:
+            stream.pop()
+        elif kind == "clear":
+            stream.clear()
+    remembered = replay(stream, quantizer)
+    codec._last_listed = None
+    assert remembered == replay(stream, quantizer)
 
 
 def run_everything():
