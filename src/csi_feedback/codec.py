@@ -298,47 +298,57 @@ def encode_sequence(state: EncoderState, observations) -> tuple[list[int], np.nd
     """Encode a whole observation stream through one encoder state.
 
     Bit-identical to ``encode_step`` per sample, and leaves the state where
-    that loop would, so the stream can go on with either.
+    that loop would, so the stream can go on with either.  The index list
+    carries its codes, so ``decode_sequence`` and ``pack_indices`` do not
+    convert it while it is unchanged.
     """
     indices, recon = encode_batch([state], [observations])
-    return _listed(indices[0]), recon[0]
+    return _listed(indices[0], state.quantizer.bits), recon[0]
 
 
-# the last index stream handed out as a list: a private copy of that list and
-# its int64 codes, read-only; one entry, since a receiver replays one stream
-# at a time, and one tuple replaced whole, so no reader sees half an entry
-_last_listed: tuple[list[int], np.ndarray] | None = None
+class _IndexList(list):
+    """A ``list[int]`` of codewords that keeps the integer array it was listed from.
 
-
-def _listed(codes: np.ndarray) -> list[int]:
-    """``codes.tolist()``, remembered so that ``_codewords`` need not convert it back.
-
-    The old entry goes first, so that the memo never holds two streams.
+    ``codes`` is that array, read-only, until a list method or operator
+    changes the list, which sets it to None; ``_codewords`` widens it to
+    int64 instead of converting the list.  Copies, slices and pickles are
+    plain lists.  An edit through ``list``'s own methods called on the
+    object (``list.append(stream, 2)``) goes round the subclass and is not
+    seen.
     """
-    global _last_listed
-    _last_listed = None
-    listed = codes.tolist()
-    codes.flags.writeable = False
-    _last_listed = (listed.copy(), codes)
+
+    __slots__ = ("codes",)
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def _forgets_codes(method):
+    @functools.wraps(method)
+    def edit(self, *args, **kwargs):
+        self.codes = None
+        return method(self, *args, **kwargs)
+
+    return edit
+
+
+# every method and operator of list that changes the list in place
+for _name in ("__init__", "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "reverse", "sort", "clear"):
+    setattr(_IndexList, _name, _forgets_codes(getattr(list, _name)))
+
+
+def _listed(codes: np.ndarray, bits: int) -> list[int]:
+    """``codes.tolist()``, as a list that carries ``codes`` for ``_codewords``.
+
+    The list keeps them in the narrowest signed type that holds a ``bits``-bit
+    codeword, 1 to 8 bytes per index beside the list's own 40.
+    """
+    narrow = codes.astype(np.min_scalar_type(-(1 << bits)))
+    narrow.flags.writeable = False
+    listed = _IndexList(memoryview(narrow))  # iterates as the Python ints tolist() makes
+    listed.codes = narrow
     return listed
-
-
-def _remembered(indices) -> np.ndarray | None:
-    """The codes of the last list ``_listed`` handed out, if ``indices`` still equals it.
-
-    A list that was edited in place, appended to or shortened since misses,
-    and is converted as any other list is.  An entry swapped for an equal
-    value of another type (2.0, True, np.int64(2)) hits and decodes as the
-    int it equals, as a conversion would; so does 2+0j, which a conversion
-    rejects.
-    """
-    memo = _last_listed
-    if memo is None or type(indices) is not list:
-        return None
-    try:
-        return memo[1] if indices == memo[0] else None
-    except (TypeError, ValueError):  # an entry whose == has no truth value
-        return None
 
 
 def _is_int64(value) -> bool:
@@ -355,18 +365,23 @@ def _codewords(indices, bits: int) -> tuple[np.ndarray, tuple]:
     is the whole stream, else the 1-tuple of the entry that ends it, so that a
     None entry is not taken for the end.  A list of ints or an integer array
     needs no check per entry, only one pass over the values for the range,
-    and a list that still equals the last one ``_listed`` handed out is not
-    converted at all.
+    and a list that ``_listed`` handed out is not converted while it is
+    unchanged: its codes are only widened.
     """
     if isinstance(indices, np.ndarray):
         values = indices
-    elif (values := _remembered(indices)) is None:
+    elif type(indices) is _IndexList and indices.codes is not None:
+        values = indices.codes
+    else:
         if not isinstance(indices, list):
             indices = list(indices)
         try:  # a float raises TypeError, an int beyond int64 OverflowError
             values = np.frombuffer(array.array("q", indices), dtype=np.int64)
         except (TypeError, OverflowError):
-            values = np.asarray(indices)
+            try:
+                values = np.asarray(indices)
+            except ValueError:  # an entry that is itself a sequence
+                raise CsiFeedbackError("index stream must be one-dimensional") from None
     if values.ndim != 1:
         raise CsiFeedbackError("index stream must be one-dimensional")
     bad = ()
@@ -540,7 +555,8 @@ def unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
 
     The compiled kernel unpacks them; without it, numpy unpacks the bits into
     the low columns of a (count, 64) bit matrix and packs its rows back into
-    big-endian 64-bit words.
+    big-endian 64-bit words.  The list carries its codes, as
+    ``encode_sequence``'s does.
     """
     _check_width(bits)
     payload = np.frombuffer(data, dtype=np.uint8)
@@ -552,8 +568,8 @@ def unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
     if lib is None:
         matrix = np.zeros((count, 64), dtype=np.uint8)
         matrix[:, 64 - bits :] = np.unpackbits(payload, count=count * bits).reshape(count, bits)
-        values = np.packbits(matrix, axis=1).view(">u8").reshape(-1).astype(np.int64)
+        values = np.packbits(matrix, axis=1).view(">u8").reshape(-1)
     else:
         values = np.empty(count, dtype=np.int64)
         lib.unpack_bits(count, bits, payload.ctypes.data, values.ctypes.data)
-    return _listed(values)
+    return _listed(values, bits)

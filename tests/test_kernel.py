@@ -9,10 +9,12 @@ import, is the oracle of the AR trace filter on both paths, the kernel's
 """
 
 import array
+import copy
 import ctypes
 import logging
 import math
 import os
+import pickle
 import platform
 import re
 import shutil
@@ -465,11 +467,12 @@ def test_codeword_rule_matches_the_step_loop_on_both_paths(data):
 
 def test_streams_of_another_shape_are_rejected_by_pack_and_decode(either_path):
     quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 3)
-    for stream in (np.array([[1, 2], [3, 0]]), np.array([[5]]), np.array(4)):
-        with pytest.raises(ValueError, match="^index stream must be one-dimensional$"):
+    ragged = [1, [2], 0], [1, np.array([2]), 0]  # an entry that is itself a sequence
+    for stream in (np.array([[1, 2], [3, 0]]), np.array([[5]]), np.array(4), *ragged):
+        with pytest.raises(CsiFeedbackError, match="^index stream must be one-dimensional$"):
             pack_indices(stream, 3)
         decoder = DecoderState(REF_AR4, quantizer)
-        with pytest.raises(ValueError, match="^index stream must be one-dimensional$"):
+        with pytest.raises(CsiFeedbackError, match="^index stream must be one-dimensional$"):
             decode_sequence(decoder, stream)
         assert decoder.history == DecoderState(REF_AR4, quantizer).history
     assert pack_indices(np.array([1, 2, 3, 0]), 3) == pack_indices([1, 2, 3, 0], 3)
@@ -540,18 +543,21 @@ def test_packing_allocates_near_the_stream_size():
     assert unpack_peak < 60e6
 
 
-def test_the_memo_holds_one_stream():
+def test_listed_codes_live_and_die_with_their_list():
     count = 10**6
     packed = pack_indices(np.random.default_rng(13).integers(0, 1 << 10, count), 10)
     tracemalloc.start()
     try:
         first, second = unpack_indices(packed, 10, count), unpack_indices(packed, 10, count)
+        alive, _ = tracemalloc.get_traced_memory()
         del first, second
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one entry, a copy of the list with its ints and the int64 codes, traces 40 MB; two 80 MB
-    assert held < 60e6
+    # each list traces 34 MB: 8 MB of pointers, 24 MB of ints (those below 256 are
+    # shared) and 2 MB of int16 codes, where int64 codes would take 8 MB
+    assert alive < 2 * 37e6
+    assert held < 1e6
 
 
 def test_handed_out_lists_are_not_converted_again(either_path, monkeypatch):
@@ -572,26 +578,68 @@ def test_handed_out_lists_are_not_converted_again(either_path, monkeypatch):
 
     y = generate_trace(REF_AR4, UNIT_NOISE, 500, seed=107).y
     encoded, _ = encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), y)
-    assert conversions_of(encoded) == []
     unpacked = unpack_indices(pack_indices(np.array(encoded), 6), 6, len(encoded))
     assert conversions_of(unpacked) == []
-    assert conversions_of(unpacked[:-1]) == [499, 499]  # a list the caller built
-    assert conversions_of(encoded) == []  # equal to the last list handed out
+    assert conversions_of(encoded) == []  # each list carries its own codes
+    # lists the caller built: a slice, copies and a pickled list
+    assert conversions_of(unpacked[:-1]) == [499, 499]
+    copies = list(encoded), encoded.copy(), copy.deepcopy(encoded), pickle.loads(pickle.dumps(encoded))
+    for plain in copies:
+        assert type(plain) is list
+        assert conversions_of(plain) == [500, 500]
+    unpacked[0] = unpacked[0]  # an edit, even one that leaves the values as they were
+    assert conversions_of(unpacked) == [500, 500]
 
 
 def entry_edits(bits):
-    """In-place edits of an index list: set an entry, append, pop or clear."""
+    """In-place edits of an index list, through each list method and operator
+    that changes a list, with entries that are codewords, other ints, floats,
+    complex numbers, numpy scalars or size-1 arrays."""
     top = 1 << bits
+    codeword = st.integers(0, top - 1)
     value = st.one_of(
-        st.integers(0, top - 1),
-        st.integers(0, top - 1).map(np.int64),
+        codeword,
+        codeword.map(np.int64),
+        codeword.map(complex),
+        codeword.map(lambda code: np.array([code])),
         st.sampled_from([-1, top, 1 << 70, 2.7, 2.0, math.nan, math.inf, -math.inf, True]),
     )
-    return st.one_of(
-        st.tuples(st.just("set"), st.integers(0, 1 << 16), value),  # position modulo the length
-        st.tuples(st.just("append"), st.just(0), value),
-        st.tuples(st.sampled_from(["pop", "clear"]), st.just(0), st.none()),
-    )
+    kinds = ["set", "slice", "insert", "append", "extend", "+=", "*="]
+    kinds += ["pop", "del", "remove", "reverse", "sort", "clear", "init"]
+    # the position is taken modulo the length
+    return st.tuples(st.sampled_from(kinds), st.integers(0, 1 << 16), value)
+
+
+def edit(stream, kind, where, value):
+    at = where % len(stream) if stream else 0
+    if kind == "set" and stream:
+        stream[at] = value
+    elif kind == "slice":
+        stream[at : at + 2] = [value]
+    elif kind == "insert":
+        stream.insert(at, value)
+    elif kind == "append":
+        stream.append(value)
+    elif kind == "extend":
+        stream.extend([value])
+    elif kind == "+=":
+        stream += [value]
+    elif kind == "*=":
+        stream *= 2
+    elif kind == "pop" and stream:
+        stream.pop()
+    elif kind == "del" and stream:
+        del stream[at]
+    elif kind == "remove" and stream:
+        stream.remove(stream[at])
+    elif kind == "reverse":
+        stream.reverse()
+    elif kind == "sort":
+        stream.sort(key=repr)
+    elif kind == "clear":
+        stream.clear()
+    elif kind == "init":
+        stream.__init__([value])
 
 
 def replay(stream, quantizer):
@@ -611,7 +659,7 @@ def replay(stream, quantizer):
 
 @settings(
     derandomize=True,
-    max_examples=150,
+    max_examples=200,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
@@ -622,24 +670,15 @@ def replay(stream, quantizer):
     unpacked=st.booleans(),
     data=st.data(),
 )
-def test_edited_lists_decode_and_pack_as_without_the_memo(either_path, bits, n, seed, unpacked, data):
+def test_edited_lists_decode_and_pack_as_a_plain_copy(either_path, bits, n, seed, unpacked, data):
     quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, bits)
     y = generate_trace(REF_AR4, UNIT_NOISE, n, seed=seed).y
     stream, _ = encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), y)
     if unpacked:
         stream = unpack_indices(pack_indices(np.array(stream), bits), bits, n)
-    for kind, where, value in data.draw(st.lists(entry_edits(bits), max_size=3)):
-        if kind == "set" and stream:
-            stream[where % len(stream)] = value
-        elif kind == "append":
-            stream.append(value)
-        elif kind == "pop" and stream:
-            stream.pop()
-        elif kind == "clear":
-            stream.clear()
-    remembered = replay(stream, quantizer)
-    codec._last_listed = None
-    assert remembered == replay(stream, quantizer)
+    for kind, where, value in data.draw(st.lists(entry_edits(bits), min_size=1, max_size=3)):
+        edit(stream, kind, where, value)
+        assert replay(stream, quantizer) == replay(list(stream), quantizer), kind
 
 
 def run_everything():
