@@ -106,7 +106,12 @@ def ar1_fit(acov: Autocovariance) -> Ar1Approx:
         raise CsiFeedbackError("need kappa_x up to lag 1")
     kappa1 = float(acov.lags[1])
     beta = kappa1 / kappa0
-    return Ar1Approx(beta=beta, iota_var=kappa0 - kappa1 * kappa1 / kappa0)
+    # kappa1^2 can overflow where kappa1^2 / kappa0, at most kappa0, does not;
+    # only then is it taken as kappa1 * beta, so every finite fit keeps its bits
+    explained = kappa1 * kappa1 / kappa0
+    if not math.isfinite(explained):
+        explained = kappa1 * beta
+    return Ar1Approx(beta=beta, iota_var=kappa0 - explained)
 
 
 def mse_recursion(

@@ -93,15 +93,8 @@ class UniformQuantizer:
 
     def quantize_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized quantize for offline experiments; NaN or infinite values raise."""
-        values = np.asarray(values, dtype=float)
-        if not np.isfinite(values).all():
-            raise NonFiniteInput("cannot quantize NaN or infinite values")
         half = 1 << (self.bits - 1)
-        # saturate in float, where value / step may overflow to inf: an
-        # out-of-range int64 cast wraps around
-        with np.errstate(over="ignore"):
-            levels = np.divide(values, self.step)
-        np.clip(np.floor(levels, out=levels), -half, half - 1, out=levels)
+        levels = _levels(np.asarray(values, dtype=float), self.step, half)
         indices = levels.astype(np.int64)
         indices += half
         levels += 0.5  # levels is exactly indices - half, an integer of at most 2^52
@@ -119,6 +112,36 @@ class UniformQuantizer:
         if index != int(index):
             raise UnknownIndex(f"index {index} is not an integer")
         return (index - (1 << (self.bits - 1)) + 0.5) * self.step
+
+
+def _levels(values: np.ndarray, step, half, out=None) -> np.ndarray:
+    """Signed levels floor(values / step) saturated to [-half, half - 1], as floats.
+
+    ``step`` and ``half`` are scalars or ``(widths, 1)`` columns that
+    broadcast against ``values``.  NaN or infinite values raise
+    NonFiniteInput.
+    """
+    if not np.isfinite(values).all():
+        raise NonFiniteInput("cannot quantize NaN or infinite values")
+    # saturate in float, where value / step may overflow to inf: an
+    # out-of-range int64 cast wraps around
+    with np.errstate(over="ignore"):
+        levels = np.divide(values, step, out=out)
+    return np.clip(np.floor(levels, out=levels), -half, half - 1, out=levels)
+
+
+def _reproduce_rows(quantizers, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row i of ``out`` becomes ``quantizers[i].quantize_many(values)[1]``, bit for bit.
+
+    One broadcast pass over every width; ``out`` has shape
+    ``(len(quantizers), values.size)``.
+    """
+    step = np.array([[q.step] for q in quantizers])
+    half = np.array([[1 << (q.bits - 1)] for q in quantizers], dtype=float)
+    levels = _levels(values, step, half, out)
+    levels += 0.5
+    levels *= step
+    return levels
 
 
 class EncoderState:

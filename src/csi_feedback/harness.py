@@ -353,10 +353,11 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     (``NoiseSpec(0)``), (3) the proposed closed-loop codec.  Each is averaged
     over ``trials`` seeded traces, each generated once; the two codec schemes
     of every width and trial are encoded together by one kernel call, which
-    keeps no indices.  A mean squared error that overflows to inf raises
-    DegenerateCovariance naming the scheme and the width, and a NaN or
-    infinite quantizer input NonFiniteInput naming the scheme, the width, the
-    trial and the sample.
+    keeps no indices, and the direct reproductions of every width are formed
+    and scored together, one trial at a time.  A mean squared error that
+    overflows to inf raises DegenerateCovariance naming the scheme and the
+    width, and a NaN or infinite quantizer input NonFiniteInput naming the
+    scheme, the width, the trial and the sample.
     """
     model, noise = config.model, config.noise
     params = bounds.make_scheme_params(model, noise, config.predictor_order)
@@ -396,13 +397,22 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
         for trial, trace in enumerate(traces):
             recon[:, trial] -= trace.x
         codec_errors = codec._mean_squares(recon)
-        for bits, per_trial in zip(config.quantizer_bits, codec_errors):
-            direct_q = codec.UniformQuantizer.loaded(bits, direct_std)
+        del recon  # the direct block below then does not add to the peak memory
+        direct_qs = [
+            codec.UniformQuantizer.loaded(bits, direct_std) for bits in config.quantizer_bits
+        ]
+        # the direct reproductions of every width, one trial at a time, in one reused block
+        block = np.empty((len(direct_qs), predictions[0].size))
+        direct_errors = []
+        for trace, predicted in zip(traces, predictions):
+            codec._reproduce_rows(direct_qs, predicted, block)
+            block -= trace.x[order:]
+            direct_errors.append(codec._mean_squares(block))
+        per_width = zip(config.quantizer_bits, zip(*direct_errors), codec_errors)
+        for bits, direct, per_trial in per_width:
             sums = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
-            for trace, predicted, (open_loop, closed_loop) in zip(traces, predictions, per_trial):
-                _, errors = direct_q.quantize_many(predicted)
-                errors -= trace.x[order:]
-                sums[DIRECT_QUANTIZATION] += codec._mean_squares(errors)
+            for direct_error, (open_loop, closed_loop) in zip(direct, per_trial):
+                sums[DIRECT_QUANTIZATION] += direct_error
                 sums[AR1_OPEN_LOOP] += open_loop
                 sums[CLOSED_LOOP] += closed_loop
 

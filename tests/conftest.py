@@ -1,9 +1,22 @@
 """Shared fixtures: reference models and session-scoped long traces."""
 
+import warnings
+
 import pytest
 
 from csi_feedback import _kernel, autocovariance, generate_trace
 from shared import REF_AR1, REF_AR4, UNIT_NOISE
+
+
+# Hypothesis's pytest plugin imports this module while it reports a failing
+# test, and the import warns; under filterwarnings = ["error"] that warning
+# ends the session with INTERNALERROR, and later tests neither run nor report
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst.metadata.type_inference_provider  # noqa: F401
+    except ImportError:  # without libcst, Hypothesis imports nothing here
+        pass
 
 
 @pytest.fixture(params=["kernel", "fallback"])

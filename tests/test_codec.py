@@ -41,6 +41,31 @@ from csi_feedback.errors import (
 _FINITE_INPUT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e300, -1e300])
 
 
+# steps at both ends of the float range, and ordinary ones
+_STEP = (
+    st.floats(5e-324, 2.2250738585072014e-308)
+    | st.floats(1e300, 1.7976931348623157e308)
+    | st.floats(1e-3, 1e3)
+)
+
+
+@st.composite
+def _quantizers_and_values(draw):
+    """Quantizers of any width, and inputs on their level boundaries k * step,
+    at and beyond their clips, and whose value / step overflows."""
+    quantizer = st.builds(UniformQuantizer, st.integers(1, MAX_BITS), _STEP)
+    quantizers = draw(st.lists(quantizer, min_size=1, max_size=5))
+    values = []
+    for q in quantizers:
+        half = 1 << (q.bits - 1)
+        k = draw(st.integers(-half - 2, half + 1) | st.sampled_from([-half, half - 1, half]))
+        beyond = draw(st.floats(1.0, 1e3))
+        edges = [k * q.step, q.clip, -q.clip, beyond * q.clip, -beyond * q.clip]
+        values += [v for v in edges if math.isfinite(v)]  # the clip of a huge step may not be
+    values += draw(st.lists(_FINITE_INPUT, max_size=8))
+    return quantizers, draw(st.permutations(values))
+
+
 class TestUniformQuantizer:
     def test_midrise_rounding(self):
         q = UniformQuantizer(bits=3, step=1.0)
@@ -125,6 +150,25 @@ class TestUniformQuantizer:
             q.quantize(bad)
         with pytest.raises(ValueError, match="cannot quantize NaN or infinite values"):
             q.quantize_many(np.array([*values, bad]))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=_quantizers_and_values(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_reproduced_rows_are_the_reproductions_of_quantize_many(self, case, bad):
+        quantizers, values = case
+        values = np.array(values)
+        rows = np.empty((len(quantizers), values.size))
+        # a huge step may reproduce a level beyond the largest float, as inf
+        with np.errstate(over="ignore"):
+            assert codec._reproduce_rows(quantizers, values, rows) is rows
+            for q, row in zip(quantizers, rows):
+                recons = q.quantize_many(values)[1]
+                # bit for bit, so the sign of a zero too
+                assert np.array_equal(row.view(np.int64), recons.view(np.int64))
+                assert row.tolist() == [q.quantize(v)[1] for v in values.tolist()]
+        rows = np.empty((len(quantizers), values.size + 1))
+        for bad_values in (np.array([*values, bad]), np.array([bad, *values])):
+            with pytest.raises(NonFiniteInput, match="^cannot quantize NaN or infinite values$"):
+                codec._reproduce_rows(quantizers, bad_values, rows)
 
     def test_quantize_many_leaves_its_input(self):
         values = np.linspace(-3.0, 3.0, 101)

@@ -654,12 +654,34 @@ class TestCli:
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "z.csv")]) == 1
         assert "kappa_x(0) must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["theory", "codec", "validate"])
-    def test_overflowing_ar1_fit_is_exit_1(self, tmp_path, capsys, command):
-        # finite, but kappa_x(1)^2 overflows in the AR(1) fit
-        cfg = self.write(tmp_path, make_config(innovation_var=1e200))
-        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
-        assert "AR(1) fit of the channel overflows" in capsys.readouterr().err
+    NO_PRACTICAL = ("aperiodic_prediction", "aperiodic_zh", "periodic", "uniform_aperiodic")
+    BAD_GRID = "[0.0, 1.3333333333333334e+201]"
+
+    @pytest.mark.parametrize(
+        "command, text, code, error",
+        [
+            ("codec", "", 0, ""),
+            ("validate", "", 0, ""),
+            ("theory", f"schemes = {', '.join(NO_PRACTICAL)}\n", 0, ""),
+            # the practical floor still loses the scale
+            ("theory", "", 1, f"error: practical_ar1: need 0 < d_min < d_max, got {BAD_GRID}\n"),
+        ],
+        ids=["codec", "validate", "theory", "theory with practical_ar1"],
+    )
+    def test_an_ar1_fit_whose_lag_1_square_overflows_keeps_its_scale(
+        self, tmp_path, capsys, either_path, command, text, code, error
+    ):
+        # kappa(1)^2 = 1.8e400 overflows, though kappa(1)^2 / kappa(0) = 3.3e199 does not
+        cfg = self.write(
+            tmp_path,
+            "ar_coeffs = 0.5\ninnovation_var = 1e200\nobs_noise_var = 0\n"
+            f"quantizer_bits = 2, 4\ntrials = 1\nsamples_per_trial = 2000\n{text}",
+        )
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == code
+        out, err = capsys.readouterr()
+        assert err == error
+        if command == "validate":
+            assert out.endswith("all checks passed\n")
 
     @pytest.mark.parametrize(
         "grid", ["", "d_min = 1e300\nd_max = 1e308\n"], ids=["auto", "explicit"]
