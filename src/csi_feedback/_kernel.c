@@ -16,7 +16,9 @@
  * recursion, gain_step, as their Python twins call analysis.gain_step.
  * Bit-identity holds only without floating-point contraction: build with
  * -ffp-contract=off, since a fused multiply-add rounds once where the Python
- * code rounds twice.  _kernel.py compiles and loads this file.
+ * code rounds twice.  _kernel.py compiles and loads this file, adding
+ * -msse4.1 where the CPU has SSE4.1: floor in encoder_step is then one
+ * roundsd instead of the SSE2 baseline's emulation, and exact either way.
  *
  * Rows are independent streams.  Per-row arrays of length `order` (AR
  * coefficients, histories, per-lag error variances) are concatenated in row
@@ -31,6 +33,16 @@
  * order, so its bits do not depend on the rows beside it.  Its `work` holds
  * two rings for every row of a block, encode_rows_work doubles.  decode_row
  * decodes one row through one ring.
+ *
+ * Encoder and decoder form their predictions through one helper, predict,
+ * which takes the newest value as its own argument and the older ones from
+ * the ring.  The decoder keeps its newest reconstruction in a local from one
+ * sample to the next, so a sample does not wait on storing it into the ring
+ * and loading it back; the sum keeps its operations and their order, from
+ * 0.0.  The 0.0 stays: without it, a prediction whose products are all -0.0
+ * would be -0.0, and a quantized term (level + 0.5) * step that underflows
+ * to -0.0 would then reconstruct as -0.0 where DecoderState.decode_step gives
+ * +0.0.
  */
 
 #include <math.h>
@@ -59,11 +71,13 @@ static void ring_store(double *values, const double *ring, int64_t head, int64_t
         values[m] = ring[head + m];
 }
 
-/* sum_m a_m h_m in lag order, starting from 0.0 */
-static double predict(const double *a, const double *window, int64_t order)
+/* sum_m a_m h_m in lag order, starting from 0.0, with the newest value h_0
+ * passed as `newest` and the older ones read from window[1 .. order) */
+static double predict(const double *a, double newest, const double *window, int64_t order)
 {
     double total = 0.0;
-    for (int64_t m = 0; m < order; m++)
+    total += a[0] * newest;
+    for (int64_t m = 1; m < order; m++)
         total += a[m] * window[m];
     return total;
 }
@@ -142,7 +156,8 @@ static int encoder_step(struct encoder *e, int64_t k)
     const double *a = e->a, *p = e->p;
     const int64_t order = e->order;
     const double step = p[P_STEP], half = p[P_HALF], gain = e->gain;
-    double prediction = predict(a, e->h + e->hh, order);
+    const double *window = e->h + e->hh;
+    double prediction = predict(a, window[0], window, order);
     double value = gain * (e->y[k] - prediction);
     if (!isfinite(value))
         return 0;
@@ -284,9 +299,11 @@ void decode_row(int64_t n, int64_t order, const double *a, double step, double h
 {
     int64_t head = 0;
     ring_load(work, history, order);
+    double newest = work[0];
     for (int64_t k = 0; k < n; k++) {
-        recon[k] = predict(a, work + head, order) + ((double)indices[k] - half + 0.5) * step;
-        head = ring_push(work, head, order, recon[k]);
+        newest = predict(a, newest, work + head, order) + ((double)indices[k] - half + 0.5) * step;
+        recon[k] = newest;
+        head = ring_push(work, head, order, newest);
     }
     ring_store(history, work, head, order);
 }

@@ -8,6 +8,10 @@ both run ``lfilter``'s operation order; only the tests import lfilter.
 ``load()`` compiles ``_kernel.c`` on first use with the system C compiler
 into a per-user cache, ``~/.cache/csi_feedback``, under a name keyed by the
 sha256 of the source and the compiler command, and loads it through ctypes.
+The command is ``COMPILE``, plus ``-msse4.1`` on an x86-64 host whose CPU
+has SSE4.1 (``_command``), so that ``floor`` is one instruction instead of
+the compiler's emulation for the SSE2 baseline; floor is exact either way,
+so the bits are the same.
 When that fails it logs one warning and returns None, and the callers run the
 Python loops instead, whose outputs are the same bits.  Every non-static
 function of ``_kernel.c`` has its ctypes signature in ``_SIGNATURES``:
@@ -33,6 +37,8 @@ log = logging.getLogger(__name__)
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no contraction: a fused multiply-add would round differently from the Python loops
 COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+SSE41 = "-msse4.1"
+CPUINFO = Path("/proc/cpuinfo")
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
@@ -47,20 +53,44 @@ _SIGNATURES = {
 }
 
 
+def _command(machine: str, cpuinfo: Path = CPUINFO) -> tuple[str, ...]:
+    """The compile command on a host of architecture ``machine``.
+
+    ``COMPILE`` plus ``SSE41`` on x86-64 when the first ``flags`` line of
+    ``cpuinfo`` names sse4_1; ``COMPILE`` on another machine, or when the
+    file cannot be read or names no such flag, since a build for SSE4.1
+    stops on an older CPU with an illegal instruction.
+    """
+    if machine != "x86_64":
+        return COMPILE
+    try:
+        with cpuinfo.open("rb") as lines:
+            flags = next((line for line in lines if line.startswith(b"flags")), b"")
+    except OSError:
+        return COMPILE
+    return (*COMPILE, SSE41) if b"sse4_1" in flags.partition(b":")[2].split() else COMPILE
+
+
+def _library(command: tuple[str, ...]) -> Path:
+    """Cache path of the kernel built by ``command``, keyed by the source and the command."""
+    key = hashlib.sha256(SOURCE.read_bytes() + " ".join(command).encode()).hexdigest()[:16]
+    return Path.home() / ".cache" / "csi_feedback" / f"kernel-{platform.machine()}-{key}.so"
+
+
 def _build() -> Path:
     """Path of the compiled kernel, compiling it if the cache lacks it."""
-    key = hashlib.sha256(SOURCE.read_bytes() + " ".join(COMPILE).encode()).hexdigest()[:16]
-    cache = Path.home() / ".cache" / "csi_feedback"
-    library = cache / f"kernel-{platform.machine()}-{key}.so"
+    command = _command(platform.machine())
+    library = _library(command)
     if library.exists():
         return library
+    cache = library.parent
     cache.mkdir(parents=True, exist_ok=True)
     # compile to a private name, then rename: a concurrent reader never sees a partial file
     handle, partial = tempfile.mkstemp(dir=cache, prefix=f"{library.stem}-", suffix=".tmp")
     os.close(handle)
     try:
         subprocess.run(
-            [*COMPILE, "-o", partial, str(SOURCE)], check=True, capture_output=True, text=True
+            [*command, "-o", partial, str(SOURCE)], check=True, capture_output=True, text=True
         )
         os.replace(partial, library)
     finally:

@@ -470,14 +470,27 @@ def run_codec(
 
     ``reference`` (the true channel states) scores the encoder's
     reconstruction: the empirical MSE is finite, or DegenerateCovariance
-    when a squared error overflows to inf.
+    when a squared error overflows to inf.  It must be a one-dimensional
+    float array as long as the observations, with at least one sample:
+    CsiFeedbackError otherwise, before anything is encoded.
     """
+    observations = np.ascontiguousarray(observations, dtype=float)
+    try:
+        reference = np.asarray(reference, dtype=float)
+    except (TypeError, ValueError):  # a ragged list, a string
+        reference = None
+    if reference is None or reference.shape != (observations.size,) or not observations.size:
+        got = "no float array" if reference is None else f"shape {reference.shape}"
+        raise CsiFeedbackError(
+            "reference must be a one-dimensional float array as long as the observations, with"
+            f" at least one sample; got {got} for {observations.size} observations"
+        )
     encoder = EncoderState(model, noise, quantizer)
     decoder = DecoderState(model, quantizer)
     indices, encoder_recon = encode_sequence(encoder, observations)
     decoder_recon = decode_sequence(decoder, indices)
     with np.errstate(over="ignore"):  # an overflow is checked by _finite
-        mse = _mean_squares(np.asarray(reference, dtype=float) - encoder_recon)
+        mse = _mean_squares(reference - encoder_recon)
     return CodecOutput(
         indices=indices,
         encoder_recon=encoder_recon,

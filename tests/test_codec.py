@@ -599,3 +599,23 @@ class TestRunCodecScore:
         q = innovation_quantizer(ar4, noise, 4)
         with pytest.raises(DegenerateCovariance, match="run_codec: mean squared error overflows"):
             run_codec(ar4, noise, q, trace.y, reference)
+
+    @pytest.mark.parametrize(
+        "n, reference",
+        [
+            (0, np.zeros(0)),
+            (10, np.zeros(5)),
+            (10, np.zeros((2, 10))),
+            (10, 0.0),
+            (10, None),
+            (10, [[0.0], [0.0, 1.0]]),
+            (10, "reference"),
+        ],
+        ids=["empty", "short", "2-D", "scalar", "None", "ragged", "string"],
+    )
+    def test_reference_of_another_shape_is_rejected(self, ar4, noise, either_path, n, reference):
+        trace = generate_trace(ar4, noise, 10, seed=3)
+        q = innovation_quantizer(ar4, noise, 4)
+        with pytest.raises(CsiFeedbackError, match="reference must be a one-dimensional") as caught:
+            run_codec(ar4, noise, q, trace.y[:n], reference)
+        assert type(caught.value) is CsiFeedbackError

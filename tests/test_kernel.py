@@ -46,10 +46,10 @@ from csi_feedback import (
     unpack_indices,
 )
 from csi_feedback import _kernel, analysis, channel, codec
-from csi_feedback.codec import MAX_BITS
+from csi_feedback.codec import MAX_BITS, UniformQuantizer
 from csi_feedback.errors import CsiFeedbackError, NonConvergence, NonFiniteInput, UnknownIndex
 from shared import REF_AR1, REF_AR4, UNIT_NOISE
-from test_codec import _ar_from_pacf
+from test_codec import _FINITE_INPUT, _STEP, _ar_from_pacf
 
 
 def step_encode(state, observations):
@@ -167,6 +167,52 @@ def test_blocks_match_step_loops_across_boundaries(data):
             if with_indices:
                 assert indices[r].tolist() == expected_indices, r
             assert same_bits(recon[r], expected_recon), r
+    assert [encoder_state(s) for s in states] == [encoder_state(o) for o in oracles]
+
+
+@st.composite
+def _quantizer_edges(draw):
+    """Quantizers of any width, and one stream of inputs on their level
+    boundaries k * step and one ulp below them, at -0.0, at the levels -half,
+    half - 1 and half, beyond the clips, and whose value / step overflows.
+    Each step keeps its noise variance step^2 / 12 finite, as
+    innovation_quantizer requires, so every reconstruction and the encoder
+    state stay finite."""
+    quantizer = st.builds(UniformQuantizer, st.integers(1, MAX_BITS), _STEP)
+    quantizer = quantizer.filter(lambda q: math.isfinite(q.noise_var))
+    quantizers = draw(st.lists(quantizer, min_size=1, max_size=3))
+    values = [-0.0, 0.0, 1.7976931348623157e308, -1.7976931348623157e308]
+    for q in quantizers:
+        half = 1 << (q.bits - 1)
+        levels = st.integers(-half - 2, half + 1) | st.sampled_from([-half, half - 1, half])
+        for k in draw(st.lists(levels, min_size=1, max_size=4)):
+            values += [k * q.step, math.nextafter(k * q.step, -math.inf)]
+        beyond = draw(st.floats(1.0, 1e3))
+        values += [beyond * q.clip, -beyond * q.clip]
+    values += draw(st.lists(_FINITE_INPUT, max_size=8))
+    # k * step or a multiple of the clip may overflow
+    return quantizers, draw(st.permutations([v for v in values if math.isfinite(v)]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(edges=_quantizer_edges())
+@example(edges=([UniformQuantizer(1, 5e-324)], [-0.0, -5e-324, 0.0, 5e-324]))  # -0.0 levels
+@example(edges=([UniformQuantizer(53, 0.1)], [1e308, -1e308, -0.1, 0.1]))  # value / step is inf
+def test_quantizer_step_matches_the_step_loop_at_its_edges(edges):
+    # noise-free AR(1) with a zero coefficient: the gain is 1 and the prediction
+    # +0.0, so every quantizer input is its observation, bit for bit
+    if _kernel.load() is None:
+        pytest.skip("without the compiled kernel the rows run through the step loop itself")
+    quantizers, values = edges
+    model, clean = ArModel((0.0,), 1.0), NoiseSpec(0.0)
+    states = [EncoderState(model, clean, q) for q in quantizers]
+    oracles = [EncoderState(model, clean, q) for q in quantizers]
+    y = np.array(values)
+    indices, recon = encode_batch(states, [y] * len(states))
+    for r, oracle in enumerate(oracles):
+        expected_indices, expected_recon = step_encode(oracle, y)
+        assert indices[r].tolist() == expected_indices, r
+        assert same_bits(recon[r], expected_recon), r  # the sign of a zero too
     assert [encoder_state(s) for s in states] == [encoder_state(o) for o in oracles]
 
 
@@ -713,13 +759,40 @@ def test_fallback_without_compiler_gives_the_same_bits(monkeypatch, caplog):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    # the build's own command, with warnings as errors, into a private directory
-    subprocess.run(
-        [*_kernel.COMPILE, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"),
-         str(_kernel.SOURCE)],
-        check=True,
-        capture_output=True,
-    )
+    # this host's command and the one without the x86 flag, with warnings as
+    # errors, into a private directory
+    for command in {_kernel._command(platform.machine()), _kernel.COMPILE}:
+        subprocess.run(
+            [*command, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"),
+             str(_kernel.SOURCE)],
+            check=True,
+            capture_output=True,
+        )
+
+
+@pytest.mark.parametrize(
+    "machine, cpuinfo, flagged",
+    [
+        ("x86_64", b"processor\t: 0\nflags\t\t: fpu sse2 ssse3 sse4_1 sse4_2\n", True),
+        ("x86_64", b"processor\t: 0\nflags\t\t: fpu sse2 ssse3\n", False),
+        # only the first flags line counts
+        ("x86_64", b"flags\t\t: fpu sse2\n\nflags\t\t: fpu sse2 sse4_1\n", False),
+        ("x86_64", b"vmx flags\t: sse4_1\nprocessor\t: 0\n", False),
+        ("x86_64", None, False),  # unreadable
+        ("aarch64", b"flags\t\t: fpu sse2 sse4_1\n", False),
+        ("AMD64", b"flags\t\t: fpu sse2 sse4_1\n", False),
+    ],
+    ids=["sse4_1", "no-sse4_1", "second-line", "vmx-flags", "unreadable", "aarch64", "amd64"],
+)
+def test_sse41_flag_only_where_the_cpu_names_it(tmp_path, machine, cpuinfo, flagged):
+    path = tmp_path / "cpuinfo"
+    if cpuinfo is not None:
+        path.write_bytes(cpuinfo)
+    command = _kernel._command(machine, path)
+    expected = (*_kernel.COMPILE, _kernel.SSE41) if flagged else _kernel.COMPILE
+    assert command == expected
+    # the flag enters the cache key through the command
+    assert (_kernel._library(command) != _kernel._library(_kernel.COMPILE)) is flagged
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -752,17 +825,19 @@ def test_a_new_build_prunes_all_but_the_two_newest(tmp_path, monkeypatch):
 
 # Packs a stream at every width, encodes two blocks and a remainder of rows
 # that mix AR(1) and AR(4), and decodes a row, through the kernel build named on
-# the command line, else through _kernel.load(); prints the sha256 of every
-# output.
+# the command line, through the Python loops given "fallback", else through
+# _kernel.load(); prints the sha256 of every output.
 _KERNEL_RUN = """
 import hashlib, sys
 import numpy as np
 import csi_feedback as c
 from csi_feedback import _kernel
+lib = _kernel.load()
+assert lib is not None
+block = lib.encode_rows_work(1 << 20, 1) // 4
 if len(sys.argv) > 1:
-    lib = _kernel._open(sys.argv[1])
+    lib = None if sys.argv[1] == "fallback" else _kernel._open(sys.argv[1])
     _kernel.load = lambda: lib
-assert _kernel.load() is not None
 digest = hashlib.sha256()
 rng = np.random.default_rng(3)
 for bits in range(1, c.codec.MAX_BITS + 1):
@@ -774,7 +849,6 @@ for bits in range(1, c.codec.MAX_BITS + 1):
 model, noise = c.ArModel((0.5, 0.2, 0.1, 0.05), 1.0), c.NoiseSpec(1.0)
 ar1 = c.ArModel((0.9,), 0.19)
 trace = c.generate_trace(model, noise, 300, seed=3)
-block = _kernel.load().encode_rows_work(1 << 20, 1) // 4
 models = [model if r % 2 else ar1 for r in range(2 * block + 1)]
 quantizers = [c.innovation_quantizer(m, noise, 2 + r % 7) for r, m in enumerate(models)]
 states = [c.EncoderState(m, noise, q) for m, q in zip(models, quantizers)]
@@ -787,28 +861,49 @@ print(digest.hexdigest())
 """
 
 
+def kernel_run_digest(*build, **env):
+    """The digest _KERNEL_RUN prints through ``build`` (a library path or
+    "fallback", else the normal build), with ``env`` added; it must exit 0."""
+    src = str(Path(csi_feedback.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _KERNEL_RUN, *build],
+        env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def build_kernel(path, command):
+    subprocess.run(
+        [*command, "-o", str(path), str(_kernel.SOURCE)], check=True, capture_output=True
+    )
+    return str(path)
+
+
 def assert_sanitized_build_runs_clean(tmp_path, flags, **env):
     """Build _kernel.c with ``flags`` and run _KERNEL_RUN through it, with
     ``env`` added, and through the normal build: both exit 0 with one digest."""
     if _kernel.load() is None:
         pytest.skip("the kernel cannot be built on this host")
-    sanitized = tmp_path / "kernel-sanitized.so"
-    flags = [*flags, "-ffp-contract=off", "-shared", "-fPIC"]
-    subprocess.run(
-        ["cc", *flags, "-o", str(sanitized), str(_kernel.SOURCE)], check=True, capture_output=True
-    )
-    src = str(Path(csi_feedback.__file__).resolve().parents[1])
-    digests = []
-    for build, extra in (([], {}), ([str(sanitized)], env)):
-        result = subprocess.run(
-            [sys.executable, "-c", _KERNEL_RUN, *build],
-            env=dict(os.environ, PYTHONPATH=src, **extra),
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        digests.append(result.stdout)
-    assert digests[0] == digests[1]
+    command = ["cc", *flags, "-ffp-contract=off", "-shared", "-fPIC"]
+    sanitized = build_kernel(tmp_path / "kernel-sanitized.so", command)
+    assert kernel_run_digest() == kernel_run_digest(sanitized, **env)
+
+
+@pytest.mark.skipif(
+    shutil.which("cc") is None or _kernel.SSE41 not in _kernel._command(platform.machine()),
+    reason="needs an x86-64 CPU with SSE4.1 and a C compiler",
+)
+def test_builds_with_and_without_sse41_give_the_fallback_bits(tmp_path):
+    # floor is exact with the SSE2 emulation and with roundsd alike
+    builds = [
+        build_kernel(tmp_path / "kernel-sse2.so", _kernel.COMPILE),
+        build_kernel(tmp_path / "kernel-sse41.so", (*_kernel.COMPILE, _kernel.SSE41)),
+        "fallback",
+    ]
+    assert len({kernel_run_digest(build) for build in builds}) == 1
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
