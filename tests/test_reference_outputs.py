@@ -9,7 +9,8 @@ Moving them is a visible output change: regenerate them with
     PYTHONPATH=src python tests/test_reference_outputs.py
 
 which rewrites ``reference_outputs.json`` and prints the digests to paste
-here, and give the reason in CHANGES.md.  The JSON holds the sha256 prefix of
+here (``normalized_theory``'s into NORMALIZED_THEORY_SHA256: ``theory`` with
+normalized_bounds = true), and give the reason in CHANGES.md.  The JSON holds the sha256 prefix of
 each block of lines, only to say where an output moved.
 """
 
@@ -36,6 +37,8 @@ REFERENCE_SHA256 = {
     "validate": "3e6e1e65c8ac3b37eb6aea4dd7f86ed7012a2a2bf2b30b8538c96c90ecc49097",
     "trace": "5beb04b736beb92401eef51226aedf1686e104b71607359f4bcff44e0d94909b",
 }
+# ``theory`` with normalized_bounds = true, the other form of the aperiodic bounds
+NORMALIZED_THEORY_SHA256 = "895a784203ea46fd93cb19f6996d8ade6b48e43ae7d797cfd5acee30b239f071"
 
 SMALL_CONFIG = """
 ar_coeffs = 0.5, 0.2, 0.1, 0.05
@@ -107,6 +110,25 @@ def test_reference_outputs_keep_their_digests(tmp_path):
     assert not moved, "outputs moved on demos/reference.cfg:\n" + "\n".join(moved)
 
 
+def normalized_theory(out_dir: Path) -> tuple[int, bytes]:
+    """Exit code and CSV of ``theory`` on demos/reference.cfg with normalized_bounds = true."""
+    text = REFERENCE_CONFIG.read_text()
+    assert "normalized_bounds = false" in text
+    config, path = out_dir / "normalized.cfg", out_dir / "normalized.csv"
+    config.write_text(text.replace("normalized_bounds = false", "normalized_bounds = true"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["theory", "--config", str(config), "--out", str(path)])
+    return code, path.read_bytes()
+
+
+def test_normalized_theory_keeps_its_digest(tmp_path, either_path):
+    code, data = normalized_theory(tmp_path)
+    assert code == 0, f"normalized theory exited {code}"
+    assert hashlib.sha256(data).hexdigest() == NORMALIZED_THEORY_SHA256, (
+        "normalized theory: " + moved_lines("normalized_theory", data)
+    )
+
+
 def test_kernel_and_fallback_write_the_same_bytes(tmp_path, monkeypatch):
     if _kernel.load() is None:
         pytest.skip("no compiled kernel to compare with the fallback")
@@ -133,6 +155,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch:
         outputs = run_commands(REFERENCE_CONFIG, Path(scratch))
+        outputs["normalized_theory"] = normalized_theory(Path(scratch))
     recorded = {}
     for command, (code, data) in outputs.items():
         per_block = max(1, -(-len(data.splitlines()) // MAX_BLOCKS))
