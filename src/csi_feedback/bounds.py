@@ -127,6 +127,39 @@ def _sum_log2_theta_sq(coeffs: PredictorCoefficients) -> float:
     return float(np.sum(np.log2(theta_sq)))
 
 
+def _clamped(rate: float) -> float:
+    """max(0.0, rate), which is 0.0 for NaN and -0.0 too."""
+    return rate if rate > 0.0 else 0.0
+
+
+def _rate_at(d_x: float, floor: float, rates, below: str, clamp: bool) -> float:
+    """One point of a scheme's rate rule: ``rates([d_x])`` above ``floor``, else
+    DistortionBelowFloor with ``below.format(d_x, floor)``."""
+    if d_x <= floor:
+        raise DistortionBelowFloor(below.format(d_x, floor))
+    (rate,) = rates([d_x])
+    return _clamped(rate) if clamp else rate
+
+
+# Each scheme's rate is one rule (floor, rates): ``rates`` maps distortions above
+# the floor to raw rates, taking the terms that do not depend on D once per call.
+# ``sweep`` calls it on the points of a curve above the floor, and only if there
+# are any, so a constant that raises does so only where a point would have.
+
+
+def _prediction_rule(p: SchemeParams, normalized: bool):
+    floor = p.coeffs.sigma_p_sq
+
+    def rates(distortions):
+        if normalized:
+            constant = (p.log_det_ky + p.log2_theta_sq_sum) / (2.0 * p.coeffs.order)
+        else:
+            constant = p.log_det_ky + 0.5 * p.log2_theta_sq_sum
+        return [constant - 0.5 * math.log2(d - floor) for d in distortions]
+
+    return floor, rates
+
+
 def rate_aperiodic_prediction(
     d_x: float, p: SchemeParams, normalized: bool = False, clamp: bool = True
 ) -> float:
@@ -137,16 +170,30 @@ def rate_aperiodic_prediction(
     returns the raw expression (useful for curve-shift comparisons; physical
     rates are non-negative).
     """
-    floor = p.coeffs.sigma_p_sq
-    if d_x <= floor:
-        raise DistortionBelowFloor(f"D={d_x} <= sigma_P^2={floor}")
-    log_weights = p.log2_theta_sq_sum
-    gap = -0.5 * math.log2(d_x - floor)
-    if normalized:
-        rate = (p.log_det_ky + log_weights) / (2.0 * p.coeffs.order) + gap
-    else:
-        rate = p.log_det_ky + 0.5 * log_weights + gap
-    return max(0.0, rate) if clamp else rate
+    return _rate_at(d_x, *_prediction_rule(p, normalized), "D={} <= sigma_P^2={}", clamp)
+
+
+def _zh_rule(p: SchemeParams, normalized: bool):
+    alpha, floor = p.zh.alpha, p.zh.sigma_z_sq
+    if alpha == 0.0:
+        raise DegenerateCovariance("zero-holding weight alpha underflows to 0")
+
+    def rates(distortions):
+        sigma_y_sq = p.acov.sigma_x_sq + p.noise.obs_noise_var
+        if normalized:
+            scale = alpha**2 * sigma_y_sq
+            ratios = [scale / (d - floor) for d in distortions]
+            if 0.0 in ratios:
+                raise DegenerateCovariance(
+                    "normalized zero-holding ratio alpha^2 sigma_y^2 / (D - sigma_Z^2) "
+                    f"underflows to 0: alpha={alpha}"
+                )
+            return [0.5 * math.log2(ratio) for ratio in ratios]
+        entropy = _log2(TWO_PI_E, sigma_y_sq, "2 pi e sigma_y^2", divide=False)
+        constant = 0.25 * entropy + 0.5 * math.log2(alpha)
+        return [constant - 0.5 * math.log2(TWO_PI_E * (d - floor)) for d in distortions]
+
+    return floor, rates
 
 
 def rate_aperiodic_zh(
@@ -160,27 +207,7 @@ def rate_aperiodic_zh(
     or in the normalized form that ratio, that underflows to 0 has no log and
     raises DegenerateCovariance.
     """
-    if p.zh.alpha == 0.0:
-        raise DegenerateCovariance("zero-holding weight alpha underflows to 0")
-    floor = p.zh.sigma_z_sq
-    if d_x <= floor:
-        raise DistortionBelowFloor(f"D={d_x} <= sigma_Z^2={floor}")
-    sigma_y_sq = p.acov.sigma_x_sq + p.noise.obs_noise_var
-    if normalized:
-        ratio = p.zh.alpha**2 * sigma_y_sq / (d_x - floor)
-        if ratio == 0.0:
-            raise DegenerateCovariance(
-                "normalized zero-holding ratio alpha^2 sigma_y^2 / (D - sigma_Z^2) "
-                f"underflows to 0: alpha={p.zh.alpha}"
-            )
-        rate = 0.5 * math.log2(ratio)
-    else:
-        rate = (
-            0.25 * _log2(TWO_PI_E, sigma_y_sq, "2 pi e sigma_y^2", divide=False)
-            + 0.5 * math.log2(p.zh.alpha)
-            - 0.5 * math.log2(TWO_PI_E * (d_x - floor))
-        )
-    return max(0.0, rate) if clamp else rate
+    return _rate_at(d_x, *_zh_rule(p, normalized), "D={} <= sigma_Z^2={}", clamp)
 
 
 def nu_variance(model: ArModel, noise: NoiseSpec) -> float:
@@ -194,18 +221,40 @@ def nu_variance(model: ArModel, noise: NoiseSpec) -> float:
     return filter_mse * sum_a_sq + model.innovation_var + noise.obs_noise_var
 
 
+def _periodic_rule(p: SchemeParams):
+    floor = p.coeffs.sigma_p_sq
+
+    def rates(distortions):
+        weights = 0.5 * p.log2_theta_sq_sum
+        what = "sigma_nu^2 / (D - sigma_P^2)"
+        return [0.5 * _log2(p.sigma_nu_sq, d - floor, what) + weights for d in distortions]
+
+    return floor, rates
+
+
 def rate_periodic(d_x: float, p: SchemeParams, clamp: bool = True) -> float:
     """Lower bound on bits per sample for periodic innovation feedback.
 
     A quotient sigma_nu^2 / (D - sigma_P^2) out of the float range is logged
     as a difference of logs (``_log2``).
     """
-    floor = p.coeffs.sigma_p_sq
-    if d_x <= floor:
-        raise DistortionBelowFloor(f"D={d_x} <= sigma_P^2={floor}")
-    gap = _log2(p.sigma_nu_sq, d_x - floor, "sigma_nu^2 / (D - sigma_P^2)")
-    rate = 0.5 * gap + 0.5 * p.log2_theta_sq_sum
-    return max(0.0, rate) if clamp else rate
+    return _rate_at(d_x, *_periodic_rule(p), "D={} <= sigma_P^2={}", clamp)
+
+
+def _uniform_rule(sigma_x_sq: float, sigma_p_sq: float):
+    def rates(targets):
+        variance = sigma_x_sq + sigma_p_sq
+        scale = math.sqrt(TWO_PI_E * variance) / 12.0
+        if scale < math.inf:
+            what = "sqrt(2 pi e (sigma_x^2 + sigma_P^2)) / 12 / (D - sigma_P^2)"
+            return [0.5 * _log2(scale, d - sigma_p_sq, what) for d in targets]
+        log_scale = analysis._log2_sqrt_two_pi_e(variance, "2 pi e (sigma_x^2 + sigma_P^2)")
+        return [
+            0.5 * (log_scale - _log2(12.0, d - sigma_p_sq, "12 (D - sigma_P^2)", divide=False))
+            for d in targets
+        ]
+
+    return sigma_p_sq, rates
 
 
 def rate_uniform_aperiodic(
@@ -217,19 +266,8 @@ def rate_uniform_aperiodic(
     (``_log2``), and a scale sqrt(2 pi e (sigma_x^2 + sigma_P^2)) that
     overflows as a sum of logs (``analysis._log2_sqrt_two_pi_e``).
     """
-    if mse_target <= sigma_p_sq:
-        raise DistortionBelowFloor(f"target {mse_target} <= sigma_P^2={sigma_p_sq}")
-    variance = sigma_x_sq + sigma_p_sq
-    scale = math.sqrt(TWO_PI_E * variance) / 12.0
-    gap = mse_target - sigma_p_sq
-    if scale < math.inf:
-        rate = 0.5 * _log2(scale, gap, "sqrt(2 pi e (sigma_x^2 + sigma_P^2)) / 12 / (D - sigma_P^2)")
-    else:
-        rate = 0.5 * (
-            analysis._log2_sqrt_two_pi_e(variance, "2 pi e (sigma_x^2 + sigma_P^2)")
-            - _log2(12.0, gap, "12 (D - sigma_P^2)", divide=False)
-        )
-    return max(0.0, rate) if clamp else rate
+    rule = _uniform_rule(sigma_x_sq, sigma_p_sq)
+    return _rate_at(mse_target, *rule, "target {} <= sigma_P^2={}", clamp)
 
 
 def distortion_floor(scheme: Scheme, p: SchemeParams) -> float:
@@ -288,24 +326,27 @@ def sweep(
     if not 0 < d_min < d_max:
         raise CsiFeedbackError("need 0 < d_min < d_max")
 
-    # rate(d, *args) for this scheme, chosen once per curve
-    if scheme is Scheme.APERIODIC_PREDICTION:
-        rate, args = rate_aperiodic_prediction, (params, normalized)
-    elif scheme is Scheme.APERIODIC_ZH:
-        rate, args = rate_aperiodic_zh, (params, normalized)
-    elif scheme is Scheme.PERIODIC:
-        rate, args = rate_periodic, (params,)
-    elif scheme is Scheme.UNIFORM_APERIODIC:
-        rate, args = rate_uniform_aperiodic, (params.acov.sigma_x_sq, params.coeffs.sigma_p_sq)
-    else:
-        # read from the module on every sweep, so a wrapper put there sees each call
+    grid = _log_grid(d_min, d_max, n_points).tolist()
+    if scheme is Scheme.PRACTICAL_AR1:
+        # read from the module on every sweep, so a wrapper put there sees each point
         rate, args = analysis.rate_practical, (params.ar1, params.noise, params.ar1_gain)
+        points: list[RdPoint] = []
+        skipped = 0
+        for d in grid:
+            try:
+                points.append(RdPoint(d, rate(d, *args)))
+            except DistortionBelowFloor:
+                skipped += 1
+        return RdCurve(scheme=scheme, points=points, skipped=skipped)
 
-    points: list[RdPoint] = []
-    skipped = 0
-    for d in _log_grid(d_min, d_max, n_points).tolist():
-        try:
-            points.append(RdPoint(d, rate(d, *args)))
-        except DistortionBelowFloor:
-            skipped += 1
-    return RdCurve(scheme=scheme, points=points, skipped=skipped)
+    if scheme is Scheme.APERIODIC_PREDICTION:
+        floor, rates = _prediction_rule(params, normalized)
+    elif scheme is Scheme.APERIODIC_ZH:
+        floor, rates = _zh_rule(params, normalized)
+    elif scheme is Scheme.PERIODIC:
+        floor, rates = _periodic_rule(params)
+    else:
+        floor, rates = _uniform_rule(params.acov.sigma_x_sq, params.coeffs.sigma_p_sq)
+    kept = [d for d in grid if not d <= floor]
+    points = list(map(RdPoint, kept, map(_clamped, rates(kept)))) if kept else []
+    return RdCurve(scheme=scheme, points=points, skipped=n_points - len(kept))

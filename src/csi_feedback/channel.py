@@ -54,8 +54,24 @@ class ArModel:
         object.__setattr__(self, "order", len(coeffs))
 
     def characteristic_roots(self) -> np.ndarray:
-        """Roots of z^L - a_1 z^{L-1} - ... - a_L."""
-        return np.roots([1.0, *(-a for a in self.coeffs)])
+        """Roots of z^L - a_1 z^{L-1} - ... - a_L, bit for bit as ``np.roots`` finds them.
+
+        As np.roots does, it drops the trailing zero coefficients, takes the
+        eigenvalues of the companion matrix of the rest (first row a_1..a_n,
+        ones below the diagonal) and appends one zero root per dropped
+        coefficient, in the eigenvalues' dtype; it skips np.roots' generic set-up.
+        """
+        n = self.order
+        while n and self.coeffs[n - 1] == 0.0:
+            n -= 1
+        if n == 0:
+            return np.zeros(self.order)
+        companion = np.eye(n, k=-1)
+        companion[0] = self.coeffs[:n]
+        roots = np.linalg.eigvals(companion)
+        if n == self.order:
+            return roots
+        return np.concatenate((roots, np.zeros(self.order - n, roots.dtype)))
 
     @functools.cached_property
     def _acov_head(self) -> np.ndarray:
@@ -66,7 +82,7 @@ class ArModel:
 
     @functools.cached_property
     def _spectral_radius(self) -> float:
-        # max |root|; the one root of z - a_1 is a_1 itself, found without np.roots
+        # max |root|; the one root of z - a_1 is a_1 itself, found without eigenvalues
         if self.order == 1:
             return abs(self.coeffs[0])
         return float(np.max(np.abs(self.characteristic_roots())))
@@ -140,16 +156,16 @@ def _dot(coeffs, values) -> float:
 def _solve_yule_walker(model: ArModel) -> np.ndarray:
     """Check stationarity, then solve the Yule-Walker system for kappa_x(0..L)."""
     _check_stationary(model)
-    order = model.order
-    a = model.coeffs
-    system = np.eye(order + 1)
-    for tau in range(order + 1):
-        for m in range(1, order + 1):
-            system[tau, abs(tau - m)] -= a[m - 1]
-    rhs = np.zeros(order + 1)
-    rhs[0] = model.innovation_var
+    size = model.order + 1
+    # the identity minus each a_m at (tau, |tau - m|): the subtractions, in their
+    # order, of a build on a numpy matrix, in Python floats converted once
+    system = [[1.0 if tau == j else 0.0 for j in range(size)] for tau in range(size)]
+    for tau, row in enumerate(system):
+        for m, a in enumerate(model.coeffs, start=1):
+            row[abs(tau - m)] -= a
+    rhs = [model.innovation_var] + [0.0] * model.order
     try:
-        return np.linalg.solve(system, rhs)
+        return np.linalg.solve(np.array(system), np.array(rhs))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("Yule-Walker system is singular") from exc
 

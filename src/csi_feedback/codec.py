@@ -471,8 +471,9 @@ def run_codec(
     ``reference`` (the true channel states) scores the encoder's
     reconstruction: the empirical MSE is finite, or DegenerateCovariance
     when a squared error overflows to inf.  It must be a one-dimensional
-    float array as long as the observations, with at least one sample:
-    CsiFeedbackError otherwise, before anything is encoded.
+    float array as long as the observations, with at least one sample
+    (CsiFeedbackError otherwise), and every entry finite (NonFiniteInput,
+    naming the first bad sample), both checked before anything is encoded.
     """
     observations = np.ascontiguousarray(observations, dtype=float)
     try:
@@ -485,6 +486,11 @@ def run_codec(
             "reference must be a one-dimensional float array as long as the observations, with"
             f" at least one sample; got {got} for {observations.size} observations"
         )
+    finite = np.isfinite(reference)
+    if not finite.all():
+        first = int(finite.argmin())
+        value = reference[first]
+        raise NonFiniteInput(f"run_codec: reference is NaN or infinite at sample {first} ({value})")
     encoder = EncoderState(model, noise, quantizer)
     decoder = DecoderState(model, quantizer)
     indices, encoder_recon = encode_sequence(encoder, observations)

@@ -215,7 +215,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 _FLOAT = "%.17g"
 # CsvRow's field types, which write_csv formats and read_csv parses
 _CSV_TYPES = tuple(get_type_hints(CsvRow).values())
-_ROW_FORMAT = ",".join(_FLOAT if kind is float else "%s" for kind in _CSV_TYPES)
+_CSV_FORMATS = [_FLOAT if kind is float else "%s" for kind in _CSV_TYPES]
+# a CSV row in three pieces: the fields before distortion, distortion and rate, the rest
+_FIRST, _LAST = CSV_HEADER.index("distortion"), CSV_HEADER.index("rate_bits") + 1
+_HEAD_FORMAT = "".join(f"{spec}," for spec in _CSV_FORMATS[:_FIRST])
+_POINT_FORMAT = ",".join(_CSV_FORMATS[_FIRST:_LAST])
+_TAIL_FORMAT = "".join(f",{spec}" for spec in _CSV_FORMATS[_LAST:])
 
 
 def format_rows(header: str, row_format: str, rows) -> str:
@@ -226,8 +231,30 @@ def format_rows(header: str, row_format: str, rows) -> str:
 
 
 def format_csv(rows) -> str:
-    """Render rows with the fixed schema; floats keep 17 significant digits."""
-    return format_rows(",".join(CSV_HEADER), _ROW_FORMAT, rows)
+    """Render rows with the fixed schema; floats keep 17 significant digits.
+
+    Only distortion and rate are formatted on every row.  The other fields
+    are formatted once per run of rows that carry the very same objects
+    (compared with ``is``, so 0.0 and -0.0, or two equal ints of other
+    types, are formatted apart).
+    """
+    lines = [",".join(CSV_HEADER)]
+    shared = head = tail = None
+    for scheme, psi_sq, xi_sq, distortion, rate, source, seed, n_samples in rows:
+        if not (
+            shared is not None
+            and scheme is shared[0]
+            and psi_sq is shared[1]
+            and xi_sq is shared[2]
+            and source is shared[3]
+            and seed is shared[4]
+            and n_samples is shared[5]
+        ):
+            shared = (scheme, psi_sq, xi_sq, source, seed, n_samples)
+            head = _HEAD_FORMAT % shared[:3]
+            tail = _TAIL_FORMAT % shared[3:]
+        lines.append(head + _POINT_FORMAT % (distortion, rate) + tail)
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path: str | Path, rows) -> None:

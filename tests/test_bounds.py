@@ -25,8 +25,8 @@ from csi_feedback import (
 )
 from csi_feedback import analysis
 from csi_feedback.analysis import TWO_PI_E, _log2, _log2_sqrt_two_pi_e
-from csi_feedback.bounds import _log_grid, _sum_log2_theta_sq
-from csi_feedback.errors import DegenerateCovariance, DistortionBelowFloor
+from csi_feedback.bounds import RdCurve, RdPoint, _log_grid, _sum_log2_theta_sq
+from csi_feedback.errors import CsiFeedbackError, DegenerateCovariance, DistortionBelowFloor
 from test_channel import AR1_KAPPA0, random_stationary_model
 from test_codec import _ar_from_pacf
 from test_predictor import AR1_SIGMA_P_SQ, AR1_SIGMA_Z_SQ
@@ -298,6 +298,147 @@ class TestLogOfFactors:
             assert math.isfinite(rate_aperiodic_zh(d, params, clamp=False))
 
 
+def per_point_rate(scheme, p, d, normalized, clamp=True):
+    """A scheme's public per-point rate function at D = d."""
+    if scheme is Scheme.APERIODIC_PREDICTION:
+        return rate_aperiodic_prediction(d, p, normalized, clamp)
+    if scheme is Scheme.APERIODIC_ZH:
+        return rate_aperiodic_zh(d, p, normalized, clamp)
+    if scheme is Scheme.PERIODIC:
+        return rate_periodic(d, p, clamp)
+    if scheme is Scheme.UNIFORM_APERIODIC:
+        return rate_uniform_aperiodic(d, p.acov.sigma_x_sq, p.coeffs.sigma_p_sq, clamp)
+    return analysis.rate_practical(d, p.ar1, p.noise, p.ar1_gain, clamp)
+
+
+def element_by_element_rate(scheme, p, d, normalized, clamp=True):
+    """The four analytic rates as each was written per point before ``sweep`` took
+    them per curve: the oracle of their bits, errors included."""
+    if scheme is Scheme.APERIODIC_ZH and p.zh.alpha == 0.0:
+        raise DegenerateCovariance("zero-holding weight alpha underflows to 0")
+    floor = p.zh.sigma_z_sq if scheme is Scheme.APERIODIC_ZH else p.coeffs.sigma_p_sq
+    if d <= floor:
+        what = "sigma_Z^2" if scheme is Scheme.APERIODIC_ZH else "sigma_P^2"
+        lead = f"target {d}" if scheme is Scheme.UNIFORM_APERIODIC else f"D={d}"
+        raise DistortionBelowFloor(f"{lead} <= {what}={floor}")
+    if scheme is Scheme.APERIODIC_PREDICTION:
+        log_weights = p.log2_theta_sq_sum
+        gap = -0.5 * math.log2(d - floor)
+        if normalized:
+            rate = (p.log_det_ky + log_weights) / (2.0 * p.coeffs.order) + gap
+        else:
+            rate = p.log_det_ky + 0.5 * log_weights + gap
+    elif scheme is Scheme.APERIODIC_ZH:
+        sigma_y_sq = p.acov.sigma_x_sq + p.noise.obs_noise_var
+        if normalized:
+            ratio = p.zh.alpha**2 * sigma_y_sq / (d - floor)
+            if ratio == 0.0:
+                raise DegenerateCovariance(
+                    "normalized zero-holding ratio alpha^2 sigma_y^2 / (D - sigma_Z^2) "
+                    f"underflows to 0: alpha={p.zh.alpha}"
+                )
+            rate = 0.5 * math.log2(ratio)
+        else:
+            rate = (
+                0.25 * _log2(TWO_PI_E, sigma_y_sq, "2 pi e sigma_y^2", divide=False)
+                + 0.5 * math.log2(p.zh.alpha)
+                - 0.5 * math.log2(TWO_PI_E * (d - floor))
+            )
+    elif scheme is Scheme.PERIODIC:
+        gap = _log2(p.sigma_nu_sq, d - floor, "sigma_nu^2 / (D - sigma_P^2)")
+        rate = 0.5 * gap + 0.5 * p.log2_theta_sq_sum
+    else:
+        variance = p.acov.sigma_x_sq + floor
+        scale = math.sqrt(TWO_PI_E * variance) / 12.0
+        gap = d - floor
+        if scale < math.inf:
+            what = "sqrt(2 pi e (sigma_x^2 + sigma_P^2)) / 12 / (D - sigma_P^2)"
+            rate = 0.5 * _log2(scale, gap, what)
+        else:
+            rate = 0.5 * (
+                _log2_sqrt_two_pi_e(variance, "2 pi e (sigma_x^2 + sigma_P^2)")
+                - _log2(12.0, gap, "12 (D - sigma_P^2)", divide=False)
+            )
+    return max(0.0, rate) if clamp else rate
+
+
+def outcome(evaluate, *args):
+    """What a call gives, bit for bit: its value (a float's hex, or a curve's points
+    and skipped count), or the type and message of what it raised."""
+    try:
+        value = evaluate(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    if isinstance(value, float):
+        return value.hex()
+    return [(d.hex(), r.hex()) for d, r in value.points], value.skipped
+
+
+def per_point_curve(scheme, p, grid, normalized):
+    """The curve ``sweep`` gives, from one per-point call per grid point."""
+    points, skipped = [], 0
+    for d in grid:
+        try:
+            points.append(RdPoint(d, per_point_rate(scheme, p, d, normalized)))
+        except DistortionBelowFloor:
+            skipped += 1
+    return RdCurve(scheme, points, skipped)
+
+
+# the AR(1..8) models of TestAnalyticOracles (tests/test_analysis.py), with
+# sigma_xi^2 = 0 or sigma_psi^2 times 1e-6..1e6
+_BOUND_CASES = st.builds(
+    lambda pacf, drive, ratio: (ArModel(_ar_from_pacf(pacf), drive), NoiseSpec(drive * ratio)),
+    st.lists(st.floats(-0.98, 0.98), min_size=1, max_size=8),
+    st.floats(-3.0, 3.0).map(lambda exponent: 10.0**exponent),
+    st.just(0.0) | st.floats(-6.0, 6.0).map(lambda exponent: 10.0**exponent),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    case=_BOUND_CASES,
+    normalized=st.booleans(),
+    below=st.floats(0.25, 1.0),
+    above=st.floats(1.0, 64.0, exclude_min=True),
+    n=st.integers(2, 40),
+)
+# a zero weight theta (log2 weights -inf); alpha underflowing to 0; the normalized
+# zero-holding ratio underflowing to 0; an overflowing uniform scale; a grid from the floor
+@example(case=(ArModel((0.0,), 1.0), NoiseSpec(0.0)), normalized=False, below=0.5, above=4.0, n=9)
+@example(case=(ArModel((0.5,), 1e-300), NoiseSpec(1e300)), normalized=False, below=0.5, above=4.0, n=9)
+@example(case=(ArModel((0.5,), 1e-150), NoiseSpec(1e150)), normalized=True, below=0.5, above=4.0, n=9)
+@example(case=(ArModel((0.0,), 5e307), NoiseSpec(0.0)), normalized=False, below=0.5, above=3.0, n=9)
+@example(case=(ArModel((0.9, -0.2), 1e-3), NoiseSpec(0.0)), normalized=True, below=1.0, above=2.0, n=2)
+def test_sweep_matches_the_per_point_rates(case, normalized, below, above, n):
+    # every scheme on a grid from below its floor to above it: the same points
+    # and skipped count as one per-point call per grid point, or the same error
+    model, noise = case
+    try:
+        params = make_scheme_params(model, noise)
+    except CsiFeedbackError:
+        assume(False)
+    for scheme in ALL_SCHEMES:
+        try:
+            floor = distortion_floor(scheme, params)
+        except CsiFeedbackError:
+            floor = 0.0
+        if floor <= 0.0:  # nothing to straddle: a grid of the channel's scale
+            floor = params.acov.sigma_x_sq
+        d_min, d_max = floor * below, floor * above
+        if not 0.0 < d_min < d_max < math.inf:
+            continue
+        grid = _log_grid(d_min, d_max, n).tolist()
+        swept = outcome(sweep, scheme, params, d_min, d_max, n, normalized)
+        assert swept == outcome(per_point_curve, scheme, params, grid, normalized), scheme
+        if scheme is Scheme.PRACTICAL_AR1:
+            continue
+        for d in grid + [floor]:
+            for clamp in (False, True):
+                args = (scheme, params, d, normalized, clamp)
+                assert outcome(per_point_rate, *args) == outcome(element_by_element_rate, *args)
+
+
 class TestSweep:
     def test_two_points_descending_rate(self, ar1_params):
         curve = sweep(Scheme.PERIODIC, ar1_params, AR1_SIGMA_P_SQ * 1.001, 3.0, 2)
@@ -355,28 +496,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_points_match_per_point_evaluation(self, ar4_params, normalized):
-        # the per-point loop sweep ran before it chose the rate once per curve
-        def evaluate(scheme, d):
-            if scheme is Scheme.APERIODIC_PREDICTION:
-                return rate_aperiodic_prediction(d, ar4_params, normalized)
-            if scheme is Scheme.APERIODIC_ZH:
-                return rate_aperiodic_zh(d, ar4_params, normalized)
-            if scheme is Scheme.PERIODIC:
-                return rate_periodic(d, ar4_params)
-            if scheme is Scheme.UNIFORM_APERIODIC:
-                return rate_uniform_aperiodic(
-                    d, ar4_params.acov.sigma_x_sq, ar4_params.coeffs.sigma_p_sq
-                )
-            p = ar4_params
-            return analysis.rate_practical(d, p.ar1, p.noise, p.ar1_gain)
-
         for scheme in ALL_SCHEMES:
             floor = distortion_floor(scheme, ar4_params)
             curve = sweep(scheme, ar4_params, floor * 0.9, floor * 20, 37, normalized)
             expected, skipped = [], 0
             for d in np.geomspace(floor * 0.9, floor * 20, 37):
                 try:
-                    expected.append((float(d), evaluate(scheme, float(d))))
+                    expected.append((float(d), per_point_rate(scheme, ar4_params, float(d), normalized)))
                 except DistortionBelowFloor:
                     skipped += 1
             assert curve.points == expected, scheme

@@ -112,6 +112,36 @@ class TestStationarity:
         assert struct.pack("<d", radius) == struct.pack("<d", _roots_radius(a1))
 
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        head=st.lists(
+            st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300]),
+            max_size=8,
+        ),
+        zeros=st.lists(st.sampled_from([0.0, -0.0]), max_size=4),
+    )
+    @example(head=[], zeros=[0.0])  # every coefficient 0
+    @example(head=[], zeros=[-0.0, 0.0, -0.0])
+    @example(head=[0.5, 0.0, -0.0, 0.2], zeros=[-0.0])  # zeros inside are kept
+    @example(head=[0.9], zeros=[0.0, 0.0])
+    def test_characteristic_roots_are_np_roots(self, head, zeros):
+        # trailing zero coefficients are trimmed and come back as zero roots
+        coeffs = head + zeros
+        if not coeffs:
+            return
+        model = ArModel(tuple(coeffs), 1.0)
+
+        def outcome(find):
+            try:
+                roots = find()
+            except Exception as exc:  # compared, not swallowed
+                return type(exc), str(exc)
+            return roots.dtype, roots.shape, roots.tobytes()
+
+        expected = outcome(lambda: np.roots([1.0, *(-a for a in model.coeffs)]))
+        assert outcome(model.characteristic_roots) == expected
+
+
 class TestAutocovariance:
     def test_ar1_closed_form(self, ar1):
         acov = autocovariance(ar1, 3)
@@ -397,3 +427,33 @@ class TestModelSolvedOnce:
         solved = channel._solve_yule_walker(ArModel(model.coeffs, model.innovation_var))
         assert autocovariance(model, 3).lags.tobytes() == solved.tobytes()
         assert model.sigma_x_sq == float(solved[0])
+
+
+def element_by_element_yule_walker(model: ArModel) -> np.ndarray:
+    """The Yule-Walker solve as it was written on numpy scalars, the oracle of its bits."""
+    order = model.order
+    a = model.coeffs
+    system = np.eye(order + 1)
+    for tau in range(order + 1):
+        for m in range(1, order + 1):
+            system[tau, abs(tau - m)] -= a[m - 1]
+    rhs = np.zeros(order + 1)
+    rhs[0] = model.innovation_var
+    return np.linalg.solve(system, rhs)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    pacf=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=8),
+    drive=st.floats(-3.0, 3.0).map(lambda exponent: 10.0**exponent)
+    | st.sampled_from([0.0, 5e-324, 1e-300, 1e300]),
+)
+@example(pacf=[0.0], drive=1.0)
+@example(pacf=[0.5, 0.0, 0.0], drive=1.0)  # trailing zero coefficients
+@example(pacf=[0.999] * 8, drive=1e300)
+def test_yule_walker_system_is_built_as_element_by_element(pacf, drive):
+    model = ArModel(_ar_from_pacf(pacf), drive)
+    if not validate_stationarity(model):
+        return
+    expected = element_by_element_yule_walker(model)
+    assert channel._solve_yule_walker(model).tobytes() == expected.tobytes()

@@ -600,6 +600,24 @@ class TestRunCodecScore:
         with pytest.raises(DegenerateCovariance, match="run_codec: mean squared error overflows"):
             run_codec(ar4, noise, q, trace.y, reference)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reference_is_rejected_before_encoding(
+        self, ar4, noise, either_path, monkeypatch, bad
+    ):
+        # a NaN or infinite true state is bad input, not an overflow of the score
+        encoded, encode = [], codec.encode_sequence
+        monkeypatch.setattr(codec, "encode_sequence", lambda *a: encoded.append(a) or encode(*a))
+        trace = generate_trace(ar4, noise, 100, seed=3)
+        reference = trace.x.copy()
+        reference[3], reference[50] = bad, math.nan
+        q = innovation_quantizer(ar4, noise, 4)
+        message = rf"^run_codec: reference is NaN or infinite at sample 3 \({bad}\)$"
+        with pytest.raises(NonFiniteInput, match=message):
+            run_codec(ar4, noise, q, trace.y, reference)
+        assert not encoded
+        run_codec(ar4, noise, q, trace.y, trace.x)  # the wrapper passes a finite one through
+        assert len(encoded) == 1
+
     @pytest.mark.parametrize(
         "n, reference",
         [

@@ -169,6 +169,45 @@ _TAGS = st.sampled_from([DIRECT_QUANTIZATION, "theory", "simulation", "periodic"
 _ROWS = st.builds(CsvRow, _TAGS, _FLOATS, _FLOATS, _FLOATS, _FLOATS, _TAGS, _INTS, _INTS)
 
 
+def _equal_copy(value):
+    """An object equal to ``value`` (bit for bit, for a float) that is not ``value``."""
+    if isinstance(value, np.generic):
+        return type(value)(value.item())
+    if isinstance(value, float):
+        return struct.unpack("<d", struct.pack("<d", value))[0]
+    if isinstance(value, str):
+        return "".join(list(value))
+    return int(str(value)) if abs(value) > 256 else value  # CPython caches small ints
+
+
+def _other_zero(value):
+    """-0.0 for 0.0 and 0.0 for -0.0, of the same type; any other value as it is."""
+    return -value if value == 0.0 and isinstance(value, float) else value
+
+
+@st.composite
+def _row_runs(draw):
+    """Runs of rows whose shared fields (all but distortion and rate) are the very
+    same objects, equal but distinct objects, alternately 0.0 and -0.0, or a mix."""
+    rows = []
+    shared_floats = _FLOATS | st.sampled_from([0.0, -0.0, math.nan, np.float64(-0.0)])
+    for _ in range(draw(st.integers(0, 4))):
+        shared = [draw(_TAGS), draw(shared_floats), draw(shared_floats)]
+        shared += [draw(_TAGS), draw(_INTS), draw(_INTS)]
+        mode = draw(st.sampled_from(["same", "equal", "alternate", "mixed"]))
+        for index in range(draw(st.integers(1, 6))):
+            change = mode if mode != "mixed" else draw(st.sampled_from(["same", "equal", "alternate"]))
+            if change == "equal":
+                fields = [_equal_copy(value) for value in shared]
+            elif change == "alternate" and index % 2:
+                fields = [_other_zero(value) for value in shared]
+            else:
+                fields = shared
+            point = (draw(_FLOATS), draw(_FLOATS))
+            rows.append(CsvRow(*fields[:3], *point, *fields[3:]))
+    return rows
+
+
 class TestCsvSchema:
     def test_round_trip_is_lossless(self, tmp_path):
         rows = [
@@ -195,6 +234,15 @@ class TestCsvSchema:
     @example(rows=[CsvRow("s", *_SPECIAL_FLOATS[4:8], "t", 0, 0)])
     @example(rows=[CsvRow("s", *_SPECIAL_FLOATS[8:], np.float64(0.1), -0.0, "t", 1, 2)])
     def test_format_matches_fstring_oracle(self, rows):
+        assert format_csv(rows) == fstring_csv(rows)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(rows=_row_runs())
+    @example(rows=[CsvRow("s", z, z, 1.0, 2.0, "t", 0, 0) for z in (0.0, -0.0, 0.0, -0.0)])
+    @example(rows=[CsvRow("s", math.nan, x, 1.0, 2.0, "t", 0, 0) for x in (0.0, math.nan, -0.0)])
+    @example(rows=[CsvRow("s", 1.0, 1.0, 1.0, 2.0, "t", n, n) for n in (1, True, np.int64(1))])
+    def test_format_of_runs_of_shared_fields_matches_fstring_oracle(self, rows):
+        # shared fields are formatted once per run of the very same objects
         assert format_csv(rows) == fstring_csv(rows)
 
     def test_header_checked(self, tmp_path):
@@ -663,7 +711,8 @@ class TestCli:
             ("codec", "", 0, ""),
             ("validate", "", 0, ""),
             ("theory", f"schemes = {', '.join(NO_PRACTICAL)}\n", 0, ""),
-            # the practical floor still loses the scale
+            # not a loss of scale: with sigma_xi^2 = 0 the practical floor is exactly 0
+            # (gain 1, sigma_Q^2 = 0) at any scale; see test_empty_distortion_grid_is_exit_1
             ("theory", "", 1, f"error: practical_ar1: need 0 < d_min < d_max, got {BAD_GRID}\n"),
         ],
         ids=["codec", "validate", "theory", "theory with practical_ar1"],
