@@ -312,8 +312,8 @@ def per_point_rate(scheme, p, d, normalized, clamp=True):
 
 
 def element_by_element_rate(scheme, p, d, normalized, clamp=True):
-    """The four analytic rates as each was written per point before ``sweep`` took
-    them per curve: the oracle of their bits, errors included."""
+    """The four analytic rates at one point, each one expression in the order of its
+    formula: the oracle of the rules' bits, errors included."""
     if scheme is Scheme.APERIODIC_ZH and p.zh.alpha == 0.0:
         raise DegenerateCovariance("zero-holding weight alpha underflows to 0")
     floor = p.zh.sigma_z_sq if scheme is Scheme.APERIODIC_ZH else p.coeffs.sigma_p_sq

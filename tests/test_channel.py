@@ -430,7 +430,8 @@ class TestModelSolvedOnce:
 
 
 def element_by_element_yule_walker(model: ArModel) -> np.ndarray:
-    """The Yule-Walker solve as it was written on numpy scalars, the oracle of its bits."""
+    """The Yule-Walker solve with its system built element by element on a numpy
+    matrix: the oracle of its bits."""
     order = model.order
     a = model.coeffs
     system = np.eye(order + 1)
