@@ -209,7 +209,7 @@ class DecoderState:
 class CodecOutput:
     """Index stream plus both reconstructions and the encoder-side MSE."""
 
-    indices: list[int]
+    indices: array.array
     encoder_recon: np.ndarray
     decoder_recon: np.ndarray
     empirical_mse: float
@@ -317,61 +317,22 @@ def encode_batch(
     return np.array([codes for codes, _ in rows], dtype=np.int64).reshape(n_rows, n), recon
 
 
-def encode_sequence(state: EncoderState, observations) -> tuple[list[int], np.ndarray]:
+def encode_sequence(state: EncoderState, observations) -> tuple[array.array, np.ndarray]:
     """Encode a whole observation stream through one encoder state.
 
     Bit-identical to ``encode_step`` per sample, and leaves the state where
-    that loop would, so the stream can go on with either.  The index list
-    carries its codes, so ``decode_sequence`` and ``pack_indices`` do not
-    convert it while it is unchanged.
+    that loop would, so the stream can go on with either.  The indices come
+    as an ``array('q')``.
     """
     indices, recon = encode_batch([state], [observations])
-    return _listed(indices[0], state.quantizer.bits), recon[0]
+    return _stream(indices[0]), recon[0]
 
 
-class _IndexList(list):
-    """A ``list[int]`` of codewords that keeps the integer array it was listed from.
-
-    ``codes`` is that array, read-only, until a list method or operator
-    changes the list, which sets it to None; ``_codewords`` widens it to
-    int64 instead of converting the list.  Copies, slices and pickles are
-    plain lists.  An edit through ``list``'s own methods called on the
-    object (``list.append(stream, 2)``) goes round the subclass and is not
-    seen.
-    """
-
-    __slots__ = ("codes",)
-
-    def __reduce__(self):
-        return list, (list(self),)
-
-
-def _forgets_codes(method):
-    @functools.wraps(method)
-    def edit(self, *args, **kwargs):
-        self.codes = None
-        return method(self, *args, **kwargs)
-
-    return edit
-
-
-# every method and operator of list that changes the list in place
-for _name in ("__init__", "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-              "insert", "pop", "remove", "reverse", "sort", "clear"):
-    setattr(_IndexList, _name, _forgets_codes(getattr(list, _name)))
-
-
-def _listed(codes: np.ndarray, bits: int) -> list[int]:
-    """``codes.tolist()``, as a list that carries ``codes`` for ``_codewords``.
-
-    The list keeps them in the narrowest signed type that holds a ``bits``-bit
-    codeword, 1 to 8 bytes per index beside the list's own 40.
-    """
-    narrow = codes.astype(np.min_scalar_type(-(1 << bits)))
-    narrow.flags.writeable = False
-    listed = _IndexList(memoryview(narrow))  # iterates as the Python ints tolist() makes
-    listed.codes = narrow
-    return listed
+def _stream(codes: np.ndarray) -> array.array:
+    """The values of a contiguous one-dimensional int64 array as an ``array('q')``, in one copy."""
+    stream = array.array("q")
+    stream.frombytes(codes.view(np.uint8))
+    return stream
 
 
 def _is_int64(value) -> bool:
@@ -388,13 +349,14 @@ def _codewords(indices, bits: int) -> tuple[np.ndarray, tuple]:
     is the whole stream, else the 1-tuple of the entry that ends it, so that a
     None entry is not taken for the end.  A list of ints or an integer array
     needs no check per entry, only one pass over the values for the range,
-    and a list that ``_listed`` handed out is not converted while it is
-    unchanged: its codes are only widened.
+    and an ``array('q')`` is not converted at all: the prefix is a view of
+    its buffer, which cannot be resized while the view lives, so callers
+    drop it before they return or raise.
     """
     if isinstance(indices, np.ndarray):
         values = indices
-    elif type(indices) is _IndexList and indices.codes is not None:
-        values = indices.codes
+    elif isinstance(indices, array.array) and indices.typecode == "q":
+        values = np.frombuffer(indices, dtype=np.int64)
     else:
         if not isinstance(indices, list):
             indices = list(indices)
@@ -454,6 +416,7 @@ def decode_sequence(state: DecoderState, indices) -> np.ndarray:
             work.ctypes.data,
         )
         state.history = history.tolist()
+    del codes  # a view of an array('q') stream that a traceback kept would pin its size
     if bad:
         state.quantizer.dequantize(*bad)  # raises UnknownIndex
     return recon
@@ -582,6 +545,7 @@ def pack_indices(indices, bits: int) -> bytes:
     _check_width(bits)
     values, bad = _codewords(indices, bits)
     if bad:
+        del values  # as in decode_sequence
         raise UnknownIndex(f"index {bad[0]} is not a {bits}-bit codeword")
     lib = _kernel.load()
     if lib is None:
@@ -592,13 +556,13 @@ def pack_indices(indices, bits: int) -> bytes:
     return packed.tobytes()
 
 
-def unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
-    """Recover ``count`` codeword indices from an MSB-first packed stream.
+def unpack_indices(data: bytes, bits: int, count: int) -> array.array:
+    """Recover ``count`` codeword indices from an MSB-first packed stream, as an ``array('q')``.
 
-    The compiled kernel unpacks them; without it, numpy unpacks the bits into
-    the low columns of a (count, 64) bit matrix and packs its rows back into
-    big-endian 64-bit words.  The list carries its codes, as
-    ``encode_sequence``'s does.
+    Bytes beyond the first ceil(count * bits / 8) are not read.  The compiled
+    kernel unpacks straight into the array; without it, numpy unpacks the
+    bits into the low columns of a (count, 64) bit matrix and packs its rows
+    back into big-endian 64-bit words.
     """
     _check_width(bits)
     payload = np.frombuffer(data, dtype=np.uint8)
@@ -610,8 +574,7 @@ def unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
     if lib is None:
         matrix = np.zeros((count, 64), dtype=np.uint8)
         matrix[:, 64 - bits :] = np.unpackbits(payload, count=count * bits).reshape(count, bits)
-        values = np.packbits(matrix, axis=1).view(">u8").reshape(-1)
-    else:
-        values = np.empty(count, dtype=np.int64)
-        lib.unpack_bits(count, bits, payload.ctypes.data, values.ctypes.data)
-    return _listed(values, bits)
+        return _stream(np.packbits(matrix, axis=1).view(">u8").reshape(-1).astype(np.int64))
+    stream = array.array("q", [0]) * count
+    lib.unpack_bits(count, bits, payload.ctypes.data, stream.buffer_info()[0])
+    return stream

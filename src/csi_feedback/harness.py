@@ -8,6 +8,7 @@ the base seed and trials use disjoint streams seed + trial_index.
 
 from __future__ import annotations
 
+import array
 import logging
 import math
 import struct
@@ -279,27 +280,37 @@ def write_index_stream(path: str | Path, indices, bits: int) -> None:
     first, so a dump plus the decoder state is enough to replay a
     transmission and check encoder/decoder synchrony offline.
     """
-    if not isinstance(indices, (list, np.ndarray)):
+    if not isinstance(indices, (list, array.array, np.ndarray)):
         indices = list(indices)
     payload = codec.pack_indices(indices, bits)  # a width outside 1..53 raises CsiFeedbackError
     Path(path).write_bytes(_DUMP_HEADER.pack(_DUMP_MAGIC, bits, len(indices)) + payload)
 
 
-def read_index_stream(path: str | Path) -> tuple[list[int], int]:
+def read_index_stream(path: str | Path) -> tuple[array.array, int]:
     """Read a dump written by write_index_stream; returns (indices, bits).
 
-    A file that is not such a dump, or whose header claims a width outside
-    1..``codec.MAX_BITS`` or more indices than its payload holds, raises
+    The indices come as an ``array('q')``, as from ``codec.unpack_indices``.
+    A file that is not such a dump, whose header claims a width outside
+    1..``codec.MAX_BITS``, or whose payload is not exactly the
+    ceil(count * bits / 8) bytes that write_index_stream writes, raises
     ConfigError.
     """
     blob = Path(path).read_bytes()
     if len(blob) < _DUMP_HEADER.size or not blob.startswith(_DUMP_MAGIC):
         raise ConfigError(f"not an index-stream dump: {path}")
     _, bits, count = _DUMP_HEADER.unpack_from(blob)
+    payload = memoryview(blob)[_DUMP_HEADER.size :]
     try:
-        return codec.unpack_indices(memoryview(blob)[_DUMP_HEADER.size :], bits, count), bits
+        indices = codec.unpack_indices(payload, bits, count)
     except ValueError as exc:  # a width outside 1..53, or fewer bytes than the count needs
         raise ConfigError(f"corrupt index-stream dump {path}: {exc}") from exc
+    size = (count * bits + 7) // 8
+    if len(payload) != size:  # a count cut short, or bytes appended
+        raise ConfigError(
+            f"corrupt index-stream dump {path}: {count} {bits}-bit indices take {size} bytes,"
+            f" the payload has {len(payload)}"
+        )
+    return indices, bits
 
 
 def read_csv(path: str | Path) -> list[CsvRow]:

@@ -487,9 +487,9 @@ class TestIndexStream:
             assert len(packed) == (n_bits + 7) // 8
             if n_bits % 8:  # the last byte is zero-padded
                 assert packed[-1] & ((1 << (8 - n_bits % 8)) - 1) == 0
-            assert unpack_indices(packed, bits, len(indices)) == indices
+            assert unpack_indices(packed, bits, len(indices)).tolist() == indices
         assert pack_indices([], MAX_BITS) == b""
-        assert unpack_indices(b"", MAX_BITS, 0) == []
+        assert unpack_indices(b"", MAX_BITS, 0).tolist() == []
 
     def test_msb_first_layout(self):
         # two 3-bit indices 0b101, 0b001 pack as 10100100

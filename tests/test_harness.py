@@ -530,7 +530,25 @@ class TestIndexStreamDump:
             write_index_stream(tmp_path / name, stream, 6)
             dumps.append((tmp_path / name).read_bytes())
         assert dumps[0] == dumps[1] == dumps[2]
-        assert read_index_stream(tmp_path / "array") == (codes.tolist(), 6)
+        replayed, bits = read_index_stream(tmp_path / "array")
+        assert (replayed.tolist(), bits) == (codes.tolist(), 6)
+
+    @pytest.mark.parametrize("edit", ["count cut to 64", "7 bytes appended"])
+    def test_rejects_a_payload_longer_than_its_count_needs(self, tmp_path, edit):
+        from csi_feedback.harness import write_index_stream
+
+        path = tmp_path / "stream.bin"
+        write_index_stream(path, np.random.default_rng(19).integers(0, 1 << 6, 640), 6)
+        blob = path.read_bytes()
+        if edit == "count cut to 64":
+            blob = blob[:5] + (64).to_bytes(8, "big") + blob[13:]
+            message = "64 6-bit indices take 48 bytes, the payload has 480$"
+        else:
+            blob += bytes(7)
+            message = "640 6-bit indices take 480 bytes, the payload has 487$"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError, match=f"^corrupt index-stream dump .*: {message}"):
+            read_index_stream(path)
 
     def test_rejects_foreign_blob(self, tmp_path):
         path = tmp_path / "junk.bin"
