@@ -42,7 +42,7 @@ from csi_feedback import (
     pack_indices,
     unpack_indices,
 )
-from csi_feedback import _kernel, analysis, channel, codec
+from csi_feedback import _kernel, analysis, channel, codec, harness
 from csi_feedback.codec import MAX_BITS, UniformQuantizer
 from csi_feedback.errors import CsiFeedbackError, NonConvergence, NonFiniteInput, UnknownIndex
 from shared import REF_AR1, REF_AR4, UNIT_NOISE
@@ -590,13 +590,15 @@ def test_packing_allocates_near_the_stream_size():
     assert unpack_peak < 17e6
 
 
-def test_streams_are_int64_arrays_read_in_place(either_path):
+def test_streams_are_int64_arrays_read_in_place(either_path, tmp_path):
     quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 6)
     trace = generate_trace(REF_AR4, UNIT_NOISE, 500, seed=107)
     encoded, _ = encode_sequence(EncoderState(REF_AR4, UNIT_NOISE, quantizer), trace.y)
     unpacked = unpack_indices(pack_indices(encoded, 6), 6, len(encoded))
     output = codec.run_codec(REF_AR4, UNIT_NOISE, quantizer, trace.y, trace.x)
-    for stream in (encoded, unpacked, output.indices):
+    harness.write_index_stream(tmp_path / "stream.bin", encoded, 6)
+    read, _ = harness.read_index_stream(tmp_path / "stream.bin")
+    for stream in (encoded, unpacked, output.indices, read):
         assert type(stream) is array.array and stream.typecode == "q"
         assert stream == encoded
     codes, bad = codec._codewords(unpacked, 6)
