@@ -90,17 +90,17 @@ def make_scheme_params(model: ArModel, noise: NoiseSpec, order: int | None = Non
 
     The autocovariance reaches max(order, model order), so a predictor of lower
     order than the channel works.  A channel with zero variance, or one so
-    large that its AR(1) fit or kappa_y(0) = sigma_x^2 + sigma_xi^2 overflows,
-    raises DegenerateCovariance.
+    large that a lag of kappa_x or kappa_y(0) = sigma_x^2 + sigma_xi^2
+    overflows, raises DegenerateCovariance.
     """
     if order is None:
         order = model.order
     acov = autocovariance(model, max(order, model.order))
+    lags = acov.lags.tolist()
+    bad = next((tau for tau, value in enumerate(lags) if not math.isfinite(value)), None)
+    if bad is not None:  # the AR(1) fit of finite lags is finite: |beta| <= about 1
+        raise DegenerateCovariance(f"channel autocovariance overflows: kappa_x({bad})={lags[bad]}")
     ar1 = analysis.ar1_fit(acov)
-    if not (math.isfinite(ar1.beta) and math.isfinite(ar1.iota_var)):
-        raise DegenerateCovariance(
-            f"AR(1) fit of the channel overflows: beta={ar1.beta}, sigma_iota^2={ar1.iota_var}"
-        )
     if not math.isfinite(acov.sigma_x_sq + noise.obs_noise_var):
         raise DegenerateCovariance(
             f"observation variance overflows: sigma_x^2={acov.sigma_x_sq}, "
@@ -319,12 +319,15 @@ def sweep(
     """Evaluate a scheme's rate on a log-spaced distortion grid.
 
     Grid points at or below the scheme's floor are skipped and counted in the
-    curve's ``skipped`` field rather than aborting the sweep.
+    curve's ``skipped`` field rather than aborting the sweep.  A grid that is
+    not 0 < d_min < d_max, or whose d_max is inf, raises naming the scheme.
     """
     if n_points < 2:
         raise CsiFeedbackError("n_points must be >= 2")
     if not 0 < d_min < d_max:
-        raise CsiFeedbackError("need 0 < d_min < d_max")
+        raise CsiFeedbackError(f"{scheme.value}: need 0 < d_min < d_max, got [{d_min}, {d_max}]")
+    if d_max == math.inf:  # 10 sigma_x^2 may overflow
+        raise CsiFeedbackError(f"{scheme.value}: d_max overflows to inf")
 
     grid = _log_grid(d_min, d_max, n_points).tolist()
     if scheme is Scheme.PRACTICAL_AR1:

@@ -18,7 +18,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from . import analysis, bounds, codec
+from . import analysis, bounds, codec, predictor
 from .channel import ArModel, NoiseSpec, generate_trace
 from .errors import ConfigError, NonFiniteInput
 
@@ -343,10 +343,6 @@ def run_theory_sweep(config: ExperimentConfig) -> list[CsvRow]:
         auto_min, auto_max = bounds.default_distortion_grid(scheme, params)
         d_min = config.d_min if config.d_min is not None else auto_min
         d_max = config.d_max if config.d_max is not None else auto_max
-        if not 0 < d_min < d_max:
-            raise ConfigError(f"{scheme.value}: need 0 < d_min < d_max, got [{d_min}, {d_max}]")
-        if d_max == math.inf:  # 10 sigma_x^2 may overflow
-            raise ConfigError(f"{scheme.value}: d_max overflows to inf")
         curve = bounds.sweep(
             scheme, params, d_min, d_max, config.n_points, normalized=config.normalized_bounds
         )
@@ -359,18 +355,6 @@ def run_theory_sweep(config: ExperimentConfig) -> list[CsvRow]:
     if skipped_total:
         log.info("theory sweep skipped %d grid points below scheme floors", skipped_total)
     return rows
-
-
-def _predicted_states(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """One-step predictions sum_l theta[l-1] y[k-l]; entry j forecasts x[order + j].
-
-    Summed oldest lag first from 0.0, an order a matrix product leaves unspecified.
-    """
-    order, n = theta.size, y.size
-    predictions = np.zeros(n - order)
-    for lag in range(order, 0, -1):
-        predictions += theta[lag - 1] * y[order - lag : n - lag]
-    return predictions
 
 
 def _encode(states, observations, labels) -> np.ndarray:
@@ -411,7 +395,7 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
         for trial in range(config.trials)
     ]
     order = coeffs.theta.size
-    predictions = [_predicted_states(trace.y, coeffs.theta) for trace in traces]
+    predictions = [predictor._forecasts(trace.y, coeffs.theta)[:-1] for trace in traces]
     states, observations, labels = [], [], []
     for bits in config.quantizer_bits:
         open_loop_q = codec.UniformQuantizer.loaded(bits, open_loop_std)
@@ -526,7 +510,7 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
     coeffs, zh = params.coeffs, params.zh
     trace = generate_trace(model, noise, config.samples_per_trial, config.seed)
 
-    predictions = _predicted_states(trace.y, coeffs.theta)
+    predictions = predictor._forecasts(trace.y, coeffs.theta)[:-1]
     with np.errstate(over="ignore"):  # an overflow is checked below
         empirical_p = codec._mean_squares(trace.x[order:] - predictions)
         empirical_z = codec._mean_squares(trace.x[1:] - zh.alpha * trace.y[:-1])

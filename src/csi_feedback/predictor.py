@@ -71,15 +71,27 @@ def mmse_coefficients(acov: Autocovariance, noise: NoiseSpec, order: int) -> Pre
     return PredictorCoefficients(theta=theta, sigma_p_sq=sigma_p_sq)
 
 
+def _forecasts(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Forecasts sum_l theta[l-1] y[k-l] of x[k], k = order..y.size; the last is past y's end.
+
+    Summed oldest lag first from 0.0, an order a matrix product leaves unspecified.
+    """
+    order, n = theta.size, y.size
+    forecasts = np.zeros(n - order + 1)
+    for lag in range(order, 0, -1):
+        forecasts += theta[lag - 1] * y[order - lag : n + 1 - lag]
+    return forecasts
+
+
 def predict_one_step(coeffs: PredictorCoefficients, window) -> float:
-    """One-step forecast sum_l theta_l * y_{k+1-l}.
+    """One-step forecast sum_l theta_l * y_{k+1-l}, the bits ``validate`` and ``codec`` use.
 
     ``window`` is ordered oldest to newest, (y_{k-L+1}, ..., y_k).
     """
     window = np.asarray(window, dtype=float)
     if window.shape != (coeffs.order,):
         raise DimensionMismatch(f"window length {window.shape} != order {coeffs.order}")
-    return float(np.dot(coeffs.theta, window[::-1]))
+    return float(_forecasts(window, coeffs.theta)[0])
 
 
 def zh_estimator(acov: Autocovariance, noise: NoiseSpec) -> ZhEstimator:

@@ -1,6 +1,7 @@
 """Rate-distortion lower bounds and curve sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -493,6 +494,19 @@ class TestSweep:
             sweep(Scheme.PERIODIC, ar1_params, 2.0, 3.0, 1)
         with pytest.raises(ValueError):
             sweep(Scheme.PERIODIC, ar1_params, 3.0, 2.0, 5)
+
+    # a white channel of variance 1e308, whose automatic d_max = 10 sigma_x^2 overflows
+    HUGE = (ArModel((0.0,), 1e308), NoiseSpec(0.0))
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda scheme: scheme.value)
+    def test_an_infinite_grid_end_raises_naming_the_scheme(self, ar1_params, scheme):
+        huge = make_scheme_params(*self.HUGE)
+        grids = [(ar1_params, 1.0, math.inf), (huge, *default_distortion_grid(scheme, huge))]
+        for params, d_min, d_max in grids:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy warning on the way
+                with pytest.raises(CsiFeedbackError, match=f"^{scheme.value}: "):
+                    sweep(scheme, params, d_min, d_max, 9)
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_points_match_per_point_evaluation(self, ar4_params, normalized):

@@ -79,7 +79,7 @@ BAD_ARGUMENTS = {
     ),
     "bounds sweep grid": (
         lambda: sweep(Scheme.PERIODIC, make_scheme_params(REF_AR1, UNIT_NOISE), 2.0, 1.0, 5),
-        "need 0 < d_min < d_max",
+        "periodic: need 0 < d_min < d_max, got [2.0, 1.0]",
     ),
     "channel no coefficient": (
         lambda: ArModel((), 1.0),

@@ -131,6 +131,10 @@ class TestConfigParsing:
             "ar_coeffs = nan",
             "ar_coeffs = 0.9\ninnovation_var = nan",
             "ar_coeffs = 0.9\nobs_noise_var = inf",
+            "ar_coeffs = ,",  # no coefficient
+            "ar_coeffs = 0.9\ninnovation_var = abc",
+            "ar_coeffs = 0.9\npredictor_order = 0",
+            "ar_coeffs = 0.9\nschemes = , ,",  # no scheme
         ],
     )
     def test_invalid_configs_rejected(self, text):
@@ -249,6 +253,28 @@ class TestCsvSchema:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError):
+            read_csv(path)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        rows = [
+            CsvRow("periodic", 1.0, 0.5, 2.0, 3.0, "theory", 0, 0),
+            CsvRow("periodic", 1.0, 0.5, 4.0, 1.5, "theory", 0, 0),
+        ]
+        head, first, second = format_csv(rows).splitlines()
+        path = tmp_path / "rows.csv"
+        path.write_text(f"{head}\n{first}\n\n  \n{second}\n")
+        assert read_csv(path) == rows
+
+    @pytest.mark.parametrize(
+        "change", [lambda fields: fields[:-1], lambda fields: fields + ["9"]], ids=["short", "long"]
+    )
+    def test_a_row_with_the_wrong_field_count_is_rejected(self, tmp_path, change):
+        row = CsvRow("periodic", 1.0, 0.5, 2.0, 3.0, "theory", 0, 0)
+        head, line = format_csv([row]).splitlines()
+        bad = ",".join(change(line.split(",")))
+        path = tmp_path / "rows.csv"
+        path.write_text(f"{head}\n{line}\n{bad}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"malformed CSV line: {bad!r}")):
             read_csv(path)
 
     def test_byte_identical_reruns(self):
@@ -417,7 +443,7 @@ class TestCodecExperiment:
             encode_sequence,
             innovation_quantizer,
         )
-        from csi_feedback.harness import _predicted_states
+        from csi_feedback.predictor import _forecasts
 
         config = parse_config_text(
             make_config(quantizer_bits="2,5,8", trials=3, samples_per_trial=1500)
@@ -441,7 +467,7 @@ class TestCodecExperiment:
             closed_loop_q = innovation_quantizer(model, noise, bits)
             expected = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
             for trace in traces:
-                predicted = _predicted_states(trace.y, params.coeffs.theta)
+                predicted = _forecasts(trace.y, params.coeffs.theta)[:-1]
                 quantized = direct_q.quantize_many(predicted)[1]
                 expected[DIRECT_QUANTIZATION] += float(np.mean((trace.x[order:] - quantized) ** 2))
                 open_loop = EncoderState(
@@ -481,17 +507,17 @@ class TestCodecExperiment:
 
     @pytest.mark.parametrize("order", range(1, 13))
     def test_predictions_summed_oldest_lag_first(self, order):
-        from csi_feedback.harness import _predicted_states
+        from csi_feedback.predictor import _forecasts
 
         rng = np.random.default_rng(order)
         y, theta = rng.normal(size=300), rng.normal(size=order)
         expected = []
-        for k in range(order, y.size):
+        for k in range(order, y.size + 1):  # the last forecast is of the sample after y
             total = 0.0
             for lag in range(order, 0, -1):
                 total += float(theta[lag - 1]) * float(y[k - lag])
             expected.append(total)
-        assert _predicted_states(y, theta).tolist() == expected
+        assert _forecasts(y, theta).tolist() == expected
 
 
 class TestIndexStreamDump:
@@ -769,6 +795,33 @@ class TestCli:
         cfg = self.write(tmp_path, f"{_HUGE_CHANNEL}samples_per_trial = 2000")
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "error: observation variance overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "channel, lag",
+        [
+            # kappa_x(0) = 1e308 / (1 - 0.81) overflows before the AR(1) fit is taken
+            ("ar_coeffs = 0.9\ninnovation_var = 1e308\n", 0),
+            # kappa_x(0) is 1.7e308, but the recursion for the lags past the model
+            # order overflows at lag 6
+            (
+                "ar_coeffs = 0.5804191003374896, 0.3166419489596291, 0.2851553399752111, "
+                "0.5778931935762937, -0.8793317947655022\ninnovation_var = 9.599233273447141e+306\n"
+                "predictor_order = 7\n",
+                6,
+            ),
+        ],
+        ids=["kappa_x(0)", "kappa_x(6)"],
+    )
+    @pytest.mark.parametrize("command", ["theory", "codec", "validate"])
+    def test_overflowing_channel_variance_is_exit_1(
+        self, tmp_path, capsys, either_path, command, channel, lag
+    ):
+        cfg = self.write(tmp_path, f"{channel}obs_noise_var = 1\nsamples_per_trial = 2000\n")
+        out = tmp_path / "o.csv"
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+        message = f"error: channel autocovariance overflows: kappa_x({lag})=inf\n"
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
 
     def test_overflowing_default_d_max_is_exit_1(self, tmp_path, capsys):
         # without noise kappa_y(0) is finite, but the automatic d_max = 10 sigma_x^2 is not

@@ -13,11 +13,16 @@ from csi_feedback import (
     PredictorCoefficients,
     ZhEstimator,
     autocovariance,
+    make_scheme_params,
     mmse_coefficients,
+    parse_config_text,
     predict_one_step,
+    run_codec_experiment,
+    validate_theory,
     zh_estimate,
     zh_estimator,
 )
+from csi_feedback import predictor
 from csi_feedback.bounds import log_det_ky
 from csi_feedback.errors import DimensionMismatch, SingularSystem
 from csi_feedback.predictor import _filtering_mse, kappa_y_matrix
@@ -156,6 +161,34 @@ class TestPredictOneStep:
         coeffs = mmse_coefficients(ar4_acov, noise, 4)
         with pytest.raises(DimensionMismatch):
             predict_one_step(coeffs, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "model_order, order",
+        [(L, order) for L in range(1, 9) for order in (L - 1, L, L + 2) if order >= 1],
+    )
+    def test_agrees_with_the_commands_bit_for_bit(self, monkeypatch, model_order, order):
+        # the forecasts validate and codec score, caught where they are made
+        made, forecasts = [], predictor._forecasts
+
+        def catch(y, theta):
+            made.append((y, forecasts(y, theta)))
+            return made[-1][1]
+
+        monkeypatch.setattr(predictor, "_forecasts", catch)
+        pacf = np.random.default_rng(model_order).uniform(-0.9, 0.9, model_order)
+        config = parse_config_text(
+            f"ar_coeffs = {', '.join(map(repr, _ar_from_pacf(pacf.tolist())))}\n"
+            f"obs_noise_var = 0.5\npredictor_order = {order}\nquantizer_bits = 4\n"
+            f"trials = 2\nsamples_per_trial = 300\nseed = {model_order}\n"
+        )
+        validate_theory(config)
+        run_codec_experiment(config)
+        monkeypatch.undo()  # predict_one_step calls the helper too
+        coeffs = make_scheme_params(config.model, config.noise, order).coeffs
+        assert len(made) == 3
+        for y, forecast in made:
+            one_by_one = [predict_one_step(coeffs, y[j : j + order]) for j in range(forecast.size)]
+            assert np.array(one_by_one).tobytes() == forecast.tobytes()
 
 
 class TestZeroHolding:
