@@ -36,13 +36,15 @@
  *
  * Encoder and decoder form their predictions through one helper, predict,
  * which takes the newest value as its own argument and the older ones from
- * the ring.  The decoder keeps its newest reconstruction in a local from one
- * sample to the next, so a sample does not wait on storing it into the ring
- * and loading it back; the sum keeps its operations and their order, from
- * 0.0.  The 0.0 stays: without it, a prediction whose products are all -0.0
- * would be -0.0, and a quantized term (level + 0.5) * step that underflows
- * to -0.0 would then reconstruct as -0.0 where DecoderState.decode_step gives
- * +0.0.
+ * the ring.  The decoder keeps its newest value in a local from one sample to
+ * the next, so a sample does not wait on storing it into the ring and loading
+ * it back.  The sum keeps the Python sum's operations and order but not its
+ * leading 0.0, one add less on the chain from sample to sample.  x + y is
+ * -0.0 in round-to-nearest only when x and y both are (IEEE 754-2008 6.3),
+ * so the Python sum, from +0.0, and the reconstruction built on it are never
+ * -0.0, while the kernel's differ from them at most in the sign of a zero.
+ * Its reconstruction r thus has r + 0.0 equal to the Python one: both
+ * callers store r + 0.0 into `recon` and the ring; decode_row keeps r.
  */
 
 #include <math.h>
@@ -71,12 +73,11 @@ static void ring_store(double *values, const double *ring, int64_t head, int64_t
         values[m] = ring[head + m];
 }
 
-/* sum_m a_m h_m in lag order, starting from 0.0, with the newest value h_0
- * passed as `newest` and the older ones read from window[1 .. order) */
+/* sum_m a_m h_m in lag order, not from 0.0, so that a zero sum may be -0.0,
+ * with h_0 passed as `newest` and the older ones read from window[1 .. order) */
 static double predict(const double *a, double newest, const double *window, int64_t order)
 {
-    double total = 0.0;
-    total += a[0] * newest;
+    double total = a[0] * newest;
     for (int64_t m = 1; m < order; m++)
         total += a[m] * window[m];
     return total;
@@ -168,7 +169,7 @@ static int encoder_step(struct encoder *e, int64_t k)
         level = half - 1.0;
     if (e->indices)
         e->indices[k] = (int64_t)(level + half);
-    e->recon[k] = prediction + (level + 0.5) * step;
+    e->recon[k] = prediction + (level + 0.5) * step + 0.0;
     e->hh = ring_push(e->h, e->hh, order, e->recon[k]);
     if (!e->settled)
         e->settled = gain_step(a, order, p[P_INNOVATION_VAR], p[P_NOISE_VAR], p[P_SIGMA_Q_SQ],
@@ -302,8 +303,8 @@ void decode_row(int64_t n, int64_t order, const double *a, double step, double h
     double newest = work[0];
     for (int64_t k = 0; k < n; k++) {
         newest = predict(a, newest, work + head, order) + ((double)indices[k] - half + 0.5) * step;
-        recon[k] = newest;
-        head = ring_push(work, head, order, newest);
+        recon[k] = newest + 0.0;
+        head = ring_push(work, head, order, recon[k]);
     }
     ring_store(history, work, head, order);
 }
@@ -329,29 +330,55 @@ void ar_trace(int64_t n, int64_t order, const double *a, const double *psi, doub
 
 /* Pack n codewords of `bits` bits (1..53), most significant bit first, into
  * ceil(n * bits / 8) bytes of `out`, the last one zero-padded.  Every value
- * must lie in [0, 2^bits).  At most 7 bits wait in `acc` between codewords,
- * so it never holds more than 60. */
+ * must lie in [0, 2^bits).  Up to 32 bits they go out in 32-bit big-endian
+ * words, leaving at most 31 bits in `acc`, wider ones in bytes, leaving at
+ * most 7, so `acc` never holds more than 63; then the whole bytes left. */
 void pack_bits(int64_t n, int64_t bits, const int64_t *values, uint8_t *out)
 {
     uint64_t acc = 0;
-    int64_t held = 0;
-    for (int64_t k = 0; k < n; k++) {
+    int64_t held = 0, k = 0;
+    for (; bits <= 32 && k < n; k++) {
+        acc = acc << bits | (uint64_t)values[k];
+        if ((held += bits) >= 32) {
+            const uint32_t word = (uint32_t)(acc >> (held -= 32));
+            out[0] = (uint8_t)(word >> 24);
+            out[1] = (uint8_t)(word >> 16);
+            out[2] = (uint8_t)(word >> 8);
+            out[3] = (uint8_t)word;
+            out += 4;
+        }
+    }
+    for (; k < n; k++) {
         acc = acc << bits | (uint64_t)values[k];
         for (held += bits; held >= 8; held -= 8)
             *out++ = (uint8_t)(acc >> (held - 8));
     }
+    for (; held >= 8; held -= 8)
+        *out++ = (uint8_t)(acc >> (held - 8));
     if (held > 0)
         *out = (uint8_t)(acc << (8 - held));
 }
 
 /* Unpack n codewords of `bits` bits (1..53), packed as pack_bits packs them,
- * from the first ceil(n * bits / 8) bytes of `data` into `out`. */
+ * from the first ceil(n * bits / 8) bytes of `data` into `out`.  Up to 32
+ * bits, the codewords that end within the whole 32-bit words of those bytes
+ * are read a big-endian word at a time, the rest a byte at a time. */
 void unpack_bits(int64_t n, int64_t bits, const uint8_t *data, int64_t *out)
 {
     const uint64_t mask = ((uint64_t)1 << bits) - 1;
+    const int64_t in_words = bits <= 32 ? (n * bits + 7) / 32 * 32 / bits : 0;
     uint64_t acc = 0;
-    int64_t held = 0;
-    for (int64_t k = 0; k < n; k++) {
+    int64_t held = 0, k = 0;
+    for (; k < n && k < in_words; k++) {
+        if (held < bits) {
+            acc = acc << 32 | ((uint32_t)data[0] << 24 | data[1] << 16 | data[2] << 8 | data[3]);
+            data += 4;
+            held += 32;
+        }
+        held -= bits;
+        out[k] = (int64_t)(acc >> held & mask);
+    }
+    for (; k < n; k++) {
         for (; held < bits; held += 8)
             acc = acc << 8 | *data++;
         held -= bits;

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateCovariance,
     DistortionBelowFloor,
     NonConvergence,
+    NonFiniteInput,
 )
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -51,6 +52,12 @@ def _check_quant_noise(sigma_q_sq: float) -> None:
 def _check_gain(lam: float) -> None:
     if not 0.0 < lam <= 1.0:
         raise CsiFeedbackError("lam must lie in (0, 1]")
+
+
+def _check_distortion(function: str, d: float) -> None:
+    """NonFiniteInput naming ``function`` and ``d`` unless the distortion ``d`` is finite."""
+    if not math.isfinite(d):
+        raise NonFiniteInput(f"{function}: distortion {d} is not finite")
 
 
 def _log2(a: float, b: float, what: str, divide: bool = True) -> float:
@@ -235,8 +242,10 @@ def rate_practical(
 
     Inverts the steady-state closed form to get the quantisation-noise budget
     implied by the target, then applies the high-resolution uniform-quantizer
-    rate for a Gaussian innovation.  Clamped at zero.
+    rate for a Gaussian innovation.  Clamped at zero.  A NaN or infinite
+    target raises NonFiniteInput.
     """
+    _check_distortion("rate_practical", varsigma_target)
     contraction = (1.0 - lam) ** 2 * approx.beta**2
     implied_q = (
         (1.0 - contraction) * varsigma_target

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis
-from .analysis import TWO_PI_E, _log2
+from .analysis import TWO_PI_E, _check_distortion, _log2
 from .channel import ArModel, Autocovariance, NoiseSpec, _dot, autocovariance
 from .errors import CsiFeedbackError, DegenerateCovariance, DistortionBelowFloor, SingularSystem
 from .predictor import (
@@ -168,8 +168,9 @@ def rate_aperiodic_prediction(
     Default form: log2|K_y| - 1/2 log2(D - sigma_P^2) + 1/2 sum_l log2 theta_l^2.
     Normalized form divides the entropy and weight terms by 2L.  ``clamp=False``
     returns the raw expression (useful for curve-shift comparisons; physical
-    rates are non-negative).
+    rates are non-negative).  A NaN or infinite D raises NonFiniteInput.
     """
+    _check_distortion("rate_aperiodic_prediction", d_x)
     return _rate_at(d_x, *_prediction_rule(p, normalized), "D={} <= sigma_P^2={}", clamp)
 
 
@@ -205,8 +206,9 @@ def rate_aperiodic_zh(
     with h(y) = 1/2 log2(2 pi e sigma_y^2).  Normalized form is the scalar
     Gaussian bound 1/2 log2(alpha^2 sigma_y^2 / (D - sigma_Z^2)).  An alpha,
     or in the normalized form that ratio, that underflows to 0 has no log and
-    raises DegenerateCovariance.
+    raises DegenerateCovariance, and a NaN or infinite D NonFiniteInput.
     """
+    _check_distortion("rate_aperiodic_zh", d_x)
     return _rate_at(d_x, *_zh_rule(p, normalized), "D={} <= sigma_Z^2={}", clamp)
 
 
@@ -236,8 +238,10 @@ def rate_periodic(d_x: float, p: SchemeParams, clamp: bool = True) -> float:
     """Lower bound on bits per sample for periodic innovation feedback.
 
     A quotient sigma_nu^2 / (D - sigma_P^2) out of the float range is logged
-    as a difference of logs (``_log2``).
+    as a difference of logs (``_log2``).  A NaN or infinite D raises
+    NonFiniteInput.
     """
+    _check_distortion("rate_periodic", d_x)
     return _rate_at(d_x, *_periodic_rule(p), "D={} <= sigma_P^2={}", clamp)
 
 
@@ -264,8 +268,10 @@ def rate_uniform_aperiodic(
 
     A quotient out of the float range is logged as a difference of logs
     (``_log2``), and a scale sqrt(2 pi e (sigma_x^2 + sigma_P^2)) that
-    overflows as a sum of logs (``analysis._log2_sqrt_two_pi_e``).
+    overflows as a sum of logs (``analysis._log2_sqrt_two_pi_e``).  A NaN or
+    infinite target raises NonFiniteInput.
     """
+    _check_distortion("rate_uniform_aperiodic", mse_target)
     rule = _uniform_rule(sigma_x_sq, sigma_p_sq)
     return _rate_at(mse_target, *rule, "target {} <= sigma_P^2={}", clamp)
 

@@ -30,7 +30,8 @@ class UnknownIndex(CsiFeedbackError):
 
 
 class NonFiniteInput(CsiFeedbackError):
-    """A quantizer input is NaN or infinite."""
+    """An input is NaN or infinite: a quantizer input, a sample of a codec
+    reference or the distortion of a per-point rate function."""
 
 
 class NonConvergence(CsiFeedbackError):

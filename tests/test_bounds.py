@@ -27,7 +27,12 @@ from csi_feedback import (
 from csi_feedback import analysis
 from csi_feedback.analysis import TWO_PI_E, _log2, _log2_sqrt_two_pi_e
 from csi_feedback.bounds import RdCurve, RdPoint, _log_grid, _sum_log2_theta_sq
-from csi_feedback.errors import CsiFeedbackError, DegenerateCovariance, DistortionBelowFloor
+from csi_feedback.errors import (
+    CsiFeedbackError,
+    DegenerateCovariance,
+    DistortionBelowFloor,
+    NonFiniteInput,
+)
 from test_channel import AR1_KAPPA0, random_stationary_model
 from test_codec import _ar_from_pacf
 from test_predictor import AR1_SIGMA_P_SQ, AR1_SIGMA_Z_SQ
@@ -310,6 +315,26 @@ def per_point_rate(scheme, p, d, normalized, clamp=True):
     if scheme is Scheme.UNIFORM_APERIODIC:
         return rate_uniform_aperiodic(d, p.acov.sigma_x_sq, p.coeffs.sigma_p_sq, clamp)
     return analysis.rate_practical(d, p.ar1, p.noise, p.ar1_gain, clamp)
+
+
+PER_POINT_NAMES = {
+    Scheme.APERIODIC_PREDICTION: "rate_aperiodic_prediction",
+    Scheme.APERIODIC_ZH: "rate_aperiodic_zh",
+    Scheme.PERIODIC: "rate_periodic",
+    Scheme.UNIFORM_APERIODIC: "rate_uniform_aperiodic",
+    Scheme.PRACTICAL_AR1: "rate_practical",
+}
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("normalized", [False, True], ids=["default", "normalized"])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda scheme: scheme.value)
+def test_non_finite_distortion_raises_naming_the_function(ar1_params, scheme, normalized, d):
+    # checked before any arithmetic: a NaN D fails every floor test and its
+    # rate would clamp to 0 bits, and an infinite one has no log
+    with pytest.raises(NonFiniteInput) as raised:
+        per_point_rate(scheme, ar1_params, d, normalized, clamp=False)
+    assert str(raised.value) == f"{PER_POINT_NAMES[scheme]}: distortion {d} is not finite"
 
 
 def element_by_element_rate(scheme, p, d, normalized, clamp=True):

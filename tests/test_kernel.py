@@ -243,6 +243,37 @@ def test_split_stream_continues_with_steps(model):
     assert same_bits(decoded, expected_recon)
 
 
+@pytest.mark.parametrize("coeffs", [(0.0,), (-0.0,), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)])
+def test_zero_reconstructions_keep_the_sign_the_step_loops_give(coeffs):
+    # with the smallest subnormal step, level -1 reproduces -0.5 * step = -0.0
+    # and level 0 +0.0; from a history of -0.0 and a first level of -1, the
+    # kernel's prediction sum, which does not start from 0.0, is -0.0 where
+    # the step loops' sum is +0.0, and only the sign restored at the store
+    # makes them agree
+    model, quantizer = ArModel(coeffs, 1.0), UniformQuantizer(3, 5e-324)
+    rng = np.random.default_rng(len(coeffs))
+    levels = rng.integers(-1, 1, 3000)
+    levels[0] = -1
+    indices = (levels + quantizer.levels // 2).tolist()
+    decoder, oracle = DecoderState(model, quantizer), DecoderState(model, quantizer)
+    decoder.history = [-0.0] * model.order
+    oracle.history = [-0.0] * model.order
+    assert same_bits(decode_sequence(decoder, indices), step_decode(oracle, indices))
+    assert same_bits(decoder.history, oracle.history)
+
+    y = rng.choice([-5e-324, -0.0, 0.0, 5e-324], 3000)
+    y[0] = -5e-324  # level -1
+    noise = NoiseSpec(0.0)  # gain 1: the innovation reaches the quantizer as it is
+    state, oracle = EncoderState(model, noise, quantizer), EncoderState(model, noise, quantizer)
+    state.history = [-0.0] * model.order
+    oracle.history = [-0.0] * model.order
+    encoded, recon = encode_sequence(state, y)
+    expected_indices, expected_recon = step_encode(oracle, y)
+    assert encoded.tolist() == expected_indices
+    assert same_bits(recon, expected_recon)
+    assert same_bits(state.history, oracle.history)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_observation_stops_where_the_step_loop_stops(bad):
     quantizer = innovation_quantizer(REF_AR4, UNIT_NOISE, 6)
@@ -408,6 +439,21 @@ def test_packing_matches_the_bit_matrix(data):
         assert on_path(False, unpack_indices, payload, bits, count) == on_path(
             True, unpack_indices, payload, bits, count
         ), bits
+
+
+@pytest.mark.parametrize("bits", [31, 32, 33])
+def test_packing_around_the_word_loops_widest_width_matches_the_fallback(bits):
+    # the kernel moves 32-bit words up to 32 bits and single bytes beyond, and
+    # finishes every stream's last bytes singly
+    rng = np.random.default_rng(bits)
+    for count in [*range(70), 1000, 4097]:
+        values = rng.integers(0, 1 << bits, count)
+        values[:1] = (1 << bits) - 1
+        packed = on_path(False, pack_indices, values, bits)
+        assert packed == on_path(True, pack_indices, values, bits), count
+        for payload in (packed, rng.bytes(len(packed))):
+            unpacked = on_path(False, unpack_indices, payload, bits, count)
+            assert unpacked == on_path(True, unpack_indices, payload, bits, count), count
 
 
 @pytest.mark.parametrize("bits", [1, 10, MAX_BITS])
@@ -653,6 +699,28 @@ def test_fallback_without_compiler_gives_the_same_bits(monkeypatch, caplog):
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_source_that_does_not_compile_falls_back_with_the_compilers_message(
+    tmp_path, monkeypatch, caplog
+):
+    broken = tmp_path / "broken.c"
+    broken.write_text("int broken(void) { return undeclared_name; }\n")
+    monkeypatch.setattr(_kernel, "SOURCE", broken)
+    monkeypatch.setenv("HOME", str(tmp_path))  # the cache of this host stays as it is
+    _kernel.load.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger=_kernel.__name__):
+            assert _kernel.load() is None
+            assert _kernel.load() is None
+    finally:
+        _kernel.load.cache_clear()  # the next test loads the real kernel again
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert message.startswith("compiling broken.c failed, using the Python loops: ")
+    assert "error" in message and "undeclared_name" in message  # the compiler's stderr
+    assert not any((tmp_path / ".cache" / "csi_feedback").iterdir())  # no partial build left
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_source_compiles_without_warnings(tmp_path):
     # this host's command and the one without the x86 flag, with warnings as
     # errors, into a private directory
@@ -718,10 +786,11 @@ def test_a_new_build_prunes_all_but_the_two_newest(tmp_path, monkeypatch):
     assert {path.name for path in cache.iterdir()} == kept
 
 
-# Packs a stream at every width, encodes two blocks and a remainder of rows
-# that mix AR(1) and AR(4), and decodes a row, through the kernel build named on
-# the command line, through the Python loops given "fallback", else through
-# _kernel.load(); prints the sha256 of every output.
+# Packs a stream and unpacks foreign payloads of at least 4 KiB at every
+# width, encodes two blocks and a remainder of rows that mix AR(1) and AR(4),
+# and decodes a row, through the kernel build named on the command line,
+# through the Python loops given "fallback", else through _kernel.load();
+# prints the sha256 of every output.
 _KERNEL_RUN = """
 import hashlib, sys
 import numpy as np
@@ -741,6 +810,14 @@ for bits in range(1, c.codec.MAX_BITS + 1):
     packed = c.pack_indices(values, bits)
     assert c.unpack_indices(packed, bits, values.size).tolist() == values.tolist()
     digest.update(packed)
+    # payloads of 4 KiB and more in bytes objects of just the size their count
+    # needs, one for each place of their last byte in a 4-byte word that this
+    # width can give: a read past a payload leaves its allocation
+    counts, least = {}, (4096 * 8 + bits - 1) // bits
+    for count in range(least, least + 32):
+        counts.setdefault((count * bits + 7) // 8 % 4, count)
+    for count in counts.values():
+        digest.update(c.unpack_indices(rng.bytes((count * bits + 7) // 8), bits, count))
 model, noise = c.ArModel((0.5, 0.2, 0.1, 0.05), 1.0), c.NoiseSpec(1.0)
 ar1 = c.ArModel((0.9,), 0.19)
 trace = c.generate_trace(model, noise, 300, seed=3)
