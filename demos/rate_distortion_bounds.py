@@ -19,8 +19,8 @@ from csi_feedback import (
     distortion_floor,
     make_scheme_params,
     parse_config_text,
-    rate_aperiodic_zh,
     run_theory_sweep,
+    scheme_rate,
     write_csv,
 )
 
@@ -74,8 +74,8 @@ def main() -> None:
     d = params_2.zh.sigma_z_sq * 1.05
     print(
         f"\nzero-holding bound at D={d:.3f}: "
-        f"{rate_aperiodic_zh(d, params_1):.3f} bits (var 1) vs "
-        f"{rate_aperiodic_zh(d, params_2):.3f} bits (var 2)"
+        f"{scheme_rate(Scheme.APERIODIC_ZH, params_1, d):.3f} bits (var 1) vs "
+        f"{scheme_rate(Scheme.APERIODIC_ZH, params_2, d):.3f} bits (var 2)"
     )
 
     out = Path(__file__).with_name("rd_curves.csv")

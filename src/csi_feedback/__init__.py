@@ -28,10 +28,7 @@ from .bounds import (
     log_det_ky,
     make_scheme_params,
     nu_variance,
-    rate_aperiodic_prediction,
-    rate_aperiodic_zh,
-    rate_periodic,
-    rate_uniform_aperiodic,
+    scheme_rate,
     sweep,
 )
 from .channel import (

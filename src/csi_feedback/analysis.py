@@ -54,10 +54,10 @@ def _check_gain(lam: float) -> None:
         raise CsiFeedbackError("lam must lie in (0, 1]")
 
 
-def _check_distortion(function: str, d: float) -> None:
-    """NonFiniteInput naming ``function`` and ``d`` unless the distortion ``d`` is finite."""
+def _check_distortion(name: str, d: float) -> None:
+    """NonFiniteInput naming ``name`` and ``d`` unless the distortion ``d`` is finite."""
     if not math.isfinite(d):
-        raise NonFiniteInput(f"{function}: distortion {d} is not finite")
+        raise NonFiniteInput(f"{name}: distortion {d} is not finite")
 
 
 def _log2(a: float, b: float, what: str, divide: bool = True) -> float:
@@ -232,20 +232,18 @@ def ep_variance(acov: Autocovariance, noise: NoiseSpec) -> float:
 
 
 def rate_practical(
-    varsigma_target: float,
-    approx: Ar1Approx,
-    noise: NoiseSpec,
-    lam: float,
-    clamp: bool = True,
+    varsigma_target: float, approx: Ar1Approx, noise: NoiseSpec, lam: float
 ) -> float:
     """Bits per sample for the closed-loop codec at a target long-term MSE.
 
     Inverts the steady-state closed form to get the quantisation-noise budget
     implied by the target, then applies the high-resolution uniform-quantizer
-    rate for a Gaussian innovation.  Clamped at zero.  A NaN or infinite
-    target raises NonFiniteInput.
+    rate for a Gaussian innovation.  The rate is raw: it may be negative, and
+    ``bounds.scheme_rate`` clamps it.  A NaN or infinite target raises
+    NonFiniteInput, and a gain outside (0, 1] CsiFeedbackError.
     """
     _check_distortion("rate_practical", varsigma_target)
+    _check_gain(lam)
     contraction = (1.0 - lam) ** 2 * approx.beta**2
     implied_q = (
         (1.0 - contraction) * varsigma_target
@@ -257,12 +255,11 @@ def rate_practical(
             f"target {varsigma_target} leaves no quantisation budget (implied {implied_q})"
         )
     innovation_var = _ep_variance_from_approx(approx, noise)
-    rate = (
+    return (
         0.5 * math.log2(1.0 / 12.0)
         + 0.5 * _log2_sqrt_two_pi_e(innovation_var, "2 pi e e_P")
         - 0.5 * math.log2(implied_q)
     )
-    return max(0.0, rate) if clamp else rate
 
 
 def kalman_gain(pred_err_var: float, obs_noise_var: float) -> float:

@@ -8,13 +8,19 @@ The aperiodic bounds come in two variants.  The default forms keep the full
 window-entropy and weight terms; those factors are not per-sample quantities,
 which makes cross-scheme rate comparisons meaningless.  ``normalized=True``
 switches to dimensionally consistent per-sample Shannon-lower-bound forms,
-which comparative sweeps should use.
+which comparative sweeps should use.  It changes only ``aperiodic_prediction``
+and ``aperiodic_zh``: ``periodic``, ``uniform_aperiodic`` and ``practical_ar1``
+ignore it, and the last two still move by -1/4 log2 c when every variance and
+D is scaled by c.
+
+``scheme_rate`` gives one scheme's rate at one D, ``sweep`` a curve of them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -132,19 +138,11 @@ def _clamped(rate: float) -> float:
     return rate if rate > 0.0 else 0.0
 
 
-def _rate_at(d_x: float, floor: float, rates, below: str, clamp: bool) -> float:
-    """One point of a scheme's rate rule: ``rates([d_x])`` above ``floor``, else
-    DistortionBelowFloor with ``below.format(d_x, floor)``."""
-    if d_x <= floor:
-        raise DistortionBelowFloor(below.format(d_x, floor))
-    (rate,) = rates([d_x])
-    return _clamped(rate) if clamp else rate
-
-
-# Each scheme's rate is one rule (floor, rates): ``rates`` maps distortions above
-# the floor to raw rates, taking the terms that do not depend on D once per call.
-# ``sweep`` calls it on the points of a curve above the floor, and only if there
-# are any, so a constant that raises does so only where a point would have.
+# Each analytic scheme's rate is one rule (floor, rates): ``rates`` maps
+# distortions above the floor to raw rates, taking the terms that do not depend
+# on D once per call.  ``sweep`` calls it on the points of a curve above the
+# floor, and only if there are any, so a constant that raises does so only
+# where a point would have.
 
 
 def _prediction_rule(p: SchemeParams, normalized: bool):
@@ -158,20 +156,6 @@ def _prediction_rule(p: SchemeParams, normalized: bool):
         return [constant - 0.5 * math.log2(d - floor) for d in distortions]
 
     return floor, rates
-
-
-def rate_aperiodic_prediction(
-    d_x: float, p: SchemeParams, normalized: bool = False, clamp: bool = True
-) -> float:
-    """Lower bound on bits per sample for aperiodic feedback of predictions.
-
-    Default form: log2|K_y| - 1/2 log2(D - sigma_P^2) + 1/2 sum_l log2 theta_l^2.
-    Normalized form divides the entropy and weight terms by 2L.  ``clamp=False``
-    returns the raw expression (useful for curve-shift comparisons; physical
-    rates are non-negative).  A NaN or infinite D raises NonFiniteInput.
-    """
-    _check_distortion("rate_aperiodic_prediction", d_x)
-    return _rate_at(d_x, *_prediction_rule(p, normalized), "D={} <= sigma_P^2={}", clamp)
 
 
 def _zh_rule(p: SchemeParams, normalized: bool):
@@ -197,21 +181,6 @@ def _zh_rule(p: SchemeParams, normalized: bool):
     return floor, rates
 
 
-def rate_aperiodic_zh(
-    d_x: float, p: SchemeParams, normalized: bool = False, clamp: bool = True
-) -> float:
-    """Lower bound on bits per sample for aperiodic zero-holding feedback.
-
-    Default form: 1/2 h(y) + 1/2 log2 alpha - 1/2 log2(2 pi e (D - sigma_Z^2))
-    with h(y) = 1/2 log2(2 pi e sigma_y^2).  Normalized form is the scalar
-    Gaussian bound 1/2 log2(alpha^2 sigma_y^2 / (D - sigma_Z^2)).  An alpha,
-    or in the normalized form that ratio, that underflows to 0 has no log and
-    raises DegenerateCovariance, and a NaN or infinite D NonFiniteInput.
-    """
-    _check_distortion("rate_aperiodic_zh", d_x)
-    return _rate_at(d_x, *_zh_rule(p, normalized), "D={} <= sigma_Z^2={}", clamp)
-
-
 def nu_variance(model: ArModel, noise: NoiseSpec) -> float:
     """Variance of the innovation driving the AR structure of the observation y.
 
@@ -234,17 +203,6 @@ def _periodic_rule(p: SchemeParams):
     return floor, rates
 
 
-def rate_periodic(d_x: float, p: SchemeParams, clamp: bool = True) -> float:
-    """Lower bound on bits per sample for periodic innovation feedback.
-
-    A quotient sigma_nu^2 / (D - sigma_P^2) out of the float range is logged
-    as a difference of logs (``_log2``).  A NaN or infinite D raises
-    NonFiniteInput.
-    """
-    _check_distortion("rate_periodic", d_x)
-    return _rate_at(d_x, *_periodic_rule(p), "D={} <= sigma_P^2={}", clamp)
-
-
 def _uniform_rule(sigma_x_sq: float, sigma_p_sq: float):
     def rates(targets):
         variance = sigma_x_sq + sigma_p_sq
@@ -261,34 +219,59 @@ def _uniform_rule(sigma_x_sq: float, sigma_p_sq: float):
     return sigma_p_sq, rates
 
 
-def rate_uniform_aperiodic(
-    mse_target: float, sigma_x_sq: float, sigma_p_sq: float, clamp: bool = True
-) -> float:
-    """High-resolution uniform-quantizer rate for aperiodic prediction feedback.
+def _rule(scheme: Scheme, p: SchemeParams, normalized: bool):
+    """The (floor, rates) rule of one of the four analytic schemes."""
+    if scheme is Scheme.APERIODIC_PREDICTION:
+        return _prediction_rule(p, normalized)
+    if scheme is Scheme.APERIODIC_ZH:
+        return _zh_rule(p, normalized)
+    if scheme is Scheme.PERIODIC:
+        return _periodic_rule(p)
+    return _uniform_rule(p.acov.sigma_x_sq, p.coeffs.sigma_p_sq)
 
-    A quotient out of the float range is logged as a difference of logs
-    (``_log2``), and a scale sqrt(2 pi e (sigma_x^2 + sigma_P^2)) that
-    overflows as a sum of logs (``analysis._log2_sqrt_two_pi_e``).  A NaN or
-    infinite target raises NonFiniteInput.
+
+def _practical(p: SchemeParams) -> tuple[analysis.Ar1Approx, NoiseSpec, float]:
+    """The AR(1) fit, noise and gain of the practical scheme; a gain that
+    underflows to 0 raises DegenerateCovariance."""
+    if p.ar1_gain == 0.0:
+        raise DegenerateCovariance("codec gain of the AR(1) fit underflows to 0")
+    return p.ar1, p.noise, p.ar1_gain
+
+
+def scheme_rate(scheme: Scheme, params: SchemeParams, d: float, normalized: bool = False) -> float:
+    """Bits per sample of ``scheme`` at distortion ``d``, clamped at 0: one point of ``sweep``.
+
+    ``normalized`` selects the per-sample forms of the two aperiodic bounds;
+    ``periodic``, ``uniform_aperiodic`` and ``practical_ar1`` ignore it.  A NaN
+    or infinite ``d`` raises NonFiniteInput and a ``d`` at or below the floor
+    DistortionBelowFloor, both naming the scheme; a log without a finite,
+    positive argument raises DegenerateCovariance.  The practical rate is
+    ``analysis.rate_practical``, looked up on the module at each call.
     """
-    _check_distortion("rate_uniform_aperiodic", mse_target)
-    rule = _uniform_rule(sigma_x_sq, sigma_p_sq)
-    return _rate_at(mse_target, *rule, "target {} <= sigma_P^2={}", clamp)
+    _check_distortion(scheme.value, d)
+    if scheme is Scheme.PRACTICAL_AR1:
+        try:
+            return _clamped(analysis.rate_practical(d, *_practical(params)))
+        except DistortionBelowFloor as exc:
+            raise DistortionBelowFloor(f"{scheme.value}: {exc}") from None
+    floor, rates = _rule(scheme, params, normalized)
+    if d <= floor:
+        raise DistortionBelowFloor(f"{scheme.value}: D={d} <= floor {floor}")
+    (rate,) = rates([d])
+    return _clamped(rate)
 
 
 def distortion_floor(scheme: Scheme, p: SchemeParams) -> float:
     """Distortion below which the scheme's rate is undefined (diverges).
 
-    The practical scheme's floor needs a positive codec gain; one that
-    underflows to 0 raises DegenerateCovariance.
+    The zero-holding floor needs a positive weight alpha and the practical
+    scheme's a positive codec gain; either underflowing to 0 raises
+    DegenerateCovariance.
     """
-    if scheme is Scheme.APERIODIC_ZH:
-        return p.zh.sigma_z_sq
     if scheme is Scheme.PRACTICAL_AR1:
-        if p.ar1_gain == 0.0:
-            raise DegenerateCovariance("codec gain of the AR(1) fit underflows to 0")
-        return analysis.steady_state(p.ar1, p.noise, p.ar1_gain, 0.0).varsigma_inf
-    return p.coeffs.sigma_p_sq
+        return analysis.steady_state(*_practical(p), 0.0).varsigma_inf
+    floor, _ = _rule(scheme, p, False)
+    return floor
 
 
 def default_distortion_grid(scheme: Scheme, p: SchemeParams) -> tuple[float, float]:
@@ -324,10 +307,14 @@ def sweep(
 ) -> RdCurve:
     """Evaluate a scheme's rate on a log-spaced distortion grid.
 
-    Grid points at or below the scheme's floor are skipped and counted in the
-    curve's ``skipped`` field rather than aborting the sweep.  A grid that is
-    not 0 < d_min < d_max, or whose d_max is inf, raises naming the scheme.
+    Each point is ``scheme_rate`` at its D, bit for bit, and ``normalized``
+    changes only the two aperiodic schemes, as there.  Grid points at or below
+    the scheme's floor are skipped and counted in the curve's ``skipped``
+    field rather than aborting the sweep.  ``n_points`` is taken through
+    ``operator.index``.  A grid that is not 0 < d_min < d_max, or whose d_max
+    is inf, raises naming the scheme.
     """
+    n_points = operator.index(n_points)
     if n_points < 2:
         raise CsiFeedbackError("n_points must be >= 2")
     if not 0 < d_min < d_max:
@@ -338,24 +325,17 @@ def sweep(
     grid = _log_grid(d_min, d_max, n_points).tolist()
     if scheme is Scheme.PRACTICAL_AR1:
         # read from the module on every sweep, so a wrapper put there sees each point
-        rate, args = analysis.rate_practical, (params.ar1, params.noise, params.ar1_gain)
+        rate, args = analysis.rate_practical, _practical(params)
         points: list[RdPoint] = []
         skipped = 0
         for d in grid:
             try:
-                points.append(RdPoint(d, rate(d, *args)))
+                points.append(RdPoint(d, _clamped(rate(d, *args))))
             except DistortionBelowFloor:
                 skipped += 1
         return RdCurve(scheme=scheme, points=points, skipped=skipped)
 
-    if scheme is Scheme.APERIODIC_PREDICTION:
-        floor, rates = _prediction_rule(params, normalized)
-    elif scheme is Scheme.APERIODIC_ZH:
-        floor, rates = _zh_rule(params, normalized)
-    elif scheme is Scheme.PERIODIC:
-        floor, rates = _periodic_rule(params)
-    else:
-        floor, rates = _uniform_rule(params.acov.sigma_x_sq, params.coeffs.sigma_p_sq)
+    floor, rates = _rule(scheme, params, normalized)
     kept = [d for d in grid if not d <= floor]
     points = list(map(RdPoint, kept, map(_clamped, rates(kept)))) if kept else []
     return RdCurve(scheme=scheme, points=points, skipped=n_points - len(kept))

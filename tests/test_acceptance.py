@@ -27,14 +27,14 @@ from csi_feedback import (
     make_scheme_params,
     mmse_coefficients,
     mse_recursion,
-    rate_aperiodic_prediction,
-    rate_aperiodic_zh,
-    rate_periodic,
+    Scheme,
     run_codec,
+    scheme_rate,
     steady_state,
     zh_estimator,
     UniformQuantizer,
 )
+from csi_feedback.bounds import _rule
 from csi_feedback.errors import DistortionBelowFloor
 from shared import REF_AR4, UNIT_NOISE, sliding_predictions
 
@@ -162,15 +162,16 @@ def test_criterion_06_bound_ordering_and_floors(acov, coeffs):
     floor_p = coeffs.sigma_p_sq
     floor_z = params.zh.sigma_z_sq
     grid = np.geomspace(floor_p * (1 + 1e-6), 10 * acov.sigma_x_sq, 40)
+    periodic, aperiodic = Scheme.PERIODIC, Scheme.APERIODIC_PREDICTION
     ordering = all(
-        rate_periodic(float(d), params) <= rate_aperiodic_prediction(float(d), params) + 1e-12
+        scheme_rate(periodic, params, float(d)) <= scheme_rate(aperiodic, params, float(d)) + 1e-12
         for d in grid
     )
     shared_floor = True
     for d in (floor_p, floor_p * 0.999):
-        for rate in (rate_periodic, rate_aperiodic_prediction):
+        for scheme in (periodic, aperiodic):
             try:
-                rate(float(d), params)
+                scheme_rate(scheme, params, float(d))
                 shared_floor = False
             except DistortionBelowFloor:
                 pass
@@ -188,24 +189,21 @@ def test_criterion_07_variance_shift():
     doubled = ArModel(coeffs=REF_AR4.coeffs, innovation_var=2.0)
     p1 = make_scheme_params(REF_AR4, UNIT_NOISE, ORDER)
     p2 = make_scheme_params(doubled, UNIT_NOISE, ORDER)
-    rates = {
-        "aperiodic_prediction": lambda p, d, clamp: rate_aperiodic_prediction(d, p, clamp=clamp),
-        "aperiodic_zh": lambda p, d, clamp: rate_aperiodic_zh(d, p, clamp=clamp),
-        "periodic": lambda p, d, clamp: rate_periodic(d, p, clamp=clamp),
-    }
     strict = True
     never_lower = True
     zh_floor_2 = p2.zh.sigma_z_sq
-    grid = np.geomspace(zh_floor_2 * 1.001, 10 * p2.acov.sigma_x_sq, 25)
-    for name, rate in rates.items():
+    grid = np.geomspace(zh_floor_2 * 1.001, 10 * p2.acov.sigma_x_sq, 25).tolist()
+    for scheme in (Scheme.APERIODIC_PREDICTION, Scheme.APERIODIC_ZH, Scheme.PERIODIC):
+        # the raw expressions: each rule's rates over the grid, above both floors
+        raw_1, raw_2 = (_rule(scheme, p, False)[1](grid) for p in (p1, p2))
+        strict = strict and all(r2 > r1 for r1, r2 in zip(raw_1, raw_2))
         for d in grid:
-            strict = strict and rate(p2, float(d), False) > rate(p1, float(d), False)
-            never_lower = never_lower and rate(p2, float(d), True) >= rate(p1, float(d), True)
+            never_lower = never_lower and scheme_rate(scheme, p2, d) >= scheme_rate(scheme, p1, d)
     report(
         7,
         strict and never_lower,
         f"doubling the drive variance raises all three bounds strictly (raw expressions) at "
-        f"all {grid.size} common distortions: {strict}; clamped rates never decrease: "
+        f"all {len(grid)} common distortions: {strict}; clamped rates never decrease: "
         f"{never_lower}",
     )
 

@@ -34,6 +34,7 @@ from csi_feedback.errors import (
     DegenerateCovariance,
     DistortionBelowFloor,
     NonConvergence,
+    NonFiniteInput,
 )
 from csi_feedback.analysis import MSE_RTOL
 from test_codec import _ar_from_pacf
@@ -194,9 +195,14 @@ class TestEpVariance:
 class TestRatePractical:
     def test_plug_in_matches_oracle(self, noise):
         approx = Ar1Approx(beta=0.9, iota_var=1.0)
-        value = rate_practical(1.2, approx, noise, lam=0.62696, clamp=False)
+        value = rate_practical(1.2, approx, noise, lam=0.62696)
         assert value == pytest.approx(RATE_PRACTICAL_UNCLAMPED, abs=1e-9)
-        assert rate_practical(1.2, approx, noise, lam=0.62696) == 0.0
+        assert value < 0.0  # raw: bounds.scheme_rate clamps it
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_raises(self, noise, target):
+        with pytest.raises(NonFiniteInput, match=f"^rate_practical: distortion {target} is not"):
+            rate_practical(target, Ar1Approx(beta=0.9, iota_var=1.0), noise, lam=0.62696)
 
     def test_floor_divergence(self, noise):
         approx = Ar1Approx(beta=0.9, iota_var=1.0)
@@ -214,8 +220,8 @@ class TestRatePractical:
         floor = steady_state(approx, noise, lam, 0.0).varsigma_inf
         target_wide = floor + 0.4 / scale  # implied budget 0.4
         target_tight = floor + 0.1 / scale  # implied budget 0.1
-        low = rate_practical(target_wide, approx, noise, lam, clamp=False)
-        high = rate_practical(target_tight, approx, noise, lam, clamp=False)
+        low = rate_practical(target_wide, approx, noise, lam)
+        high = rate_practical(target_tight, approx, noise, lam)
         assert high - low == pytest.approx(1.0, abs=1e-9)
 
     def test_strictly_decreasing_in_target(self, noise):
@@ -223,7 +229,7 @@ class TestRatePractical:
         lam = 0.62696
         floor = steady_state(approx, noise, lam, 0.0).varsigma_inf
         targets = np.linspace(floor * 1.01, floor * 4, 20)
-        rates = [rate_practical(float(t), approx, noise, lam, clamp=False) for t in targets]
+        rates = [rate_practical(float(t), approx, noise, lam) for t in targets]
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
 

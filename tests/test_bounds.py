@@ -1,6 +1,8 @@
 """Rate-distortion lower bounds and curve sweeps."""
 
+import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,15 +20,19 @@ from csi_feedback import (
     log_det_ky,
     make_scheme_params,
     nu_variance,
-    rate_aperiodic_prediction,
-    rate_aperiodic_zh,
-    rate_periodic,
-    rate_uniform_aperiodic,
+    scheme_rate,
     sweep,
 )
 from csi_feedback import analysis
 from csi_feedback.analysis import TWO_PI_E, _log2, _log2_sqrt_two_pi_e
-from csi_feedback.bounds import RdCurve, RdPoint, _log_grid, _sum_log2_theta_sq
+from csi_feedback.bounds import (
+    RdCurve,
+    RdPoint,
+    _log_grid,
+    _rule,
+    _sum_log2_theta_sq,
+    _uniform_rule,
+)
 from csi_feedback.errors import (
     CsiFeedbackError,
     DegenerateCovariance,
@@ -47,6 +53,19 @@ AR1_RATE_PER_AT_2 = 1.1317778831823731
 AR1_RATE_UNI_AT_2 = 0.75344458264062714
 
 ALL_SCHEMES = tuple(Scheme)
+# the four analytic schemes
+AP, ZH, PER, UNI = (
+    Scheme.APERIODIC_PREDICTION,
+    Scheme.APERIODIC_ZH,
+    Scheme.PERIODIC,
+    Scheme.UNIFORM_APERIODIC,
+)
+
+
+def raw_rate(scheme, p, d, normalized=False):
+    """The unclamped rate of an analytic scheme's ``_rule`` at one D above its floor."""
+    (rate,) = _rule(scheme, p, normalized)[1]([d])
+    return rate
 
 
 @pytest.fixture(scope="module")
@@ -89,25 +108,25 @@ class TestLogDetKy:
 
 class TestAperiodicPrediction:
     def test_reference_value(self, ar1_params):
-        assert rate_aperiodic_prediction(2.0, ar1_params) == pytest.approx(
+        assert scheme_rate(AP, ar1_params, 2.0) == pytest.approx(
             AR1_RATE_AP_AT_2, rel=1e-12
         )
 
     def test_diverges_at_floor(self, ar1_params):
         rates = [
-            rate_aperiodic_prediction(AR1_SIGMA_P_SQ + gap, ar1_params)
+            scheme_rate(AP, ar1_params, AR1_SIGMA_P_SQ + gap)
             for gap in (1e-2, 1e-4, 1e-6, 1e-8)
         ]
         assert all(b > a for a, b in zip(rates, rates[1:]))
         assert rates[-1] > 15
 
     def test_clamped_at_large_distortion(self, ar1_params):
-        assert rate_aperiodic_prediction(1e6, ar1_params) == 0.0
-        assert rate_aperiodic_prediction(1e6, ar1_params, clamp=False) < 0.0
+        assert scheme_rate(AP, ar1_params, 1e6) == 0.0
+        assert raw_rate(AP, ar1_params, 1e6) < 0.0
 
     def test_below_floor_raises(self, ar1_params):
         with pytest.raises(DistortionBelowFloor):
-            rate_aperiodic_prediction(ar1_params.coeffs.sigma_p_sq, ar1_params)
+            scheme_rate(AP, ar1_params, ar1_params.coeffs.sigma_p_sq)
 
     def test_normalized_form(self, ar1_params):
         # L=1: normalized halves the entropy and weight terms
@@ -116,34 +135,32 @@ class TestAperiodicPrediction:
             (ar1_params.log_det_ky + math.log2(ar1_params.coeffs.theta[0] ** 2)) / 2.0
             - 0.5 * math.log2(d - AR1_SIGMA_P_SQ)
         )
-        assert rate_aperiodic_prediction(d, ar1_params, normalized=True) == pytest.approx(
+        assert scheme_rate(AP, ar1_params, d, normalized=True) == pytest.approx(
             expected, rel=1e-12
         )
 
 
 class TestAperiodicZh:
     def test_reference_normalized_value(self, ar1_params):
-        assert rate_aperiodic_zh(2.5, ar1_params, normalized=True) == pytest.approx(
+        assert scheme_rate(ZH, ar1_params, 2.5, normalized=True) == pytest.approx(
             AR1_RATE_ZH_NORM_AT_2P5, rel=1e-12
         )
 
     def test_diverges_at_floor(self, ar1_params):
-        rates = [
-            rate_aperiodic_zh(AR1_SIGMA_Z_SQ + gap, ar1_params) for gap in (1e-2, 1e-5, 1e-8)
-        ]
+        rates = [scheme_rate(ZH, ar1_params, AR1_SIGMA_Z_SQ + gap) for gap in (1e-2, 1e-5, 1e-8)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
     def test_noiseless_normalized_weight_drops_out(self, ar1):
         params = make_scheme_params(ar1, NoiseSpec(0.0), order=1)
         d = 1.5
         expected = 0.5 * math.log2(params.acov.sigma_x_sq / (d - params.zh.sigma_z_sq))
-        assert rate_aperiodic_zh(d, params, normalized=True) == pytest.approx(
+        assert scheme_rate(ZH, params, d, normalized=True) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_below_floor_raises(self, ar1_params):
         with pytest.raises(DistortionBelowFloor):
-            rate_aperiodic_zh(AR1_SIGMA_Z_SQ - 0.01, ar1_params)
+            scheme_rate(ZH, ar1_params, AR1_SIGMA_Z_SQ - 0.01)
 
 
 class TestLogWeightSum:
@@ -181,52 +198,47 @@ class TestNuVariance:
 
 class TestPeriodic:
     def test_reference_value(self, ar1_params):
-        assert rate_periodic(2.0, ar1_params) == pytest.approx(AR1_RATE_PER_AT_2, rel=1e-12)
+        assert scheme_rate(PER, ar1_params, 2.0) == pytest.approx(AR1_RATE_PER_AT_2, rel=1e-12)
 
     def test_zero_crossing(self, ar1_params):
         theta_sq_product = float(np.prod(ar1_params.coeffs.theta ** 2))
         crossing = AR1_SIGMA_P_SQ + AR1_SIGMA_NU_SQ * theta_sq_product
-        assert rate_periodic(crossing, ar1_params) == pytest.approx(0.0, abs=1e-9)
-        assert rate_periodic(crossing * 0.99, ar1_params) > 0.0
-        assert rate_periodic(crossing * 1.01, ar1_params) == 0.0
+        assert scheme_rate(PER, ar1_params, crossing) == pytest.approx(0.0, abs=1e-9)
+        assert scheme_rate(PER, ar1_params, crossing * 0.99) > 0.0
+        assert scheme_rate(PER, ar1_params, crossing * 1.01) == 0.0
 
     def test_periodic_needs_fewer_bits_than_aperiodic(self, ar1_params, ar4_params):
         for params in (ar1_params, ar4_params):
             floor = params.coeffs.sigma_p_sq
             for d in np.geomspace(floor * 1.0001, floor * 4, 12):
-                assert rate_periodic(d, params) <= rate_aperiodic_prediction(d, params) + 1e-12
+                assert scheme_rate(PER, params, d) <= scheme_rate(AP, params, d) + 1e-12
 
     def test_shares_prediction_floor(self, ar1_params):
         floor = ar1_params.coeffs.sigma_p_sq
         for d in (floor, floor * 0.9):
-            with pytest.raises(DistortionBelowFloor):
-                rate_periodic(d, ar1_params)
-            with pytest.raises(DistortionBelowFloor):
-                rate_aperiodic_prediction(d, ar1_params)
+            for scheme in (PER, AP):
+                with pytest.raises(DistortionBelowFloor):
+                    scheme_rate(scheme, ar1_params, d)
 
 
 class TestUniformAperiodic:
-    def test_reference_value(self):
-        assert rate_uniform_aperiodic(2.0, AR1_KAPPA0, AR1_SIGMA_P_SQ) == pytest.approx(
-            AR1_RATE_UNI_AT_2, rel=1e-12
-        )
+    def test_reference_value(self, ar1_params):
+        assert scheme_rate(UNI, ar1_params, 2.0) == pytest.approx(AR1_RATE_UNI_AT_2, rel=1e-12)
 
-    def test_zero_at_matched_target(self):
+    def test_zero_at_matched_target(self, ar1_params):
         scale = math.sqrt(2 * math.pi * math.e * (AR1_KAPPA0 + AR1_SIGMA_P_SQ)) / 12.0
         target = AR1_SIGMA_P_SQ + scale
-        assert rate_uniform_aperiodic(target, AR1_KAPPA0, AR1_SIGMA_P_SQ) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert scheme_rate(UNI, ar1_params, target) == pytest.approx(0.0, abs=1e-9)
 
-    def test_quartering_gap_adds_one_bit(self):
-        gap = 0.2
-        low = rate_uniform_aperiodic(AR1_SIGMA_P_SQ + gap, AR1_KAPPA0, AR1_SIGMA_P_SQ)
-        high = rate_uniform_aperiodic(AR1_SIGMA_P_SQ + gap / 4, AR1_KAPPA0, AR1_SIGMA_P_SQ)
+    def test_quartering_gap_adds_one_bit(self, ar1_params):
+        gap, floor = 0.2, ar1_params.coeffs.sigma_p_sq
+        low = scheme_rate(UNI, ar1_params, floor + gap)
+        high = scheme_rate(UNI, ar1_params, floor + gap / 4)
         assert high - low == pytest.approx(1.0, abs=1e-12)
 
-    def test_below_floor_raises(self):
+    def test_below_floor_raises(self, ar1_params):
         with pytest.raises(DistortionBelowFloor):
-            rate_uniform_aperiodic(AR1_SIGMA_P_SQ, AR1_KAPPA0, AR1_SIGMA_P_SQ)
+            scheme_rate(UNI, ar1_params, ar1_params.coeffs.sigma_p_sq)
 
 
 class TestLogOfFactors:
@@ -252,16 +264,15 @@ class TestLogOfFactors:
     def test_underflowing_periodic_quotient_gives_a_finite_rate(self):
         # sigma_nu^2 = 1.3e-300 over D - sigma_P^2 = 1e30 underflows to 0
         params = make_scheme_params(ArModel((0.5,), 1e-300), NoiseSpec(0.0))
-        raw = rate_periodic(1e30, params, clamp=False)
+        raw = raw_rate(PER, params, 1e30)
         gap = math.log2(params.sigma_nu_sq) - math.log2(1e30 - params.coeffs.sigma_p_sq)
         assert raw == 0.5 * gap + 0.5 * params.log2_theta_sq_sum
-        assert rate_periodic(1e30, params) == 0.0
+        assert scheme_rate(PER, params, 1e30) == 0.0
 
     def test_underflowing_uniform_quotient_gives_a_finite_rate(self):
         params = make_scheme_params(ArModel((0.5,), 1e-300), NoiseSpec(0.0))
-        args = (params.acov.sigma_x_sq, params.coeffs.sigma_p_sq)
-        assert math.isfinite(rate_uniform_aperiodic(1e300, *args, clamp=False))
-        assert rate_uniform_aperiodic(1e300, *args) == 0.0
+        assert math.isfinite(raw_rate(UNI, params, 1e300))
+        assert scheme_rate(UNI, params, 1e300) == 0.0
 
     @pytest.mark.parametrize("v", [1e-320, 0.3, 1.0, 2.68, 1e300, 1.05e307])
     def test_finite_gaussian_scale_keeps_its_bits(self, v):
@@ -275,66 +286,54 @@ class TestLogOfFactors:
         with pytest.raises(DegenerateCovariance, match="^2 pi e v has no log: factors"):
             _log2_sqrt_two_pi_e(v, "2 pi e v")
 
+    # a white channel without noise: sigma_x^2 = sigma_P^2 = e_P = sigma_psi^2 and gain 1
+    WHITE = (ArModel((0.0,), 5e307), NoiseSpec(0.0))
+
     def test_overflowing_uniform_scale_gives_a_finite_rate(self):
         # sqrt(2 pi e (sigma_x^2 + sigma_P^2)) overflows once sigma_x^2 exceeds about 5e306
-        raw = rate_uniform_aperiodic(6e307, 5e307, 5e307, clamp=False)
+        (raw,) = _uniform_rule(5e307, 5e307)[1]([6e307])
         gap = 6e307 - 5e307
         expected = 0.25 * (math.log2(TWO_PI_E) + math.log2(1e308)) - 0.5 * math.log2(12.0 * gap)
         assert math.isclose(raw, expected, rel_tol=1e-12)
-        assert rate_uniform_aperiodic(6e307, 5e307, 5e307) == 0.0
+        assert scheme_rate(UNI, make_scheme_params(*self.WHITE), 6e307) == 0.0
 
     def test_overflowing_practical_scale_gives_a_finite_rate(self):
-        # 2 pi e e_P overflows once e_P exceeds about 1.05e307; a white channel
-        # without noise has e_P = sigma_x^2 and gain 1
+        # 2 pi e e_P overflows once e_P exceeds about 1.05e307
         approx, noise = analysis.Ar1Approx(beta=0.0, iota_var=5e307), NoiseSpec(0.0)
         assert analysis._ep_variance_from_approx(approx, noise) == 5e307
-        raw = analysis.rate_practical(6e307, approx, noise, 1.0, clamp=False)
+        raw = analysis.rate_practical(6e307, approx, noise, 1.0)
         # 1/2 log2(1/12) + 1/2 log2 sqrt(2 pi e e_P) - 1/2 log2 sigma_Q^2
         sigma_q_sq = 6e307  # the quantization budget at gain 1
         scale = TWO_PI_E * (5e307 / sigma_q_sq) / sigma_q_sq
         expected = 0.5 * math.log2(1.0 / 12.0) + 0.25 * math.log2(scale)
         assert math.isclose(raw, expected, rel_tol=1e-12)
-        assert analysis.rate_practical(6e307, approx, noise, 1.0) == 0.0
+        params = make_scheme_params(*self.WHITE)
+        assert (params.ar1, params.ar1_gain) == (approx, 1.0)
+        assert scheme_rate(Scheme.PRACTICAL_AR1, params, 6e307) == 0.0
 
     def test_overflowing_output_entropy_gives_a_finite_zh_rate(self):
         # 2 pi e sigma_y^2 overflows once sigma_y^2 > 1.05e307
         params = make_scheme_params(ArModel((0.5,), 1.0), NoiseSpec(2e307))
         low, high = default_distortion_grid(Scheme.APERIODIC_ZH, params)
         for d in (low, high):
-            assert math.isfinite(rate_aperiodic_zh(d, params, clamp=False))
-
-
-def per_point_rate(scheme, p, d, normalized, clamp=True):
-    """A scheme's public per-point rate function at D = d."""
-    if scheme is Scheme.APERIODIC_PREDICTION:
-        return rate_aperiodic_prediction(d, p, normalized, clamp)
-    if scheme is Scheme.APERIODIC_ZH:
-        return rate_aperiodic_zh(d, p, normalized, clamp)
-    if scheme is Scheme.PERIODIC:
-        return rate_periodic(d, p, clamp)
-    if scheme is Scheme.UNIFORM_APERIODIC:
-        return rate_uniform_aperiodic(d, p.acov.sigma_x_sq, p.coeffs.sigma_p_sq, clamp)
-    return analysis.rate_practical(d, p.ar1, p.noise, p.ar1_gain, clamp)
-
-
-PER_POINT_NAMES = {
-    Scheme.APERIODIC_PREDICTION: "rate_aperiodic_prediction",
-    Scheme.APERIODIC_ZH: "rate_aperiodic_zh",
-    Scheme.PERIODIC: "rate_periodic",
-    Scheme.UNIFORM_APERIODIC: "rate_uniform_aperiodic",
-    Scheme.PRACTICAL_AR1: "rate_practical",
-}
+            assert math.isfinite(raw_rate(ZH, params, d))
 
 
 @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("normalized", [False, True], ids=["default", "normalized"])
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda scheme: scheme.value)
-def test_non_finite_distortion_raises_naming_the_function(ar1_params, scheme, normalized, d):
+def test_non_finite_distortion_raises_naming_the_scheme(ar1_params, scheme, normalized, d):
     # checked before any arithmetic: a NaN D fails every floor test and its
     # rate would clamp to 0 bits, and an infinite one has no log
     with pytest.raises(NonFiniteInput) as raised:
-        per_point_rate(scheme, ar1_params, d, normalized, clamp=False)
-    assert str(raised.value) == f"{PER_POINT_NAMES[scheme]}: distortion {d} is not finite"
+        scheme_rate(scheme, ar1_params, d, normalized)
+    assert str(raised.value) == f"{scheme.value}: distortion {d} is not finite"
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda scheme: scheme.value)
+def test_below_the_floor_raises_naming_the_scheme(ar1_params, scheme):
+    with pytest.raises(DistortionBelowFloor, match=f"^{scheme.value}: "):
+        scheme_rate(scheme, ar1_params, distortion_floor(scheme, ar1_params) * 0.5)
 
 
 def element_by_element_rate(scheme, p, d, normalized, clamp=True):
@@ -344,9 +343,7 @@ def element_by_element_rate(scheme, p, d, normalized, clamp=True):
         raise DegenerateCovariance("zero-holding weight alpha underflows to 0")
     floor = p.zh.sigma_z_sq if scheme is Scheme.APERIODIC_ZH else p.coeffs.sigma_p_sq
     if d <= floor:
-        what = "sigma_Z^2" if scheme is Scheme.APERIODIC_ZH else "sigma_P^2"
-        lead = f"target {d}" if scheme is Scheme.UNIFORM_APERIODIC else f"D={d}"
-        raise DistortionBelowFloor(f"{lead} <= {what}={floor}")
+        raise DistortionBelowFloor(f"{scheme.value}: D={d} <= floor {floor}")
     if scheme is Scheme.APERIODIC_PREDICTION:
         log_weights = p.log2_theta_sq_sum
         gap = -0.5 * math.log2(d - floor)
@@ -401,11 +398,11 @@ def outcome(evaluate, *args):
 
 
 def per_point_curve(scheme, p, grid, normalized):
-    """The curve ``sweep`` gives, from one per-point call per grid point."""
+    """The curve ``sweep`` gives, from one ``scheme_rate`` call per grid point."""
     points, skipped = [], 0
     for d in grid:
         try:
-            points.append(RdPoint(d, per_point_rate(scheme, p, d, normalized)))
+            points.append(RdPoint(d, scheme_rate(scheme, p, d, normalized)))
         except DistortionBelowFloor:
             skipped += 1
     return RdCurve(scheme, points, skipped)
@@ -438,7 +435,9 @@ _BOUND_CASES = st.builds(
 @example(case=(ArModel((0.9, -0.2), 1e-3), NoiseSpec(0.0)), normalized=True, below=1.0, above=2.0, n=2)
 def test_sweep_matches_the_per_point_rates(case, normalized, below, above, n):
     # every scheme on a grid from below its floor to above it: the same points
-    # and skipped count as one per-point call per grid point, or the same error
+    # and skipped count as one scheme_rate call per grid point, or the same
+    # error; and each analytic scheme_rate, and the raw rate of its rule above
+    # the floor, as the element-by-element oracle
     model, noise = case
     try:
         params = make_scheme_params(model, noise)
@@ -460,9 +459,10 @@ def test_sweep_matches_the_per_point_rates(case, normalized, below, above, n):
         if scheme is Scheme.PRACTICAL_AR1:
             continue
         for d in grid + [floor]:
-            for clamp in (False, True):
-                args = (scheme, params, d, normalized, clamp)
-                assert outcome(per_point_rate, *args) == outcome(element_by_element_rate, *args)
+            args = (scheme, params, d, normalized)
+            assert outcome(scheme_rate, *args) == outcome(element_by_element_rate, *args)
+            if d > floor:
+                assert outcome(raw_rate, *args) == outcome(element_by_element_rate, *args, False)
 
 
 class TestSweep:
@@ -504,14 +504,14 @@ class TestSweep:
         grid = np.geomspace(zh_floor * 1.001, zh_floor * 4, 15)
         for normalized in (False, True):
             for d in grid:
-                zh_rate = rate_aperiodic_zh(float(d), ar4_params, normalized)
-                pred_rate = rate_aperiodic_prediction(float(d), ar4_params, normalized)
-                per_rate = rate_periodic(float(d), ar4_params)
+                zh_rate = scheme_rate(ZH, ar4_params, float(d), normalized)
+                pred_rate = scheme_rate(AP, ar4_params, float(d), normalized)
+                per_rate = scheme_rate(PER, ar4_params, float(d))
                 assert zh_rate >= pred_rate - 1e-12
                 assert zh_rate >= per_rate - 1e-12
             near_floor = float(zh_floor * 1.001)
-            assert rate_aperiodic_zh(near_floor, ar4_params, normalized) > rate_aperiodic_prediction(
-                near_floor, ar4_params, normalized
+            assert scheme_rate(ZH, ar4_params, near_floor, normalized) > scheme_rate(
+                AP, ar4_params, near_floor, normalized
             )
 
     def test_rejects_bad_grid(self, ar1_params):
@@ -519,6 +519,23 @@ class TestSweep:
             sweep(Scheme.PERIODIC, ar1_params, 2.0, 3.0, 1)
         with pytest.raises(ValueError):
             sweep(Scheme.PERIODIC, ar1_params, 3.0, 2.0, 5)
+
+    def test_n_points_must_be_an_integer(self, ar1_params):
+        # 2.5 swept a 3-point grid with skipped = -0.5, and 3.0 gave a float skipped
+        for n in (2.5, 3.0):
+            with pytest.raises(TypeError):
+                sweep(Scheme.PERIODIC, ar1_params, 2.0, 3.0, n)
+        curve = sweep(Scheme.PERIODIC, ar1_params, 2.0, 3.0, np.int64(3))
+        assert (len(curve.points), type(curve.skipped)) == (3, int)
+
+    def test_an_underflowing_practical_gain_raises_before_any_point(self):
+        params = make_scheme_params(ArModel((0.5,), 1e-300), NoiseSpec(1e300))
+        assert params.ar1_gain == 0.0
+        message = re.escape("codec gain of the AR(1) fit underflows to 0")
+        with pytest.raises(DegenerateCovariance, match=f"^{message}$"):
+            sweep(Scheme.PRACTICAL_AR1, params, 1e-10, 1e300, 5)
+        with pytest.raises(DegenerateCovariance, match=f"^{message}$"):
+            scheme_rate(Scheme.PRACTICAL_AR1, params, 1.0)
 
     # a white channel of variance 1e308, whose automatic d_max = 10 sigma_x^2 overflows
     HUGE = (ArModel((0.0,), 1e308), NoiseSpec(0.0))
@@ -541,7 +558,7 @@ class TestSweep:
             expected, skipped = [], 0
             for d in np.geomspace(floor * 0.9, floor * 20, 37):
                 try:
-                    expected.append((float(d), per_point_rate(scheme, ar4_params, float(d), normalized)))
+                    expected.append((float(d), scheme_rate(scheme, ar4_params, float(d), normalized)))
                 except DistortionBelowFloor:
                     skipped += 1
             assert curve.points == expected, scheme
@@ -619,19 +636,10 @@ class TestVarianceShift:
             lam = analysis.converged_gain(
                 ArModel((approx.beta,), approx.iota_var), params.noise, 0.0
             )
-            return analysis.rate_practical(d, approx, params.noise, lam, clamp=False)
+            return analysis.rate_practical(d, approx, params.noise, lam)
 
-        evaluators = {
-            Scheme.APERIODIC_PREDICTION: lambda p, d: rate_aperiodic_prediction(
-                d, p, clamp=False
-            ),
-            Scheme.APERIODIC_ZH: lambda p, d: rate_aperiodic_zh(d, p, clamp=False),
-            Scheme.PERIODIC: lambda p, d: rate_periodic(d, p, clamp=False),
-            Scheme.UNIFORM_APERIODIC: lambda p, d: rate_uniform_aperiodic(
-                d, p.acov.sigma_x_sq, p.coeffs.sigma_p_sq, clamp=False
-            ),
-            Scheme.PRACTICAL_AR1: practical_rate,
-        }
+        evaluators = {s: functools.partial(raw_rate, s) for s in (AP, ZH, PER, UNI)}
+        evaluators[Scheme.PRACTICAL_AR1] = practical_rate
         for scheme, evaluate in evaluators.items():
             floor = distortion_floor(scheme, p2)
             for d in np.geomspace(floor * 1.001, 10 * p2.acov.sigma_x_sq, 12):
@@ -643,4 +651,4 @@ class TestVarianceShift:
         p2 = make_scheme_params(doubled, noise, 4)
         floor = distortion_floor(Scheme.APERIODIC_ZH, p2)
         for d in np.geomspace(floor * 1.001, 20.0, 10):
-            assert rate_aperiodic_zh(float(d), p2) >= rate_aperiodic_zh(float(d), p1)
+            assert scheme_rate(ZH, p2, float(d)) >= scheme_rate(ZH, p1, float(d))

@@ -1,6 +1,7 @@
 """The demos run end to end and write their CSVs."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 import csi_feedback
 from csi_feedback import read_csv
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize(
@@ -26,13 +28,27 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 def test_demo_writes_its_csv(tmp_path, script, csv, rows):
     # a copy writes its CSV next to itself, in tmp_path
     shutil.copy(DEMOS / script, tmp_path)
+    result = run_python([str(tmp_path / script)], tmp_path)
+    assert result.returncode == 0, result.stderr
+    if csv is not None:
+        assert len(read_csv(tmp_path / csv)) == rows
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # README's one Python block, so that an API change cannot leave it stale
+    (block,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    result = run_python(["-c", block], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "bits at D=1.25:" in result.stdout
+
+
+def run_python(args, cwd):
+    """``python *args`` in ``cwd`` on the package under test, as a user runs it."""
     src = str(Path(csi_feedback.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, str(tmp_path / script)],
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
     )
-    assert result.returncode == 0, result.stderr
-    if csv is not None:
-        assert len(read_csv(tmp_path / csv)) == rows

@@ -27,6 +27,7 @@ from csi_feedback import (
     make_scheme_params,
     mse_recursion,
     pack_indices,
+    rate_practical,
     steady_state,
     sweep,
     unpack_indices,
@@ -55,6 +56,19 @@ BAD_ARGUMENTS = {
     ),
     "analysis gain": (
         lambda: mse_recursion(REF_AR1, UNIT_NOISE, 0.0, 0.0, 10),
+        "lam must lie in (0, 1]",
+    ),
+    # a NaN and a gain above 1 gave 0.0 bits, and 0 a DistortionBelowFloor
+    "analysis practical gain nan": (
+        lambda: rate_practical(5.0, ar1_fit(autocovariance(REF_AR1, 1)), UNIT_NOISE, math.nan),
+        "lam must lie in (0, 1]",
+    ),
+    "analysis practical gain above 1": (
+        lambda: rate_practical(5.0, ar1_fit(autocovariance(REF_AR1, 1)), UNIT_NOISE, 1.5),
+        "lam must lie in (0, 1]",
+    ),
+    "analysis practical gain 0": (
+        lambda: rate_practical(5.0, ar1_fit(autocovariance(REF_AR1, 1)), UNIT_NOISE, 0.0),
         "lam must lie in (0, 1]",
     ),
     "analysis ar1 lag": (

@@ -15,6 +15,7 @@ from csi_feedback import (
     autocovariance,
     make_scheme_params,
     mmse_coefficients,
+    nu_variance,
     parse_config_text,
     predict_one_step,
     run_codec_experiment,
@@ -257,6 +258,11 @@ class TestZeroHolding:
         assert zh.sigma_z_sq == pytest.approx(2.0 * sigma_x_sq, rel=1e-12)
         # an overflowing sum sigma_x^2 + sigma_xi^2 leaves the NaN it always gave
         assert math.isnan(_filtering_mse(1e308, NoiseSpec(1e308)))
+
+    def test_a_channel_and_noise_of_zero_variance_have_zero_filtering_mse(self):
+        # sigma_x^2 + sigma_xi^2 = 0: no 0 / 0, an MSE of 0
+        assert nu_variance(ArModel((0.5,), 0.0), NoiseSpec(0.0)) == 0.0
+        assert zh_estimator(Autocovariance(np.zeros(2)), NoiseSpec(0.0)) == ZhEstimator(0.0, 0.0)
 
 
 class TestDominance:

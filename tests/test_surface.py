@@ -9,9 +9,6 @@ PACKAGE = ROOT / "src" / "csi_feedback"
 
 # documented API that no module, demo or benchmark calls; each entry says where it is documented
 ALLOWED = {
-    "rate_aperiodic_prediction": "README: the per-point rate API",
-    "rate_periodic": "README: the per-point rate API",
-    "rate_uniform_aperiodic": "README: the per-point rate API",
     "read_csv": "README: the reader of the CSV that the CLI writes",
 }
 
