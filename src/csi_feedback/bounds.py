@@ -34,8 +34,8 @@ from .predictor import (
     PredictorCoefficients,
     ZhEstimator,
     _filtering_mse,
+    _solve_mmse,
     kappa_y_matrix,
-    mmse_coefficients,
     zh_estimator,
 )
 
@@ -53,6 +53,9 @@ class Scheme(enum.Enum):
 class RdPoint(NamedTuple):
     distortion: float
     rate: float
+
+
+_new = tuple.__new__  # a NamedTuple from a tuple of all its fields, without its __new__
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +88,12 @@ def log_det_ky(acov: Autocovariance, noise: NoiseSpec, order: int) -> float:
         raise CsiFeedbackError("order must be >= 1")
     if acov.max_lag < order - 1:
         raise CsiFeedbackError(f"autocovariance max_lag {acov.max_lag} < order-1")
-    sign, log_det = np.linalg.slogdet(kappa_y_matrix(acov, noise, order))
+    return _log2_det(kappa_y_matrix(acov, noise, order))
+
+
+def _log2_det(k_y: np.ndarray) -> float:
+    """``log_det_ky`` of its kappa_y matrix ``k_y``, built by the caller."""
+    sign, log_det = np.linalg.slogdet(k_y)
     if sign <= 0:
         raise SingularSystem("kappa_y Toeplitz matrix is not positive definite")
     return float(log_det / math.log(2.0))
@@ -112,14 +120,17 @@ def make_scheme_params(model: ArModel, noise: NoiseSpec, order: int | None = Non
             f"observation variance overflows: sigma_x^2={acov.sigma_x_sq}, "
             f"sigma_xi^2={noise.obs_noise_var}"
         )
-    coeffs = mmse_coefficients(acov, noise, order)
+    if order < 1:  # mmse_coefficients' check, before the matrix is built
+        raise CsiFeedbackError("predictor order must be >= 1")
+    k_y = kappa_y_matrix(acov, noise, order)  # one matrix for the solve and the determinant
+    coeffs = _solve_mmse(acov, k_y)
     return SchemeParams(
         acov=acov,
         noise=noise,
         coeffs=coeffs,
         zh=zh_estimator(acov, noise),
         sigma_nu_sq=nu_variance(model, noise),
-        log_det_ky=log_det_ky(acov, noise, order),
+        log_det_ky=_log2_det(k_y),
         ar1=ar1,
         ar1_gain=analysis.converged_gain(ArModel((ar1.beta,), ar1.iota_var), noise, sigma_q_sq=0.0),
         log2_theta_sq_sum=_sum_log2_theta_sq(coeffs),
@@ -127,10 +138,11 @@ def make_scheme_params(model: ArModel, noise: NoiseSpec, order: int | None = Non
 
 
 def _sum_log2_theta_sq(coeffs: PredictorCoefficients) -> float:
-    theta_sq = coeffs.theta.astype(float) ** 2
-    if np.any(theta_sq == 0.0):
+    """numpy's pairwise sum of its log2 of each theta^2; -inf if a theta^2 is 0, NaN on a NaN."""
+    theta_sq = coeffs.theta * coeffs.theta
+    if not theta_sq.all():
         return -math.inf
-    return float(np.sum(np.log2(theta_sq)))
+    return float(np.log2(theta_sq).sum())
 
 
 def _clamped(rate: float) -> float:
@@ -330,12 +342,12 @@ def sweep(
         skipped = 0
         for d in grid:
             try:
-                points.append(RdPoint(d, _clamped(rate(d, *args))))
+                points.append(_new(RdPoint, (d, _clamped(rate(d, *args)))))
             except DistortionBelowFloor:
                 skipped += 1
         return RdCurve(scheme=scheme, points=points, skipped=skipped)
 
     floor, rates = _rule(scheme, params, normalized)
     kept = [d for d in grid if not d <= floor]
-    points = list(map(RdPoint, kept, map(_clamped, rates(kept)))) if kept else []
+    points = [_new(RdPoint, p) for p in zip(kept, map(_clamped, rates(kept)))] if kept else []
     return RdCurve(scheme=scheme, points=points, skipped=n_points - len(kept))

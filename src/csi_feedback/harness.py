@@ -44,6 +44,7 @@ class CsvRow(NamedTuple):
 
 
 CSV_HEADER = CsvRow._fields
+_new = tuple.__new__  # a CsvRow from a tuple of all eight fields, without its __new__
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,7 @@ _DEFAULTS = {
 }
 
 _KNOWN_KEYS = set(_DEFAULTS) | {"ar_coeffs", "predictor_order"}
+_SCHEMES = {scheme.value: scheme for scheme in bounds.Scheme}
 
 # grid points per theory curve; each point costs memory in every scheme's rows
 MAX_POINTS = 10_000
@@ -95,9 +97,14 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
-def _parse_float_list(raw: str, key: str) -> tuple[float, ...]:
+def _parse_float_list(raw: str, key: str, lags: bool = False) -> tuple[float, ...]:
+    fields = [part.strip() for part in raw.split(",")]
+    while fields and not fields[-1]:
+        fields.pop()
+    if lags and "" in fields:  # skipping it would shift every later lag
+        raise ConfigError(f"{key}: empty field before a coefficient in {raw!r}")
     try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
+        return tuple(float(part) for part in fields if part)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from exc
 
@@ -118,7 +125,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     if "ar_coeffs" not in values:
         raise ConfigError("missing required key ar_coeffs")
-    coeffs = _parse_float_list(values["ar_coeffs"], "ar_coeffs")
+    coeffs = _parse_float_list(values["ar_coeffs"], "ar_coeffs", lags=True)
     if not coeffs:
         raise ConfigError("ar_coeffs must list at least one coefficient")
 
@@ -149,10 +156,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         tag = tag.strip()
         if not tag:
             continue
-        try:
-            schemes.append(bounds.Scheme(tag))
-        except ValueError as exc:
-            raise ConfigError(f"unknown scheme {tag!r}") from exc
+        if tag not in _SCHEMES:
+            raise ConfigError(f"unknown scheme {tag!r}")
+        schemes.append(_SCHEMES[tag])
     if not schemes:
         raise ConfigError("schemes must not be empty")
 
@@ -349,7 +355,7 @@ def run_theory_sweep(config: ExperimentConfig) -> list[CsvRow]:
         skipped_total += curve.skipped
         tag = scheme.value
         rows += [
-            CsvRow(tag, sigma_psi_sq, sigma_xi_sq, distortion, rate, "theory", 0, 0)
+            _new(CsvRow, (tag, sigma_psi_sq, sigma_xi_sq, distortion, rate, "theory", 0, 0))
             for distortion, rate in curve.points
         ]
     if skipped_total:

@@ -59,10 +59,14 @@ def mmse_coefficients(acov: Autocovariance, noise: NoiseSpec, order: int) -> Pre
         raise CsiFeedbackError("predictor order must be >= 1")
     if acov.max_lag < order:
         raise CsiFeedbackError(f"autocovariance max_lag {acov.max_lag} < order {order}")
+    return _solve_mmse(acov, kappa_y_matrix(acov, noise, order))
 
-    r = acov.lags[1 : order + 1]
+
+def _solve_mmse(acov: Autocovariance, k_y: np.ndarray) -> PredictorCoefficients:
+    """``mmse_coefficients`` against its kappa_y matrix ``k_y``, built by the caller."""
+    r = acov.lags[1 : len(k_y) + 1]
     try:
-        theta = np.linalg.solve(kappa_y_matrix(acov, noise, order), r)
+        theta = np.linalg.solve(k_y, r)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("observation covariance matrix is singular") from exc
     sigma_p_sq = float(acov.lags[0] - r @ theta)

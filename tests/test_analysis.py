@@ -36,7 +36,7 @@ from csi_feedback.errors import (
     NonConvergence,
     NonFiniteInput,
 )
-from csi_feedback.analysis import MSE_RTOL
+from csi_feedback.analysis import _MSE_CHUNK, MSE_RTOL
 from test_codec import _ar_from_pacf
 from test_kernel import assert_same_on_both_paths
 from test_predictor import AR1_SIGMA_P_SQ
@@ -69,6 +69,12 @@ class TestAr1Fit:
 
 
 class TestMseRecursion:
+    def test_trajectory_owns_memory_of_its_own_length(self, ar4, noise, either_path):
+        # not a view of a longer buffer, such as the kernel's 1024-double chunk
+        trajectory = mse_recursion(ar4, noise, lam=0.6, sigma_q_sq=0.01, steps=100_000)
+        assert trajectory.base is None and trajectory.flags.owndata
+        assert trajectory.nbytes == 8 * trajectory.size < 8 * _MSE_CHUNK
+
     def test_full_correction_is_constant(self, ar4, noise):
         trajectory = mse_recursion(ar4, noise, lam=1.0, sigma_q_sq=0.25, steps=100)
         assert trajectory[1] == pytest.approx(noise.obs_noise_var + 0.25, rel=1e-12)

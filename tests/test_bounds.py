@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from csi_feedback import (
     ArModel,
+    Autocovariance,
     NoiseSpec,
     Scheme,
     autocovariance,
@@ -19,6 +20,7 @@ from csi_feedback import (
     distortion_floor,
     log_det_ky,
     make_scheme_params,
+    mmse_coefficients,
     nu_variance,
     scheme_rate,
     sweep,
@@ -26,6 +28,7 @@ from csi_feedback import (
 from csi_feedback import analysis
 from csi_feedback.analysis import TWO_PI_E, _log2, _log2_sqrt_two_pi_e
 from csi_feedback.bounds import (
+    PredictorCoefficients,
     RdCurve,
     RdPoint,
     _log_grid,
@@ -38,6 +41,7 @@ from csi_feedback.errors import (
     DegenerateCovariance,
     DistortionBelowFloor,
     NonFiniteInput,
+    SingularSystem,
 )
 from test_channel import AR1_KAPPA0, random_stationary_model
 from test_codec import _ar_from_pacf
@@ -96,6 +100,21 @@ class TestLogDetKy:
         ky1 = ar1_acov.lags[1]
         generic = math.log2(np.linalg.det(np.array([[ky0, ky1], [ky1, ky0]])))
         assert value == pytest.approx(generic, rel=1e-10)
+
+    def test_zero_channel_is_not_positive_definite(self):
+        message = "^kappa_y Toeplitz matrix is not positive definite$"
+        with pytest.raises(SingularSystem, match=message):
+            log_det_ky(Autocovariance(np.zeros(3)), NoiseSpec(0.0), 2)
+
+    def test_params_hold_the_bits_of_the_public_calls(self, ar1, ar4, noise):
+        # make_scheme_params builds one kappa_y matrix for the solve and the determinant
+        for model in (ar1, ar4, ArModel(_ar_from_pacf((0.9, -0.5, 0.3, -0.2, 0.1)), 0.1)):
+            for order in (1, model.order, model.order + 2):
+                params = make_scheme_params(model, noise, order)
+                coeffs = mmse_coefficients(params.acov, noise, order)
+                assert params.coeffs.theta.tobytes() == coeffs.theta.tobytes()
+                assert params.coeffs.sigma_p_sq == coeffs.sigma_p_sq
+                assert params.log_det_ky == log_det_ky(params.acov, noise, order)
 
     def test_diagonal_case(self):
         white = autocovariance(ArModel((0.0,), 2.0), 3)
@@ -167,6 +186,15 @@ class TestLogWeightSum:
     def test_stored_sum_matches_the_weights(self, ar1_params, ar1_params_l2, ar4_params):
         for params in (ar1_params, ar1_params_l2, ar4_params):
             assert params.log2_theta_sq_sum == _sum_log2_theta_sq(params.coeffs)
+
+    @pytest.mark.parametrize(
+        "theta", [[0.5, -0.0], [math.nan, 0.5], [math.nan, 0.0], [1e-200, 2.0], [-3.0, 0.25, 7.0]]
+    )
+    def test_sum_keeps_the_bits_of_the_elementwise_form(self, theta):
+        theta_sq = np.array(theta) ** 2
+        expected = -math.inf if np.any(theta_sq == 0.0) else float(np.sum(np.log2(theta_sq)))
+        coeffs = PredictorCoefficients(np.array(theta), 1.0)
+        assert repr(_sum_log2_theta_sq(coeffs)) == repr(expected)
 
     def test_zero_weight_gives_minus_infinity(self):
         params = make_scheme_params(ArModel((0.0, 0.0), 1.0), NoiseSpec(0.5))

@@ -87,6 +87,14 @@ BAD_ARGUMENTS = {
         lambda: log_det_ky(Autocovariance(np.array([1.0])), UNIT_NOISE, 3),
         "autocovariance max_lag 0 < order-1",
     ),
+    "bounds log det singular": (  # the zero channel's kappa_y matrix of order 2 is all zeros
+        lambda: log_det_ky(Autocovariance(np.zeros(3)), NoiseSpec(0.0), 2),
+        "kappa_y Toeplitz matrix is not positive definite",
+    ),
+    "bounds params order": (  # checked before the one kappa_y matrix is built
+        lambda: make_scheme_params(REF_AR1, UNIT_NOISE, 0),
+        "predictor order must be >= 1",
+    ),
     "bounds sweep points": (
         lambda: sweep(Scheme.PERIODIC, make_scheme_params(REF_AR1, UNIT_NOISE), 1.0, 2.0, 1),
         "n_points must be >= 2",

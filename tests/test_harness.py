@@ -132,6 +132,9 @@ class TestConfigParsing:
             "ar_coeffs = 0.9\ninnovation_var = nan",
             "ar_coeffs = 0.9\nobs_noise_var = inf",
             "ar_coeffs = ,",  # no coefficient
+            "ar_coeffs = 0.5,,0.2",  # an empty field would shift 0.2 to lag 2
+            "ar_coeffs = , 0.5",
+            "ar_coeffs = 0.5, ,0.2,",
             "ar_coeffs = 0.9\ninnovation_var = abc",
             "ar_coeffs = 0.9\npredictor_order = 0",
             "ar_coeffs = 0.9\nschemes = , ,",  # no scheme
@@ -140,6 +143,21 @@ class TestConfigParsing:
     def test_invalid_configs_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_config_text(text)
+
+    def test_empty_coefficient_field_names_ar_coeffs(self):
+        message = r"^ar_coeffs: empty field before a coefficient in '0.5,,0.2'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text("ar_coeffs = 0.5,,0.2")
+        with pytest.raises(ConfigError, match=r"^ar_coeffs must list at least one coefficient$"):
+            parse_config_text("ar_coeffs = ,")
+
+    def test_empty_fields_without_a_lag_are_skipped(self):
+        config = parse_config_text(
+            "ar_coeffs = 0.5, 0.2,\nquantizer_bits = 2,,6\nschemes = periodic,,practical_ar1"
+        )
+        assert config.model.coeffs == (0.5, 0.2)
+        assert config.quantizer_bits == (2, 6)
+        assert config.schemes == (Scheme.PERIODIC, Scheme.PRACTICAL_AR1)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -731,6 +749,12 @@ class TestCli:
         cfg = self.write(tmp_path, "ar_coeffs = 0.9\nbogus = 1")
         assert cli_main(["validate", "--config", cfg]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_empty_coefficient_field_is_exit_1(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "ar_coeffs = 0.5,,0.2")
+        assert cli_main(["theory", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert "ar_coeffs: empty field before a coefficient" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize(
         "key, value", [("quantizer_bits", "70"), ("quantizer_bits", "4.7"), ("seed", "-1")]
