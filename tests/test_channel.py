@@ -24,7 +24,7 @@ from csi_feedback import (
     obs_autocovariance,
     validate_stationarity,
 )
-from csi_feedback import channel
+from csi_feedback import channel, harness
 from csi_feedback.channel import STATIONARITY_MARGIN
 from csi_feedback.errors import LagOutOfRange, NonStationaryModel
 from test_codec import _ar_from_pacf
@@ -59,6 +59,47 @@ _ORDER_ONE_EDGES = [
         0.0, 5e-324, 1.0, _EDGE, float(np.nextafter(_EDGE, 0.0)), float(np.nextafter(_EDGE, 2.0))
     )
     for sign in (1.0, -1.0)
+]
+
+
+# reflection coefficients: any inside (-0.999, 0.999), or 1e-12..1e-3 either side of +-1
+_REFLECTION = st.floats(-0.999, 0.999) | st.builds(
+    lambda sign, side, exponent: sign * (1.0 + side * 10.0**-exponent),
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(3.0, 12.0),
+)
+
+
+@st.composite
+def _models_near_the_margin(draw) -> tuple[float, ...]:
+    """AR(2..8) coefficients from reflection coefficients about radius 1 or 1 - 1e-9,
+    or with a cluster of real roots about 1 - 1e-9."""
+    if draw(st.booleans()):
+        coeffs = _ar_from_pacf(draw(st.lists(_REFLECTION, min_size=2, max_size=8)))
+        if draw(st.booleans()):  # the same reflection coefficients about radius 1 - 1e-9
+            coeffs = tuple(a * _EDGE**m for m, a in enumerate(coeffs, start=1))
+        return coeffs
+    order = draw(st.integers(2, 8))
+    cluster = draw(st.integers(2, order))
+    centre = _EDGE + draw(st.sampled_from([1.0, -1.0])) * 10.0 ** -draw(st.floats(4.0, 13.0))
+    spread = 10.0 ** -draw(st.floats(3.0, 12.0))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=cluster, max_size=cluster))
+    rest = draw(st.lists(st.floats(-0.99, 0.99), min_size=order - cluster, max_size=order - cluster))
+    roots = [sign * (centre + spread * offset) for offset in offsets] + rest
+    return tuple(float(c) for c in -np.poly(roots)[1:])
+
+
+# models the step-down leaves to the roots: on the margin, at the unit root, and
+# just inside the margin
+_IN_THE_GUARD_BAND = [
+    (2 * _EDGE, -_EDGE * _EDGE),  # a double root at 1 - 1e-9
+    (1.0, 0.0),
+    _ar_from_pacf([0.5, 1 - 1e-12]),
+    _ar_from_pacf([-(1 - 1e-10), 0.3, 0.2]),
+    _ar_from_pacf([0.9, -0.5, 1 - 1e-8]),
+    (1.999999996, -0.999999996),
 ]
 
 
@@ -97,6 +138,28 @@ class TestStationarity:
         oracle = ArModel((a1,), 1.0)
         oracle.__dict__["_spectral_radius"] = _roots_radius(a1)
         assert default_burn_in(model) == default_burn_in(oracle)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(coeffs=_models_near_the_margin())
+    @example(coeffs=_IN_THE_GUARD_BAND[0])
+    @example(coeffs=_IN_THE_GUARD_BAND[1])
+    @example(coeffs=_IN_THE_GUARD_BAND[2])
+    @example(coeffs=_IN_THE_GUARD_BAND[3])
+    @example(coeffs=_IN_THE_GUARD_BAND[4])
+    @example(coeffs=_IN_THE_GUARD_BAND[5])
+    def test_higher_orders_match_the_roots_decision(self, coeffs):
+        radius = float(np.max(np.abs(np.roots([1.0, *(-a for a in coeffs)]))))
+        assert validate_stationarity(ArModel(coeffs, 1.0)) == (radius < 1.0 - STATIONARITY_MARGIN)
+
+    @pytest.mark.parametrize("coeffs", _IN_THE_GUARD_BAND)
+    def test_guard_band_examples_are_left_to_the_roots(self, coeffs):
+        assert channel._step_down_decision(coeffs) is None
+
+    def test_step_down_decides_ordinary_models(self, ar4):
+        assert channel._step_down_decision(ar4.coeffs) is True
+        assert channel._step_down_decision((1.2, -0.1)) is False
+        assert channel._step_down_decision((0.5, 0.0, 0.0)) is True
+        assert channel._step_down_decision((1e308, 1e308, 0.5)) is None  # overflows
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
@@ -353,13 +416,23 @@ class TestModelSolvedOnce:
             return roots(model)
 
         monkeypatch.setattr(ArModel, "characteristic_roots", counting)
-        model = ArModel((0.5, 0.2, 0.1, 0.05), 1.0)
-        noise = NoiseSpec(0.5)
+        config = harness.parse_config_text(
+            "ar_coeffs = 0.5, 0.2, 0.1, 0.05\ninnovation_var = 1\nobs_noise_var = 0.5\n"
+        )
+        model, noise = config.model, config.noise  # fresh: nothing cached yet
         make_scheme_params(model, noise)
-        default_burn_in(model)
+        harness.run_theory_sweep(config)
+        for bits in (2, 5, 8):
+            quantizer = innovation_quantizer(model, noise, bits)
+            gain = converged_gain(model, noise, quantizer.noise_var)
+            mse_recursion(model, noise, gain, quantizer.noise_var, 1000)
+        # the step-down decides the model, and the AR(1) fit is checked by its
+        # closed form: the theory path finds no roots
+        assert solved == []
         for seed in range(3):
             generate_trace(model, noise, 50, seed)
-        # the AR(1) fit is checked by its closed form, which needs no roots
+        default_burn_in(model)
+        # the burn-in reads the radius, found once
         assert len(solved) == 1 and solved[0] is model
 
     def test_order_one_models_find_no_roots(self, monkeypatch):
@@ -377,13 +450,18 @@ class TestModelSolvedOnce:
         EncoderState(model, noise, innovation_quantizer(model, noise, 4))
 
     def test_pickle_drops_the_spectral_radius(self, ar4):
-        model = ArModel(ar4.coeffs, ar4.innovation_var)
-        radius = model._spectral_radius
-        assert radius == float(np.max(np.abs(np.roots([1.0, *(-a for a in ar4.coeffs)]))))
-        assert pickle.dumps(model) == pickle.dumps(ArModel(ar4.coeffs, ar4.innovation_var))
-        restored = pickle.loads(pickle.dumps(model))
-        assert "_spectral_radius" not in restored.__dict__
-        assert restored._spectral_radius == radius
+        # stationary, explosive, and inside the step-down's guard band
+        for coeffs in (ar4.coeffs, (1.2, -0.1), _IN_THE_GUARD_BAND[0]):
+            model = ArModel(coeffs, 1.0)
+            decision = validate_stationarity(model)
+            radius = model._spectral_radius
+            assert radius == float(np.max(np.abs(np.roots([1.0, *(-a for a in coeffs)]))))
+            assert pickle.dumps(model) == pickle.dumps(ArModel(coeffs, 1.0))
+            restored = pickle.loads(pickle.dumps(model))
+            assert "_stationary" not in restored.__dict__
+            assert "_spectral_radius" not in restored.__dict__
+            assert validate_stationarity(restored) == decision
+            assert restored._spectral_radius == radius
 
     def test_failures_are_raised_on_every_use(self):
         model = ArModel((1.2, -0.1), 1.0)

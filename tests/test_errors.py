@@ -127,6 +127,11 @@ BAD_ARGUMENTS = {
         lambda: generate_trace(REF_AR1, UNIT_NOISE, 0, seed=0),
         "n must be positive",
     ),
+    # numpy's own "expected non-negative integer" before
+    "channel trace seed": (
+        lambda: generate_trace(REF_AR1, UNIT_NOISE, 10, seed=-1),
+        "seed must be >= 0",
+    ),
     "codec step": (
         lambda: UniformQuantizer(bits=2, step=0.0),
         "step must be positive",
@@ -180,6 +185,21 @@ def test_bad_argument_raises_the_toolkit_error(call, message):
         call()
     assert isinstance(raised.value, ValueError)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: generate_trace(REF_AR1, UNIT_NOISE, 10, seed=None),  # would draw OS entropy
+        lambda: generate_trace(REF_AR1, UNIT_NOISE, 10, seed=1.5),
+        lambda: generate_trace(REF_AR1, UNIT_NOISE, 2.5, seed=0),
+        lambda: autocovariance(REF_AR4, 4.5),
+    ],
+    ids=["trace seed None", "trace seed float", "trace length float", "max lag float"],
+)
+def test_channel_integers_are_taken_through_index(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_one_error_root():
