@@ -44,7 +44,8 @@ _MSE_CHUNK = 1024
 
 
 def _check_quant_noise(sigma_q_sq: float) -> None:
-    # a NaN passes, and the recursions run out their budget on it
+    if not math.isfinite(sigma_q_sq):
+        raise NonFiniteInput(f"sigma_q_sq {sigma_q_sq} is not finite")
     if sigma_q_sq < 0.0:
         raise CsiFeedbackError("sigma_q_sq must be non-negative")
 

@@ -8,6 +8,7 @@ here and by its exact autocovariance sequence.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import operator
@@ -22,12 +23,16 @@ from .errors import CsiFeedbackError, LagOutOfRange, NonStationaryModel, Singula
 # non-stationary rather than letting burn-in estimates blow up.
 STATIONARITY_MARGIN = 1e-9
 
-# The step-down leaves a model to the roots where some stage's |1 - |k_p|| is
+# A step-down pass leaves a model undecided where some stage's |1 - |k_p|| is
 # within this many times the growth of rounding error so far, 1 / prod(1 - k_q^2)
-# over the earlier stages.  Measured on 200k random AR(2..8) models near the
-# margin, every step-down decision that differed from the roots' had a ratio
-# below 1e-13; the theory_grid models of seeds 1-10 have none below 8e-4.
+# over the earlier stages, scaled to the pass's precision (x 10^(16 - digits)).
+# Measured on 200k random AR(2..8) models near the margin, every float decision
+# that differed from the roots' had a ratio below 1e-13; the theory_grid models
+# of seeds 1-10 have none below 8e-4.
 STEP_DOWN_GUARD = 1e-8
+
+# Precisions, in decimal digits, of the step-down passes after the float one
+STEP_DOWN_DIGITS = (40, 80, 160, 320, 640)
 
 MAX_BURN_IN = 10_000
 
@@ -90,16 +95,15 @@ class ArModel:
 
     @functools.cached_property
     def _stationary(self) -> bool:
-        # the step-down's decision where it is clear of its guard band, else the roots'
-        if self.order > 1:
-            decided = _step_down_decision(self.coeffs)
-            if decided is not None:
+        # the first step-down pass clear of its guard decides; a model none clears is on the margin
+        for digits in (None, *STEP_DOWN_DIGITS):
+            if (decided := _step_down_decision(self.coeffs, digits)) is not None:
                 return decided
-        return self._spectral_radius < 1.0 - STATIONARITY_MARGIN
+        return False
 
     @functools.cached_property
     def _spectral_radius(self) -> float:
-        # max |root|; the one root of z - a_1 is a_1 itself, found without eigenvalues
+        # max |root|, for the burn-in; the one root of z - a_1 is a_1 itself, found without eigenvalues
         if self.order == 1:
             return abs(self.coeffs[0])
         return float(np.max(np.abs(self.characteristic_roots())))
@@ -155,40 +159,55 @@ class ChannelTrace:
 def validate_stationarity(model: ArModel) -> bool:
     """True iff every characteristic root has modulus < 1 - 1e-9.
 
-    An AR(1) model is decided by |a_1|.  A higher order is decided by the
-    Schur-Cohn step-down recursion on the coefficients scaled to radius
-    1 - 1e-9, without an eigensolver; where a stage lands inside the
-    step-down's guard band (STEP_DOWN_GUARD) or gives an infinite or NaN
-    reflection coefficient, the largest modulus of the eigenvalues of the
-    companion matrix decides, as ``np.roots`` finds them.  Outside the band
-    the two were measured to agree.  The model keeps its decision.
+    One rule decides every order: the Schur-Cohn step-down recursion on the
+    coefficients scaled to radius 1 - 1e-9, without an eigensolver.  It runs
+    in floats first; where a stage lands inside its guard band
+    (STEP_DOWN_GUARD) or overflows, it runs again in ``decimal`` from the
+    exact values of the float coefficients, at 40, 80, 160, 320 and 640
+    digits in turn (STEP_DOWN_DIGITS), with the guard scaled to each
+    precision, until a pass is clear of its guard.  A model that no pass
+    clears has a root on the margin at every precision (a_1 = 1 - 1e-9 as a
+    float, say) and counts as not stationary.  The model keeps its decision.
     """
     return model._stationary
 
 
-def _step_down_decision(coeffs: tuple[float, ...]) -> bool | None:
+def _step_down_decision(coeffs: tuple[float, ...], digits: int | None = None) -> bool | None:
     """All roots of z^L - a_1 z^{L-1} - ... - a_L inside 1 - 1e-9, or None if too close to call.
+
+    One step-down pass (``_step_down``) in floats, or with ``digits`` in
+    ``decimal`` at that precision from the exact values of the float
+    coefficients and of the float radius, its guard STEP_DOWN_GUARD scaled by
+    10^(16 - digits).
+    """
+    if digits is None:
+        return _step_down(coeffs, float, STEP_DOWN_GUARD)
+    with decimal.localcontext(prec=digits):
+        return _step_down(coeffs, decimal.Decimal, decimal.Decimal(STEP_DOWN_GUARD).scaleb(16 - digits))
+
+
+def _step_down(coeffs: tuple[float, ...], number: type, guard) -> bool | None:
+    """The Schur-Cohn step-down in ``number`` arithmetic; None where a stage is within ``guard``.
 
     With b_m = a_m / rho^m, each stage p = L..1 takes k_p = b_p and steps down
     to b_m <- (b_m + k_p b_{p-m}) / (1 - k_p^2); the roots lie inside rho iff
-    every |k_p| < 1.  A stage whose |1 - |k_p|| is at most STEP_DOWN_GUARD
-    times the error growth of the earlier stages, 1 / prod(1 - k_q^2), or
-    whose k_p is infinite or NaN, gives None.
+    every |k_p| < 1.  A stage whose |1 - |k_p|| is at most ``guard`` times the
+    error growth of the earlier stages, 1 / prod(1 - k_q^2), or whose k_p is
+    infinite or NaN, gives None.
     """
-    rho = 1.0 - STATIONARITY_MARGIN
-    b = [a / rho**m for m, a in enumerate(coeffs, start=1)]
-    growth = 1.0
-    while b:
+    rho = number(1.0 - STATIONARITY_MARGIN)
+    b = [number(a) / rho**m for m, a in enumerate(coeffs, start=1)]
+    one = growth = number(1)
+    while True:
         k = b.pop()
-        margin = 1.0 - abs(k)
-        if not abs(margin) > STEP_DOWN_GUARD * growth or math.isinf(k):
+        margin = one - abs(k)
+        if not abs(margin) > guard * growth or abs(k) == math.inf:
             return None
-        if margin < 0.0:
-            return False
-        scale = 1.0 - k * k
+        if margin < 0 or not b:  # outside rho, or the last stage inside it
+            return margin > 0
+        scale = one - k * k
         b = [(x + k * y) / scale for x, y in zip(b, reversed(b))]
         growth /= scale
-    return True
 
 
 def _check_stationary(model: ArModel) -> None:

@@ -13,6 +13,7 @@ import array
 import ctypes
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -562,11 +563,14 @@ def unpack_indices(data: bytes, bits: int, count: int) -> array.array:
     Bytes beyond the first ceil(count * bits / 8) are not read.  The compiled
     kernel unpacks straight into the array; without it, numpy unpacks the
     bits into the low columns of a (count, 64) bit matrix and packs its rows
-    back into big-endian 64-bit words.
+    back into big-endian 64-bit words.  ``count`` is taken through
+    ``operator.index``, and one below zero raises CsiFeedbackError.
     """
     _check_width(bits)
     payload = np.frombuffer(data, dtype=np.uint8)
-    count = max(count, 0)
+    count = operator.index(count)
+    if count < 0:
+        raise CsiFeedbackError("count must be >= 0")
     # before any allocation: the count may come from a corrupt header
     if payload.size * 8 < count * bits:
         raise CsiFeedbackError(f"stream too short: got {payload.size * 8 // bits} of {count} indices")

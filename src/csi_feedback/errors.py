@@ -31,7 +31,8 @@ class UnknownIndex(CsiFeedbackError):
 
 class NonFiniteInput(CsiFeedbackError):
     """An input is NaN or infinite: a quantizer input, a sample of a codec
-    reference or the distortion of a per-point rate function."""
+    reference, the distortion of a per-point rate function or a quantisation
+    noise variance sigma_Q^2."""
 
 
 class NonConvergence(CsiFeedbackError):

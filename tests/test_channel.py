@@ -3,6 +3,7 @@
 import math
 import pickle
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,8 +92,20 @@ def _models_near_the_margin(draw) -> tuple[float, ...]:
     return tuple(float(c) for c in -np.poly(roots)[1:])
 
 
-# models the step-down leaves to the roots: on the margin, at the unit root, and
-# just inside the margin
+def _exact_decision(coeffs) -> bool:
+    """The step-down in exact rationals: every root of the float polynomial inside the float 1 - 1e-9."""
+    rho = Fraction(_EDGE)
+    b = [Fraction(a) / rho**m for m, a in enumerate(coeffs, start=1)]
+    while b:
+        k = b.pop()
+        if abs(k) >= 1:
+            return False
+        b = [(x + k * y) / (1 - k * k) for x, y in zip(b, reversed(b))]
+    return True
+
+
+# models the float step-down leaves undecided: on the margin, at the unit root,
+# just inside the margin, clustered, and overflowing
 _IN_THE_GUARD_BAND = [
     (2 * _EDGE, -_EDGE * _EDGE),  # a double root at 1 - 1e-9
     (1.0, 0.0),
@@ -100,6 +113,11 @@ _IN_THE_GUARD_BAND = [
     _ar_from_pacf([-(1 - 1e-10), 0.3, 0.2]),
     _ar_from_pacf([0.9, -0.5, 1 - 1e-8]),
     (1.999999996, -0.999999996),
+    # stationary: exactly 1 - 3.7e-6, where eigvals puts a root at 1 + 3.1e-5
+    tuple(float(c) for c in -np.poly([0.9999] * 4)[1:]),
+    (1.999999978, -0.9999999780000001),  # stationary: 1 - 7.8e-9, which np.roots puts outside
+    tuple(float(c) for c in -np.poly([1 - 5e-10] * 3 + [0.5])[1:]),  # a triple root just outside
+    (1e308, 1e308, 0.5),  # overflows in floats
 ]
 
 
@@ -147,13 +165,41 @@ class TestStationarity:
     @example(coeffs=_IN_THE_GUARD_BAND[3])
     @example(coeffs=_IN_THE_GUARD_BAND[4])
     @example(coeffs=_IN_THE_GUARD_BAND[5])
+    @example(coeffs=_IN_THE_GUARD_BAND[6])
+    @example(coeffs=_IN_THE_GUARD_BAND[7])
+    @example(coeffs=_IN_THE_GUARD_BAND[8])
+    @example(coeffs=_IN_THE_GUARD_BAND[9])
     def test_higher_orders_match_the_roots_decision(self, coeffs):
-        radius = float(np.max(np.abs(np.roots([1.0, *(-a for a in coeffs)]))))
-        assert validate_stationarity(ArModel(coeffs, 1.0)) == (radius < 1.0 - STATIONARITY_MARGIN)
+        # inside the float step-down's guard band, where eigvals can be wrong,
+        # the exact step-down is the oracle
+        if channel._step_down_decision(coeffs) is None:
+            expected = _exact_decision(coeffs)
+        else:
+            radius = float(np.max(np.abs(np.roots([1.0, *(-a for a in coeffs)]))))
+            expected = radius < 1.0 - STATIONARITY_MARGIN
+        assert validate_stationarity(ArModel(coeffs, 1.0)) == expected
 
     @pytest.mark.parametrize("coeffs", _IN_THE_GUARD_BAND)
-    def test_guard_band_examples_are_left_to_the_roots(self, coeffs):
+    def test_guard_band_is_decided_without_the_roots(self, coeffs, monkeypatch):
+        def refuse(model):
+            raise AssertionError(f"np.roots called for {model}")
+
+        monkeypatch.setattr(ArModel, "characteristic_roots", refuse)
         assert channel._step_down_decision(coeffs) is None
+        assert validate_stationarity(ArModel(coeffs, 1.0)) == _exact_decision(coeffs)
+
+    def test_clustered_and_overflowing_models_decide_as_exact_roots(self):
+        decisions = [validate_stationarity(ArModel(c, 1.0)) for c in _IN_THE_GUARD_BAND[6:]]
+        assert decisions == [True, True, False, False]
+
+    def test_a_root_on_the_margin_is_undecided_at_every_precision(self):
+        for digits in (None, *channel.STEP_DOWN_DIGITS):
+            assert channel._step_down_decision((_EDGE,), digits) is None
+        assert not validate_stationarity(ArModel((_EDGE,), 1.0))
+        # one ulp inside the margin, the first decimal pass decides
+        inside = (float(np.nextafter(_EDGE, 0.0)),)
+        assert channel._step_down_decision(inside) is None
+        assert channel._step_down_decision(inside, channel.STEP_DOWN_DIGITS[0]) is True
 
     def test_step_down_decides_ordinary_models(self, ar4):
         assert channel._step_down_decision(ar4.coeffs) is True

@@ -500,6 +500,8 @@ class TestIndexStream:
             pack_indices([8], 3)
         with pytest.raises(ValueError):
             unpack_indices(b"\x00", 3, 10)
+        with pytest.raises(TypeError):  # a count is taken through operator.index
+            unpack_indices(b"\x00", 3, 2.0)
 
     def test_stream_replays_decoder(self, ar4, noise):
         trace = generate_trace(ar4, noise, 3000, seed=47)

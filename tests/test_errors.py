@@ -168,6 +168,10 @@ BAD_ARGUMENTS = {
         lambda: unpack_indices(b"", 2, 1),
         "stream too short: got 0 of 1 indices",
     ),
+    "codec negative count": (  # an empty stream before
+        lambda: unpack_indices(b"", 2, -1),
+        "count must be >= 0",
+    ),
     "predictor order": (
         lambda: mmse_coefficients(autocovariance(REF_AR1, 1), UNIT_NOISE, 0),
         "predictor order must be >= 1",

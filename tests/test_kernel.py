@@ -1019,25 +1019,31 @@ def test_small_budgets_raise_non_convergence_on_both_paths(budget, monkeypatch):
 
 
 def test_nan_runs_to_the_budget_on_both_paths(monkeypatch):
-    # max(NaN, 1e-12) is NaN, where C's fmax is not: a NaN must never pass
-    steps = []
-    step = analysis.gain_step
-    monkeypatch.setattr(analysis, "gain_step", lambda *args: steps.append(1) or step(*args))
-    nan = float("nan")
-    monkeypatch.setattr(analysis, "GAIN_MAX_ITER", 300)
-    gain_state = assert_same_on_both_paths(
-        analysis.converged_prediction_state, REF_AR4, UNIT_NOISE, nan
-    )
-    assert gain_state[0] is NonConvergence
-    assert len(steps) == 300  # the fallback ran out its budget
-    trajectory = assert_same_on_both_paths(analysis.mse_recursion, REF_AR4, UNIT_NOISE, 0.5, nan, 300)
-    assert trajectory[0] is NonConvergence
-    # without noise the gain stays 1 and settles; only the variance is NaN
-    noiseless = assert_same_on_both_paths(
-        analysis.converged_prediction_state, REF_AR4, NoiseSpec(0.0), nan
-    )
-    gain, pred_var = np.frombuffer(noiseless[0])
-    assert gain == 1.0 and np.isnan(pred_var)
+    # max(NaN, 1e-12) is NaN, where C's fmax is not: a NaN must never pass.  With
+    # (1 - lam)^2 sum a_m^2 > 1 the trajectory overflows at step 1833 and turns
+    # NaN through 0 * inf at step 1836
+    args = (ArModel((1.2, -0.3, 0.0), 1.0), UNIT_NOISE, 0.01, 0.0, 2000)
+    assert assert_same_on_both_paths(analysis.mse_recursion, *args)[0] is NonConvergence
+    sums = []
+    dot = analysis._dot
+    monkeypatch.setattr(analysis, "_dot", lambda *terms: sums.append(dot(*terms)) or sums[-1])
+    with pytest.raises(NonConvergence):
+        on_path(True, analysis.mse_recursion, *args)
+    assert len(sums) == 2000  # the fallback ran out its budget
+    first_nan = next(step for step, value in enumerate(sums, start=1) if math.isnan(value))
+    assert math.isinf(sums[first_nan - 2]) and first_nan == 1836
+
+
+@pytest.mark.parametrize("sigma_q_sq", [math.nan, math.inf, -math.inf])
+def test_non_finite_quantization_noise_raises(either_path, sigma_q_sq):
+    for function, args in [
+        (analysis.converged_prediction_state, (REF_AR4, UNIT_NOISE, sigma_q_sq)),
+        (analysis.converged_prediction_state, (REF_AR4, NoiseSpec(0.0), sigma_q_sq)),
+        (analysis.mse_recursion, (REF_AR4, UNIT_NOISE, 0.5, sigma_q_sq, 1000)),
+        (analysis.steady_state, (analysis.Ar1Approx(0.9, 0.19), UNIT_NOISE, 0.5, sigma_q_sq)),
+    ]:
+        with pytest.raises(NonFiniteInput, match=f"sigma_q_sq {sigma_q_sq} is not finite"):
+            function(*args)
 
 
 def test_negative_quantization_noise_raises(either_path):
