@@ -136,8 +136,9 @@ def mse_recursion(
 
     starting from varsigma_0 = sigma_x^2.  Returns the trajectory up to and
     including the first value within 1e-10 relative of its predecessor; raises
-    NonConvergence if that never happens within ``steps`` iterations.  Memory
-    follows the trajectory's length, not ``steps``.
+    NonConvergence naming the first step whose value is not finite, or if no
+    value converges within ``steps`` iterations.  Memory follows the
+    trajectory's length, not ``steps``.
     """
     _check_gain(lam)
     _check_quant_noise(sigma_q_sq)
@@ -166,13 +167,23 @@ def _mse_steps(coeff_sq, shrink, constant, ring, steps):
         trajectory.append(value)
         ring.insert(0, value)
         ring.pop()
+        if not math.isfinite(value):
+            raise _non_finite(len(trajectory) - 1, value)
         if abs(value - previous) < MSE_RTOL * max(abs(previous), MSE_MIN_SCALE):
             return np.asarray(trajectory)
     return None
 
 
+def _non_finite(step, value):
+    return NonConvergence(f"MSE recursion value {value} at step {step} is not finite")
+
+
 def _mse_trajectory(lib, coeff_sq, shrink, constant, ring, steps):
-    """``_mse_steps`` in the compiled kernel; a full buffer is doubled and the run restarted."""
+    """``_mse_steps`` in the compiled kernel; a full buffer is doubled and the run restarted.
+
+    A non-finite value never converges and every later one is non-finite too,
+    so a full buffer whose last value is finite holds none.
+    """
     order = len(coeff_sq)
     pad = order - 1  # copies of varsigma_0 standing for the lags before it
     coeffs = (ctypes.c_double * order)(*coeff_sq)
@@ -185,6 +196,10 @@ def _mse_trajectory(lib, coeff_sq, shrink, constant, ring, steps):
         )
         if length > 0:
             return np.frombuffer(buffer, count=length, offset=8 * pad).copy()
+        if not math.isfinite(buffer[pad + capacity - 1]):
+            values = np.frombuffer(buffer, count=capacity, offset=8 * pad)
+            step = int(np.argmin(np.isfinite(values)))
+            raise _non_finite(step, values[step])
         if capacity > steps:
             return None
         capacity = min(2 * capacity, steps + 1)

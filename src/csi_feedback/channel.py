@@ -67,24 +67,8 @@ class ArModel:
         object.__setattr__(self, "order", len(coeffs))
 
     def characteristic_roots(self) -> np.ndarray:
-        """Roots of z^L - a_1 z^{L-1} - ... - a_L, bit for bit as ``np.roots`` finds them.
-
-        As np.roots does, it drops the trailing zero coefficients, takes the
-        eigenvalues of the companion matrix of the rest (first row a_1..a_n,
-        ones below the diagonal) and appends one zero root per dropped
-        coefficient, in the eigenvalues' dtype; it skips np.roots' generic set-up.
-        """
-        n = self.order
-        while n and self.coeffs[n - 1] == 0.0:
-            n -= 1
-        if n == 0:
-            return np.zeros(self.order)
-        companion = np.eye(n, k=-1)
-        companion[0] = self.coeffs[:n]
-        roots = np.linalg.eigvals(companion)
-        if n == self.order:
-            return roots
-        return np.concatenate((roots, np.zeros(self.order - n, roots.dtype)))
+        """Roots of z^L - a_1 z^{L-1} - ... - a_L, as ``np.roots`` finds them."""
+        return np.roots([1.0, *(-a for a in self.coeffs)])
 
     @functools.cached_property
     def _acov_head(self) -> np.ndarray:
@@ -322,7 +306,8 @@ def generate_trace(model: ArModel, noise: NoiseSpec, n: int, seed: int) -> Chann
     ``default_burn_in(model)`` samples, so the trace is effectively stationary.
     The output is a pure function of (model, noise, n, seed).  ``n`` and
     ``seed`` are taken through ``operator.index``, so None and floats raise
-    TypeError; a seed below zero raises CsiFeedbackError.
+    TypeError; a seed below zero, or an ``n`` numpy cannot size an array
+    for, raises CsiFeedbackError.
     """
     n, seed = operator.index(n), operator.index(seed)
     _check_stationary(model)
@@ -333,7 +318,10 @@ def generate_trace(model: ArModel, noise: NoiseSpec, n: int, seed: int) -> Chann
     burn_in = default_burn_in(model)
 
     rng = np.random.default_rng(seed)
-    psi = rng.normal(0.0, math.sqrt(model.innovation_var), size=burn_in + n)
+    try:
+        psi = rng.normal(0.0, math.sqrt(model.innovation_var), size=burn_in + n)
+    except ValueError as exc:  # only the size can be refused: the scale is finite and >= 0
+        raise CsiFeedbackError(f"n {n} is too large to draw") from exc
     x = _ar_filter(model.coeffs, psi)[burn_in:]
     xi = rng.normal(0.0, math.sqrt(noise.obs_noise_var), size=n)
     return ChannelTrace(x=x, y=x + xi)

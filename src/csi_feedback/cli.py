@@ -73,7 +73,8 @@ def main(argv=None) -> int:
             )
             harness.write_trace(config.output_path, trace)
             print(f"wrote {len(trace.x)} samples to {config.output_path}")
-    except (CsiFeedbackError, OSError) as exc:  # OSError: an output that cannot be written
+    # OSError: an output that cannot be written; MemoryError: a run too large to hold
+    except (CsiFeedbackError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -211,11 +211,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a config file."""
+    """Read and validate a UTF-8 config file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}"
+        raise ConfigError(message) from exc
+    return parse_config_text(text)
 
 
 # the bytes of f"{x:.17g}", so floats read back exactly

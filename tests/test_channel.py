@@ -27,7 +27,7 @@ from csi_feedback import (
 )
 from csi_feedback import channel, harness
 from csi_feedback.channel import STATIONARITY_MARGIN
-from csi_feedback.errors import LagOutOfRange, NonStationaryModel
+from csi_feedback.errors import LagOutOfRange, NonStationaryModel, SingularSystem
 from test_codec import _ar_from_pacf
 
 # closed forms for AR(1) a=0.9, sigma_psi^2=1: kappa0 = 1/(1-a^2), kappa1 = a*kappa0
@@ -551,6 +551,20 @@ class TestModelSolvedOnce:
         solved = channel._solve_yule_walker(ArModel(model.coeffs, model.innovation_var))
         assert autocovariance(model, 3).lags.tobytes() == solved.tobytes()
         assert model.sigma_x_sq == float(solved[0])
+
+    def test_singular_solve_raises_on_every_call(self, monkeypatch):
+        solves = []
+
+        def singular(*system):
+            solves.append(system)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        model = ArModel((0.9, -0.3, 0.2), 1.7)
+        for _ in range(2):  # a failed solve is not cached
+            with pytest.raises(SingularSystem, match="^Yule-Walker system is singular$"):
+                autocovariance(model, 3)
+        assert len(solves) == 2
 
 
 def element_by_element_yule_walker(model: ArModel) -> np.ndarray:

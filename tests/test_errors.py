@@ -132,6 +132,16 @@ BAD_ARGUMENTS = {
         lambda: generate_trace(REF_AR1, UNIT_NOISE, 10, seed=-1),
         "seed must be >= 0",
     ),
+    # numpy refuses both sizes before allocating: the first beyond its dimensions,
+    # the second beyond its bytes; each raised numpy's ValueError
+    "channel trace too long": (
+        lambda: generate_trace(REF_AR1, UNIT_NOISE, 10**19, seed=0),
+        "n 10000000000000000000 is too large to draw",
+    ),
+    "channel trace too many bytes": (
+        lambda: generate_trace(REF_AR1, UNIT_NOISE, 2**62, seed=0),
+        "n 4611686018427387904 is too large to draw",
+    ),
     "codec step": (
         lambda: UniformQuantizer(bits=2, step=0.0),
         "step must be positive",

@@ -26,6 +26,7 @@ from csi_feedback import (
     validate_theory,
     write_csv,
 )
+from csi_feedback import cli, harness
 from csi_feedback.cli import main as cli_main
 from csi_feedback.codec import MAX_BITS, _mean_squares
 from csi_feedback.errors import ConfigError
@@ -749,6 +750,46 @@ class TestCli:
         cfg = self.write(tmp_path, "ar_coeffs = 0.9\nbogus = 1")
         assert cli_main(["validate", "--config", cfg]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "comment, reason",
+        [(b"\xff", "invalid start byte"), (b"\xe9t\xe9\n", "invalid continuation byte")],
+        ids=["ff", "latin-1"],
+    )
+    def test_undecodable_config_is_exit_1(self, tmp_path, capsys, comment, reason):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"ar_coeffs = 0.9\n# " + comment)
+        message = f"config file {path} is not UTF-8: {reason} at byte 18"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(path)
+        assert cli_main(["theory", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["trace", "codec", "validate"])
+    def test_oversized_run_is_exit_1(self, tmp_path, capsys, command):
+        # numpy refuses the draw before allocating
+        cfg = self.write(tmp_path, make_config(samples_per_trial=10**19))
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "big.csv")]) == 1
+        assert capsys.readouterr().err == "error: n 10000000000000000000 is too large to draw\n"
+        assert not (tmp_path / "big.csv").exists()
+
+    def test_memory_error_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a patched failure: a real allocation could succeed on an overcommitting host
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(harness, "run_codec_experiment", exhausted)
+        cfg = self.write(tmp_path, make_config())
+        assert cli_main(["codec", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 8.00 EiB\n"
+
+    def test_entry_point_exits_with_the_code(self, tmp_path, monkeypatch):
+        good = self.write(tmp_path, make_config(output_path=str(tmp_path / "rd.csv")))
+        for config, code in [(good, 0), (str(tmp_path / "missing.cfg"), 1)]:
+            monkeypatch.setattr(sys, "argv", ["csi-feedback", "theory", "--config", config])
+            with pytest.raises(SystemExit) as exited:
+                cli.entry_point()
+            assert exited.value.code == code
 
     def test_empty_coefficient_field_is_exit_1(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "ar_coeffs = 0.5,,0.2")

@@ -1018,20 +1018,27 @@ def test_small_budgets_raise_non_convergence_on_both_paths(budget, monkeypatch):
         assert assert_same_on_both_paths(function, *args)[0] is NonConvergence
 
 
-def test_nan_runs_to_the_budget_on_both_paths(monkeypatch):
-    # max(NaN, 1e-12) is NaN, where C's fmax is not: a NaN must never pass.  With
-    # (1 - lam)^2 sum a_m^2 > 1 the trajectory overflows at step 1833 and turns
-    # NaN through 0 * inf at step 1836
-    args = (ArModel((1.2, -0.3, 0.0), 1.0), UNIT_NOISE, 0.01, 0.0, 2000)
-    assert assert_same_on_both_paths(analysis.mse_recursion, *args)[0] is NonConvergence
+def test_overflow_stops_at_its_step_on_both_paths(monkeypatch):
+    # with (1 - lam)^2 sum a_m^2 > 1 the trajectory overflows at step 1833 and
+    # turns NaN through 0 * inf at step 1836; the first non-finite value raises.
+    # The kernel fills its 2048-value buffer past both, so a NaN must never pass
+    # its convergence test: max(NaN, 1e-12) is NaN, where C's fmax is not
+    args = (ArModel((1.2, -0.3, 0.0), 1.0), UNIT_NOISE, 0.01, 0.0, 10**6)
+    message = "MSE recursion value inf at step 1833 is not finite"
+    assert assert_same_on_both_paths(analysis.mse_recursion, *args) == (NonConvergence, message)
     sums = []
     dot = analysis._dot
     monkeypatch.setattr(analysis, "_dot", lambda *terms: sums.append(dot(*terms)) or sums[-1])
     with pytest.raises(NonConvergence):
         on_path(True, analysis.mse_recursion, *args)
-    assert len(sums) == 2000  # the fallback ran out its budget
-    first_nan = next(step for step, value in enumerate(sums, start=1) if math.isnan(value))
-    assert math.isinf(sums[first_nan - 2]) and first_nan == 1836
+    assert len(sums) == 1833  # the fallback stopped at the overflow
+    # a budget that ends before the overflow runs out as before, and one that ends on it names it
+    short = args[:-1]
+    assert assert_same_on_both_paths(analysis.mse_recursion, *short, 1832) == (
+        NonConvergence,
+        "MSE recursion not converged after 1832 steps",
+    )
+    assert assert_same_on_both_paths(analysis.mse_recursion, *short, 1833) == (NonConvergence, message)
 
 
 @pytest.mark.parametrize("sigma_q_sq", [math.nan, math.inf, -math.inf])
