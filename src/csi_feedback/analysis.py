@@ -24,6 +24,7 @@ from .errors import (
     CsiFeedbackError,
     DegenerateCovariance,
     DistortionBelowFloor,
+    LagOutOfRange,
     NonConvergence,
     NonFiniteInput,
 )
@@ -107,11 +108,11 @@ class SteadyState:
 
 def ar1_fit(acov: Autocovariance) -> Ar1Approx:
     """MMSE AR(1) approximation of the channel from its autocovariance."""
+    if acov.max_lag < 1:
+        raise LagOutOfRange("need kappa_x up to lag 1")
     kappa0 = acov.sigma_x_sq
     if kappa0 <= 0:
         raise DegenerateCovariance("kappa_x(0) must be positive")
-    if acov.max_lag < 1:
-        raise CsiFeedbackError("need kappa_x up to lag 1")
     kappa1 = float(acov.lags[1])
     beta = kappa1 / kappa0
     # kappa1^2 can overflow where kappa1^2 / kappa0, at most kappa0, does not;

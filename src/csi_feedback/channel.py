@@ -87,9 +87,7 @@ class ArModel:
 
     @functools.cached_property
     def _spectral_radius(self) -> float:
-        # max |root|, for the burn-in; the one root of z - a_1 is a_1 itself, found without eigenvalues
-        if self.order == 1:
-            return abs(self.coeffs[0])
+        # max |root|, for the burn-in
         return float(np.max(np.abs(self.characteristic_roots())))
 
     @property

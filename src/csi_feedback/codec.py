@@ -37,14 +37,15 @@ class UniformQuantizer:
 
     Reproduction values are +-(i + 1/2) * step; there is no zero level, and a
     zero input reproduces +step/2.  Inputs beyond the clip saturate to the
-    outermost level.  Widths run from 1 to ``MAX_BITS``.
+    outermost level.  The width is an integer from 1 to ``MAX_BITS``, taken
+    through ``operator.index``.
     """
 
     bits: int
     step: float
 
     def __post_init__(self) -> None:
-        _check_width(self.bits)
+        object.__setattr__(self, "bits", _check_width(self.bits))
         if not self.step > 0:  # NaN too
             raise CsiFeedbackError("step must be positive")
 
@@ -54,7 +55,7 @@ class UniformQuantizer:
 
         A step that underflows to 0 raises DegenerateCovariance, naming the width.
         """
-        _check_width(bits)
+        bits = _check_width(bits)
         if std <= 0:
             raise CsiFeedbackError("std must be positive")
         step = CLIP_LOADING * std / (1 << (bits - 1))
@@ -348,11 +349,11 @@ def _codewords(indices, bits: int) -> tuple[np.ndarray, tuple]:
 
     A codeword is an integer in [0, 2^bits).  Returns that prefix and () if it
     is the whole stream, else the 1-tuple of the entry that ends it, so that a
-    None entry is not taken for the end.  A list of ints or an integer array
-    needs no check per entry, only one pass over the values for the range,
-    and an ``array('q')`` is not converted at all: the prefix is a view of
-    its buffer, which cannot be resized while the view lives, so callers
-    drop it before they return or raise.
+    None entry is not taken for the end.  An integer array, or a list that
+    np.asarray makes one, needs no check per entry, only one pass over the
+    values for the range, and an ``array('q')`` is not converted at all: the
+    prefix is a view of its buffer, which cannot be resized while the view
+    lives, so callers drop it before they return or raise.
     """
     if isinstance(indices, np.ndarray):
         values = indices
@@ -361,13 +362,10 @@ def _codewords(indices, bits: int) -> tuple[np.ndarray, tuple]:
     else:
         if not isinstance(indices, list):
             indices = list(indices)
-        try:  # a float raises TypeError, an int beyond int64 OverflowError
-            values = np.frombuffer(array.array("q", indices), dtype=np.int64)
-        except (TypeError, OverflowError):
-            try:
-                values = np.asarray(indices)
-            except ValueError:  # an entry that is itself a sequence
-                raise CsiFeedbackError("index stream must be one-dimensional") from None
+        try:
+            values = np.asarray(indices)
+        except ValueError:  # an entry that is itself a sequence
+            raise CsiFeedbackError("index stream must be one-dimensional") from None
     if values.ndim != 1:
         raise CsiFeedbackError("index stream must be one-dimensional")
     bad = ()
@@ -528,9 +526,12 @@ def _noise_free_state(model: ArModel, noise: NoiseSpec) -> tuple[float, float]:
     return analysis.converged_prediction_state(model, noise, sigma_q_sq=0.0)
 
 
-def _check_width(bits: int) -> None:
+def _check_width(bits: int) -> int:
+    """``bits`` as an int, through ``operator.index``; CsiFeedbackError outside 1..MAX_BITS."""
+    bits = operator.index(bits)
     if not 1 <= bits <= MAX_BITS:
         raise CsiFeedbackError(f"bits must lie in 1..{MAX_BITS}")
+    return bits
 
 
 def pack_indices(indices, bits: int) -> bytes:
@@ -543,7 +544,7 @@ def pack_indices(indices, bits: int) -> bytes:
     big-endian 64-bit word, one row of a (indices, bits) bit matrix that
     np.packbits packs row after row, to the same bytes.
     """
-    _check_width(bits)
+    bits = _check_width(bits)
     values, bad = _codewords(indices, bits)
     if bad:
         del values  # as in decode_sequence
@@ -566,7 +567,7 @@ def unpack_indices(data: bytes, bits: int, count: int) -> array.array:
     back into big-endian 64-bit words.  ``count`` is taken through
     ``operator.index``, and one below zero raises CsiFeedbackError.
     """
-    _check_width(bits)
+    bits = _check_width(bits)
     payload = np.frombuffer(data, dtype=np.uint8)
     count = operator.index(count)
     if count < 0:

@@ -215,12 +215,15 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    return parse_config_text(_read_utf8(path, "config file"))
+
+
+def _read_utf8(path: Path, what: str) -> str:
+    """The text of a UTF-8 file; ConfigError naming the file and the first bad byte otherwise."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        message = f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}"
-        raise ConfigError(message) from exc
-    return parse_config_text(text)
+        raise ConfigError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
 # the bytes of f"{x:.17g}", so floats read back exactly
@@ -325,18 +328,24 @@ def read_index_stream(path: str | Path) -> tuple[array.array, int]:
 
 
 def read_csv(path: str | Path) -> list[CsvRow]:
-    """Parse a CSV file written by write_csv back into rows."""
-    lines = Path(path).read_text().splitlines()
+    """Parse a UTF-8 CSV file written by write_csv back into rows.
+
+    A file that is not UTF-8, a header other than ``CSV_HEADER``, or a row
+    with another field count or a field that its type cannot parse raises
+    ConfigError.
+    """
+    lines = _read_utf8(Path(path), "CSV file").splitlines()
     if not lines or tuple(lines[0].split(",")) != CSV_HEADER:
         raise ConfigError(f"unexpected CSV header in {path}")
     rows = []
     for line in lines[1:]:
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != len(CSV_HEADER):
-            raise ConfigError(f"malformed CSV line: {line!r}")
-        rows.append(CsvRow._make(kind(part) for kind, part in zip(_CSV_TYPES, parts)))
+        fields = zip(_CSV_TYPES, line.split(","), strict=True)
+        try:  # a field count other than the header's raises ValueError too
+            rows.append(CsvRow._make(kind(part) for kind, part in fields))
+        except ValueError:
+            raise ConfigError(f"malformed CSV line: {line!r}") from None
     return rows
 
 

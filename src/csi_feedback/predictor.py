@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Autocovariance, NoiseSpec
-from .errors import CsiFeedbackError, DimensionMismatch, SingularSystem
+from .errors import CsiFeedbackError, DimensionMismatch, LagOutOfRange, SingularSystem
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +42,15 @@ class ZhEstimator:
 
 
 def kappa_y_matrix(acov: Autocovariance, noise: NoiseSpec, order: int) -> np.ndarray:
-    """Entry (i, j) is kappa_y(|i - j|) = kappa_x(|i - j|) + sigma_xi^2 [i == j], for i, j < order."""
+    """Entry (i, j) is kappa_y(|i - j|) = kappa_x(|i - j|) + sigma_xi^2 [i == j], for i, j < order.
+
+    An order below 1 raises CsiFeedbackError, and one that needs a lag beyond
+    ``acov.max_lag`` LagOutOfRange.
+    """
+    if not 1 <= order <= acov.lags.size:
+        if order < 1:
+            raise CsiFeedbackError("order must be >= 1")
+        raise LagOutOfRange(f"autocovariance max_lag {acov.max_lag} < order-1")
     kappa_y = acov.lags[:order].copy()
     kappa_y[0] += noise.obs_noise_var
     lags = np.arange(order)
@@ -107,6 +115,8 @@ def zh_estimator(acov: Autocovariance, noise: NoiseSpec) -> ZhEstimator:
     filtering MSE E[(x_k - alpha y_k)^2], without their cross term.  The
     realised MSE of the forecast is sigma_z_sq - 2 (1 - alpha) (sigma_x^2 - kappa_x(1)).
     """
+    if acov.max_lag < 1:
+        raise LagOutOfRange("need kappa_x up to lag 1")
     sigma_x_sq = acov.sigma_x_sq
     total = sigma_x_sq + noise.obs_noise_var
     alpha = sigma_x_sq / total if total > 0 else 0.0

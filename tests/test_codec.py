@@ -111,6 +111,29 @@ class TestUniformQuantizer:
         with pytest.raises(NonFiniteInput):
             encode_batch([EncoderState(ar4, noise, q)], [np.array([0.3, -math.inf])])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: UniformQuantizer(2.5, 1.0),
+            lambda: UniformQuantizer.loaded(2.0, 1.0),
+            lambda: pack_indices([0, 1], 2.0),
+            lambda: unpack_indices(b"\x00", 2.0, 1),
+        ],
+        ids=["quantizer", "loaded", "pack", "unpack"],
+    )
+    def test_a_width_that_is_not_an_integer_is_a_type_error(self, call, either_path):
+        # UniformQuantizer failed later, at its first <<, and unpack raised
+        # ctypes.ArgumentError through the kernel
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            call()
+
+    def test_an_integral_width_is_stored_as_an_int(self, either_path):
+        q = UniformQuantizer(np.int64(3), 1.0)
+        assert type(q.bits) is int and q == UniformQuantizer(3, 1.0)
+        packed = pack_indices([5, 2], 3)
+        assert pack_indices([5, 2], np.int64(3)) == packed
+        assert unpack_indices(packed, np.int64(3), 2).tolist() == [5, 2]
+
     def test_widest_quantizer_saturates_exactly(self):
         q = UniformQuantizer(bits=53, step=1.0)
         indices, _ = q.quantize_many(np.array([1e30, -1e30]))

@@ -33,7 +33,7 @@ from csi_feedback import (
     unpack_indices,
 )
 from csi_feedback.errors import CsiFeedbackError, NonFiniteInput
-from csi_feedback.predictor import mmse_coefficients
+from csi_feedback.predictor import kappa_y_matrix, mmse_coefficients, zh_estimator
 from shared import REF_AR1, REF_AR4, UNIT_NOISE
 
 SOURCES = sorted(Path(csi_feedback.__file__).parent.glob("*.py"))
@@ -73,6 +73,10 @@ BAD_ARGUMENTS = {
     ),
     "analysis ar1 lag": (
         lambda: ar1_fit(Autocovariance(np.array([1.0]))),
+        "need kappa_x up to lag 1",
+    ),
+    "analysis ar1 no lag": (  # an IndexError before
+        lambda: ar1_fit(Autocovariance(np.array([]))),
         "need kappa_x up to lag 1",
     ),
     "analysis spectral beta": (
@@ -189,6 +193,23 @@ BAD_ARGUMENTS = {
     "predictor lag": (
         lambda: mmse_coefficients(Autocovariance(np.array([1.0, 0.5])), UNIT_NOISE, 2),
         "autocovariance max_lag 1 < order 2",
+    ),
+    # each raised an IndexError, and kappa_y_matrix of order -1 returned a 0 x 0 matrix
+    "predictor zh lag": (
+        lambda: zh_estimator(Autocovariance(np.array([1.0])), UNIT_NOISE),
+        "need kappa_x up to lag 1",
+    ),
+    "predictor kappa_y lag": (
+        lambda: kappa_y_matrix(Autocovariance(np.array([1.0, 0.5])), UNIT_NOISE, 3),
+        "autocovariance max_lag 1 < order-1",
+    ),
+    "predictor kappa_y order 0": (
+        lambda: kappa_y_matrix(Autocovariance(np.array([1.0, 0.5])), UNIT_NOISE, 0),
+        "order must be >= 1",
+    ),
+    "predictor kappa_y order -1": (
+        lambda: kappa_y_matrix(Autocovariance(np.array([1.0, 0.5])), UNIT_NOISE, -1),
+        "order must be >= 1",
     ),
 }
 

@@ -296,6 +296,25 @@ class TestCsvSchema:
         with pytest.raises(ConfigError, match=re.escape(f"malformed CSV line: {bad!r}")):
             read_csv(path)
 
+    @pytest.mark.parametrize("field, value", [(1, "abc"), (6, "1.5")], ids=["float", "int"])
+    def test_a_field_its_type_cannot_parse_is_rejected(self, tmp_path, field, value):
+        row = CsvRow("periodic", 1.0, 0.5, 2.0, 3.0, "theory", 0, 0)
+        head, line = format_csv([row]).splitlines()
+        parts = line.split(",")
+        parts[field] = value
+        bad = ",".join(parts)
+        path = tmp_path / "rows.csv"
+        path.write_text(f"{head}\n{line}\n{bad}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"malformed CSV line: {bad!r}")):
+            read_csv(path)
+
+    def test_a_file_that_is_not_utf8_is_rejected(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"scheme,sigma\xff")
+        message = f"CSV file {path} is not UTF-8: invalid start byte at byte 12"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            read_csv(path)
+
     def test_byte_identical_reruns(self):
         config = parse_config_text(REFERENCE_CONFIG)
         assert format_csv(run_theory_sweep(config)) == format_csv(run_theory_sweep(config))
