@@ -38,7 +38,7 @@ class UniformQuantizer:
     Reproduction values are +-(i + 1/2) * step; there is no zero level, and a
     zero input reproduces +step/2.  Inputs beyond the clip saturate to the
     outermost level.  The width is an integer from 1 to ``MAX_BITS``, taken
-    through ``operator.index``.
+    through ``operator.index``; the step is positive and finite.
     """
 
     bits: int
@@ -48,12 +48,15 @@ class UniformQuantizer:
         object.__setattr__(self, "bits", _check_width(self.bits))
         if not self.step > 0:  # NaN too
             raise CsiFeedbackError("step must be positive")
+        if self.step == math.inf:
+            raise CsiFeedbackError("step must be finite")
 
     @classmethod
     def loaded(cls, bits: int, std: float) -> "UniformQuantizer":
         """Quantizer whose half-range is ``CLIP_LOADING`` times the std of its input.
 
-        A step that underflows to 0 raises DegenerateCovariance, naming the width.
+        A step that underflows to 0 or overflows to inf raises
+        DegenerateCovariance, naming the width.
         """
         bits = _check_width(bits)
         if std <= 0:
@@ -61,6 +64,8 @@ class UniformQuantizer:
         step = CLIP_LOADING * std / (1 << (bits - 1))
         if step == 0.0:
             raise DegenerateCovariance(f"{bits}-bit quantizer step underflows to 0: std={std}")
+        if step == math.inf:
+            raise DegenerateCovariance(f"{bits}-bit quantizer step overflows to inf: std={std}")
         return cls(bits=bits, step=step)
 
     @property
@@ -457,34 +462,33 @@ def run_codec(
     decoder = DecoderState(model, quantizer)
     indices, encoder_recon = encode_sequence(encoder, observations)
     decoder_recon = decode_sequence(decoder, indices)
-    with np.errstate(over="ignore"):  # an overflow is checked by _finite
-        mse = _mean_squares(reference - encoder_recon)
     return CodecOutput(
         indices=indices,
         encoder_recon=encoder_recon,
         decoder_recon=decoder_recon,
-        empirical_mse=_finite(mse, "run_codec"),
+        empirical_mse=_finite(_mean_squares(encoder_recon.copy(), reference), "run_codec"),
     )
 
 
-def _mean_squares(errors: np.ndarray):
-    """``np.square(errors).mean(axis=-1).tolist()``, squaring ``errors`` in place.
+def _mean_squares(values: np.ndarray, reference):
+    """``np.square(values - reference).mean(axis=-1).tolist()``, overwriting ``values``.
 
     Each finite mean keeps np.mean's bits.  A row of n squares whose mean is
     not finite is averaged again as ldexp(mean(ldexp(squares, -k)), k) with
     k = n.bit_length(): a power-of-two scaling moves no bit of a normal
     float, and n < 2^k finite squares below 2^(1024 - k) cannot sum past the
-    largest float, so only a mean that itself overflows, or a square that
-    did, stays inf, for ``_finite`` to report.  Callers run it under
-    ``np.errstate(over="ignore")``.
+    largest float, so only a mean that itself overflows, or a difference or
+    square that did, stays inf, for ``_finite`` to report; nothing warns.
     """
-    means = np.square(errors, out=errors).mean(axis=-1)
-    if math.isfinite(means.sum()):  # no mean is negative, so each one is finite
-        return means.tolist()
-    rows, means = errors.reshape(-1, errors.shape[-1]), means.reshape(-1)
-    k = rows.shape[1].bit_length()
-    for row in np.flatnonzero(~np.isfinite(means)):
-        means[row] = np.ldexp(np.ldexp(rows[row], -k).mean(), k)
+    with np.errstate(over="ignore"):
+        errors = np.subtract(values, reference, out=values)
+        means = np.square(errors, out=errors).mean(axis=-1)
+        if math.isfinite(means.sum()):  # no mean is negative, so each one is finite
+            return means.tolist()
+        rows, means = errors.reshape(-1, errors.shape[-1]), means.reshape(-1)
+        k = rows.shape[1].bit_length()
+        for row in np.flatnonzero(~np.isfinite(means)):
+            means[row] = np.ldexp(np.ldexp(rows[row], -k).mean(), k)
     return means.reshape(errors.shape[:-1]).tolist()
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, bounds, codec, predictor
 from .channel import ArModel, NoiseSpec, generate_trace
-from .errors import ConfigError, NonFiniteInput
+from .errors import ConfigError, DegenerateCovariance, NonFiniteInput
 
 log = logging.getLogger(__name__)
 
@@ -212,16 +212,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a UTF-8 config file."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     return parse_config_text(_read_utf8(path, "config file"))
 
 
-def _read_utf8(path: Path, what: str) -> str:
-    """The text of a UTF-8 file; ConfigError naming the file and the first bad byte otherwise."""
+def _read(path: str | Path, what: str) -> bytes:
+    """The bytes of a file; ConfigError("<what> not found: <path>") unless it is a regular file."""
+    path = Path(path)
+    if not path.is_file():  # missing, or a directory
+        raise ConfigError(f"{what} not found: {path}")
+    return path.read_bytes()
+
+
+def _read_utf8(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file, read by ``_read``; ConfigError naming the first bad byte."""
+    path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        return _read(path, what).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
@@ -304,12 +310,12 @@ def read_index_stream(path: str | Path) -> tuple[array.array, int]:
     """Read a dump written by write_index_stream; returns (indices, bits).
 
     The indices come as an ``array('q')``, as from ``codec.unpack_indices``.
-    A file that is not such a dump, whose header claims a width outside
-    1..``codec.MAX_BITS``, or whose payload is not exactly the
-    ceil(count * bits / 8) bytes that write_index_stream writes, raises
-    ConfigError.
+    A missing file, a directory, a file that is not such a dump, one whose
+    header claims a width outside 1..``codec.MAX_BITS``, or whose payload is
+    not exactly the ceil(count * bits / 8) bytes that write_index_stream
+    writes, raises ConfigError.
     """
-    blob = Path(path).read_bytes()
+    blob = _read(path, "index-stream dump")
     if len(blob) < _DUMP_HEADER.size or not blob.startswith(_DUMP_MAGIC):
         raise ConfigError(f"not an index-stream dump: {path}")
     _, bits, count = _DUMP_HEADER.unpack_from(blob)
@@ -330,11 +336,11 @@ def read_index_stream(path: str | Path) -> tuple[array.array, int]:
 def read_csv(path: str | Path) -> list[CsvRow]:
     """Parse a UTF-8 CSV file written by write_csv back into rows.
 
-    A file that is not UTF-8, a header other than ``CSV_HEADER``, or a row
-    with another field count or a field that its type cannot parse raises
-    ConfigError.
+    A missing file, a directory, a file that is not UTF-8, a header other
+    than ``CSV_HEADER``, or a row with another field count or a field that
+    its type cannot parse raises ConfigError.
     """
-    lines = _read_utf8(Path(path), "CSV file").splitlines()
+    lines = _read_utf8(path, "CSV file").splitlines()
     if not lines or tuple(lines[0].split(",")) != CSV_HEADER:
         raise ConfigError(f"unexpected CSV header in {path}")
     rows = []
@@ -386,6 +392,15 @@ def _encode(states, observations, labels) -> np.ndarray:
         raise NonFiniteInput(f"{labels[exc.row]}: {exc}") from exc
 
 
+def _input_std(scheme: str, terms: str, variance: float) -> float:
+    """Std of a scheme's quantizer input; DegenerateCovariance when its variance overflowed."""
+    if not math.isfinite(variance):
+        raise DegenerateCovariance(
+            f"{scheme}: quantizer input variance {terms} overflows to {variance}"
+        )
+    return math.sqrt(variance)
+
+
 def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     """Mean reconstruction MSE per quantizer width for three practical schemes.
 
@@ -396,19 +411,26 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
     over ``trials`` seeded traces, each generated once; the two codec schemes
     of every width and trial are encoded together by one kernel call, which
     keeps no indices, and the direct reproductions of every width are formed
-    and scored together, one trial at a time.  A mean squared error that
-    overflows to inf raises DegenerateCovariance naming the scheme and the
-    width, and a NaN or infinite quantizer input NonFiniteInput naming the
-    scheme, the width, the trial and the sample.
+    and scored together, one trial at a time.  A quantizer-input variance
+    that overflows raises DegenerateCovariance naming the scheme, before any
+    trace is drawn; a mean squared error that overflows to inf raises it
+    naming the scheme and the width, and a NaN or infinite quantizer input
+    NonFiniteInput naming the scheme, the width, the trial and the sample.
     """
     model, noise = config.model, config.noise
     params = bounds.make_scheme_params(model, noise, config.predictor_order)
     coeffs, approx = params.coeffs, params.ar1
     open_loop_model = ArModel((approx.beta,), approx.iota_var)
 
-    direct_std = math.sqrt(params.acov.sigma_x_sq + coeffs.sigma_p_sq)
+    direct_std = _input_std(
+        DIRECT_QUANTIZATION, "sigma_x^2 + sigma_P^2", params.acov.sigma_x_sq + coeffs.sigma_p_sq
+    )
     # gain-1 innovation is iota + xi - beta * xi (plus quantization residue)
-    open_loop_std = math.sqrt(approx.iota_var + (1.0 + approx.beta**2) * noise.obs_noise_var)
+    open_loop_std = _input_std(
+        AR1_OPEN_LOOP,
+        "iota + (1 + beta^2) sigma_xi^2",
+        approx.iota_var + (1.0 + approx.beta**2) * noise.obs_noise_var,
+    )
 
     traces = [
         generate_trace(model, noise, config.samples_per_trial, config.seed + trial)
@@ -432,45 +454,39 @@ def run_codec_experiment(config: ExperimentConfig) -> list[CsvRow]:
 
     rows: list[CsvRow] = []
     n_total = config.trials * config.samples_per_trial
-    # squared errors in place, where they may overflow to inf (checked per row):
-    # (r - x)^2 has the bits of (x - r)^2, and the mean of each row along the
-    # contiguous last axis is the pairwise sum np.mean takes of that row alone
-    with np.errstate(over="ignore"):
-        for trial, trace in enumerate(traces):
-            recon[:, trial] -= trace.x
-        codec_errors = codec._mean_squares(recon)
-        del recon  # the direct block below then does not add to the peak memory
-        direct_qs = [
-            codec.UniformQuantizer.loaded(bits, direct_std) for bits in config.quantizer_bits
-        ]
-        # the direct reproductions of every width, one trial at a time, in one reused block
-        block = np.empty((len(direct_qs), predictions[0].size))
-        direct_errors = []
-        for trace, predicted in zip(traces, predictions):
-            codec._reproduce_rows(direct_qs, predicted, block)
-            block -= trace.x[order:]
-            direct_errors.append(codec._mean_squares(block))
-        per_width = zip(config.quantizer_bits, zip(*direct_errors), codec_errors)
-        for bits, direct, per_trial in per_width:
-            sums = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
-            for direct_error, (open_loop, closed_loop) in zip(direct, per_trial):
-                sums[DIRECT_QUANTIZATION] += direct_error
-                sums[AR1_OPEN_LOOP] += open_loop
-                sums[CLOSED_LOOP] += closed_loop
+    # per trial, the (width, scheme) errors of each row along its contiguous last axis
+    codec_errors = [
+        codec._mean_squares(recon[:, trial], trace.x) for trial, trace in enumerate(traces)
+    ]
+    del recon  # the direct block below then does not add to the peak memory
+    direct_qs = [codec.UniformQuantizer.loaded(bits, direct_std) for bits in config.quantizer_bits]
+    # the direct reproductions of every width, one trial at a time, in one reused block
+    block = np.empty((len(direct_qs), predictions[0].size))
+    direct_errors = []
+    for trace, predicted in zip(traces, predictions):
+        codec._reproduce_rows(direct_qs, predicted, block)
+        direct_errors.append(codec._mean_squares(block, trace.x[order:]))
+    per_width = zip(config.quantizer_bits, zip(*direct_errors), zip(*codec_errors))
+    for bits, direct, per_trial in per_width:
+        sums = {DIRECT_QUANTIZATION: 0.0, AR1_OPEN_LOOP: 0.0, CLOSED_LOOP: 0.0}
+        for direct_error, (open_loop, closed_loop) in zip(direct, per_trial):
+            sums[DIRECT_QUANTIZATION] += direct_error
+            sums[AR1_OPEN_LOOP] += open_loop
+            sums[CLOSED_LOOP] += closed_loop
 
-            for scheme, total in sums.items():
-                rows.append(
-                    CsvRow(
-                        scheme=scheme,
-                        sigma_psi_sq=model.innovation_var,
-                        sigma_xi_sq=noise.obs_noise_var,
-                        distortion=codec._finite(total / config.trials, f"{scheme} at {bits} bits"),
-                        rate_bits=float(bits),
-                        source="simulation",
-                        seed=config.seed,
-                        n_samples=n_total,
-                    )
+        for scheme, total in sums.items():
+            rows.append(
+                CsvRow(
+                    scheme=scheme,
+                    sigma_psi_sq=model.innovation_var,
+                    sigma_xi_sq=noise.obs_noise_var,
+                    distortion=codec._finite(total / config.trials, f"{scheme} at {bits} bits"),
+                    rate_bits=float(bits),
+                    source="simulation",
+                    seed=config.seed,
+                    n_samples=n_total,
                 )
+            )
     return rows
 
 
@@ -531,9 +547,8 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
     trace = generate_trace(model, noise, config.samples_per_trial, config.seed)
 
     predictions = predictor._forecasts(trace.y, coeffs.theta)[:-1]
-    with np.errstate(over="ignore"):  # an overflow is checked below
-        empirical_p = codec._mean_squares(trace.x[order:] - predictions)
-        empirical_z = codec._mean_squares(trace.x[1:] - zh.alpha * trace.y[:-1])
+    empirical_p = codec._mean_squares(trace.x[order:].copy(), predictions)
+    empirical_z = codec._mean_squares(zh.alpha * trace.y[:-1], trace.x[1:])
 
     entries = [
         ValidationEntry(name, analytic, codec._finite(empirical, name), 0.02)
@@ -554,11 +569,7 @@ def validate_theory(config: ExperimentConfig) -> ValidationReport:
         states.append(codec.EncoderState(model, noise, quantizer))
     # every width in one call, which the kernel interleaves; each row keeps its own bits
     recon = _encode(states, [trace.y] * len(states), names)
-    # scored in place, as in run_codec_experiment
-    errors = recon[:, warmup:]
-    with np.errstate(over="ignore"):  # an overflow is checked below
-        errors -= trace.x[warmup:]
-        long_runs = codec._mean_squares(errors)
+    long_runs = codec._mean_squares(recon[:, warmup:], trace.x[warmup:])
     for name, analytic, long_run in zip(names, predicted, long_runs):
         entries.append(ValidationEntry(name, analytic, codec._finite(long_run, name), 0.15))
 

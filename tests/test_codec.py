@@ -227,6 +227,17 @@ class TestUniformQuantizer:
         with pytest.raises(ValueError):
             UniformQuantizer.loaded(3, -1.0)
 
+    def test_an_infinite_step_is_rejected_and_a_huge_finite_one_kept(self):
+        with pytest.raises(CsiFeedbackError, match="^step must be finite$"):
+            UniformQuantizer(bits=4, step=math.inf)
+        message = r"^2-bit quantizer step overflows to inf: std=1e\+308$"
+        with pytest.raises(DegenerateCovariance, match=message):
+            UniformQuantizer.loaded(2, 1e308)
+        # the largest finite steps stay legal and quantize exactly
+        top = float(np.finfo(float).max)
+        assert UniformQuantizer(bits=4, step=top).quantize(0.3) == (8, 0.5 * top)
+        assert UniformQuantizer.loaded(1, 4e307).step == 1.6e308
+
 
 @pytest.fixture
 def encoder(ar4, noise):
@@ -612,9 +623,8 @@ class TestRunCodecScore:
         trace = generate_trace(model, clean, 100_000, seed=1)
         out = run_codec(model, clean, innovation_quantizer(model, clean, 2), trace.y, trace.x)
         with np.errstate(over="ignore"):
-            errors = trace.x - out.encoder_recon
-            assert np.mean(errors**2) == math.inf
-            assert out.empirical_mse == codec._mean_squares(errors)
+            assert np.mean((trace.x - out.encoder_recon) ** 2) == math.inf
+        assert out.empirical_mse == codec._mean_squares(trace.x.copy(), out.encoder_recon)
         assert math.isfinite(out.empirical_mse)
 
     def test_squared_error_that_overflows_raises(self, ar4, noise, either_path):

@@ -29,7 +29,7 @@ from csi_feedback import (
 from csi_feedback import cli, harness
 from csi_feedback.cli import main as cli_main
 from csi_feedback.codec import MAX_BITS, _mean_squares
-from csi_feedback.errors import ConfigError
+from csi_feedback.errors import ConfigError, DegenerateCovariance
 from csi_feedback.harness import (
     AR1_OPEN_LOOP,
     CLOSED_LOOP,
@@ -315,6 +315,23 @@ class TestCsvSchema:
         with pytest.raises(ConfigError, match=re.escape(message)):
             read_csv(path)
 
+    @pytest.mark.parametrize(
+        "read, what",
+        [
+            (read_csv, "CSV file"),
+            (read_index_stream, "index-stream dump"),
+            (parse_config, "config file"),
+        ],
+        ids=["csv", "index stream", "config"],
+    )
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_a_missing_file_or_a_directory_is_a_config_error(self, tmp_path, read, what, where):
+        # a bare FileNotFoundError or IsADirectoryError escaped both readers
+        path = tmp_path / "nope" if where == "missing" else tmp_path
+        for given in (path, str(path)):
+            with pytest.raises(ConfigError, match=f"^{re.escape(f'{what} not found: {path}')}$"):
+                read(given)
+
     def test_byte_identical_reruns(self):
         config = parse_config_text(REFERENCE_CONFIG)
         assert format_csv(run_theory_sweep(config)) == format_csv(run_theory_sweep(config))
@@ -526,11 +543,43 @@ class TestCodecExperiment:
             for index in np.ndindex(view.shape[:-1]):
                 row = np.ascontiguousarray(view[index])
                 assert means[index[0]][index[1]][index[2]] == float(np.mean(row)), index
-        # the contiguous (widths, trials, 2, n) block the harness scores
+        # the contiguous (widths, trials, 2, n) block, whole and one trial's view at a
+        # time, as the harness scores it
         block = base[..., :n].copy()
         assert block.mean(axis=-1).tolist() == [
             [[float(np.mean(row)) for row in pair] for pair in trial] for trial in block
         ]
+        for trial in range(block.shape[1]):
+            assert block[:, trial].mean(axis=-1).tolist() == [
+                [float(np.mean(row)) for row in pair] for pair in block[:, trial]
+            ]
+
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            (
+                "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 0\n",
+                "direct_quantization: quantizer input variance sigma_x^2 + sigma_P^2"
+                " overflows to inf",
+            ),
+            (
+                "ar_coeffs = 1.8, -0.81\ninnovation_var = 1e150\nobs_noise_var = 1e308\n",
+                "ar1_open_loop: quantizer input variance iota + (1 + beta^2) sigma_xi^2"
+                " overflows to inf",
+            ),
+        ],
+        ids=["direct", "open loop"],
+    )
+    def test_an_overflowing_quantizer_input_variance_is_named_before_any_trace(
+        self, monkeypatch, channel, message
+    ):
+        # its std sized an infinite step, and the run failed later on a symptom
+        drawn = []
+        monkeypatch.setattr(harness, "generate_trace", lambda *args: drawn.append(args))
+        config = parse_config_text(f"{channel}quantizer_bits = 1\nsamples_per_trial = 300\n")
+        with pytest.raises(DegenerateCovariance, match=f"^{re.escape(message)}$"):
+            run_codec_experiment(config)
+        assert drawn == []
 
     def test_direct_quantization_plateaus_at_prediction_floor(self):
         from csi_feedback import autocovariance, mmse_coefficients, NoiseSpec
@@ -647,15 +696,27 @@ class TestIndexStreamDump:
         assert peak < 1 << 20  # nothing sized by the header's count
 
 
+# finite arrays a and b of one (rows, n) shape, whose difference may overflow
+@st.composite
+def _score_pairs(draw):
+    rows, n = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    cells = st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=rows * n, max_size=rows * n
+    )
+    return tuple(np.array(draw(cells)).reshape(rows, n) for _ in range(2))
+
+
 class TestMeanSquares:
     def test_finite_means_keep_the_bits_of_np_mean(self):
-        errors = np.random.default_rng(5).normal(size=(2, 3, 999)) * np.logspace(-150, 150, 999)
-        means = _mean_squares(errors.copy())
-        for row, mean in zip(errors.reshape(-1, 999), np.ravel(means)):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(2, 3, 999)) * np.logspace(-150, 150, 999)
+        reference = rng.normal(size=999) * np.logspace(-150, 150, 999)
+        means = _mean_squares(values.copy(), reference)
+        for row, mean in zip((values - reference).reshape(-1, 999), np.ravel(means)):
             assert struct.pack("<d", mean) == struct.pack("<d", float(np.mean(row**2)))
-        for row in errors.reshape(-1, 999):
-            assert struct.pack("<d", _mean_squares(row.copy())) == struct.pack(
-                "<d", float(np.mean(row**2))
+        for row in values.reshape(-1, 999):
+            assert struct.pack("<d", _mean_squares(row.copy(), reference)) == struct.pack(
+                "<d", float(np.mean((row - reference) ** 2))
             )
 
     def test_a_sum_that_overflows_is_taken_again_scaled(self):
@@ -663,21 +724,51 @@ class TestMeanSquares:
         errors = np.random.default_rng(6).uniform(0.9e154, 1.3e154, size=400)
         squares = errors**2
         assert np.isfinite(squares).all()
-        with np.errstate(over="ignore"):  # as its callers run it
+        with np.errstate(over="ignore"):
             assert np.mean(squares) == math.inf
-            mean = _mean_squares(errors.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # halving is exact, so the differences are the errors themselves
+            mean = _mean_squares(errors / 2, -errors / 2)
         assert mean == float(np.ldexp(np.mean(np.ldexp(squares, -9)), 9))  # 400 < 2^9
         assert mean == pytest.approx(math.fsum(s / 400 for s in squares.tolist()), rel=1e-14)
 
     def test_an_infinite_square_keeps_its_row_inf(self):
-        rows = np.array([[1.2e154] * 300, [1e155] + [1.0] * 299, [3.0] * 300])
-        with np.errstate(over="ignore"):
-            overflowing, infinite, finite = _mean_squares(rows)
+        rows = np.array(
+            [[1.2e154] * 300, [1e155] + [1.0] * 299, [1e308] + [0.0] * 299, [4.0] * 300]
+        )
+        reference = np.zeros_like(rows)
+        reference[2, 0], reference[3] = -1e308, 1.0  # a difference that overflows, and 3s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overflowing, infinite_square, infinite_difference, finite = _mean_squares(
+                rows, reference
+            )
         assert overflowing == pytest.approx(1.44e308, rel=1e-14)
-        assert infinite == math.inf
+        assert infinite_square == infinite_difference == math.inf
         assert finite == 9.0
-        # the rows were squared in place
-        assert rows[2, 0] == 9.0
+        # the rows were differenced and squared in place; the reference is left
+        assert rows[3, 0] == 9.0
+        assert reference[3, 0] == 1.0
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(pair=_score_pairs())
+    @example(pair=(np.array([[1e308, 2.0]]), np.array([[-1e308, 1.0]])))
+    @example(pair=(np.full((2, 400), 1.2e154), np.zeros((2, 400))))
+    def test_scores_the_difference_either_way_and_warns_nothing(self, pair):
+        a, b = pair
+        kept = b.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a difference, square or sum that overflows
+            means = _mean_squares(a.copy(), b)
+            swapped = _mean_squares(b.copy(), a)
+        assert b.tobytes() == kept.tobytes()
+        with np.errstate(over="ignore"):
+            expected = np.square(a - b).mean(-1).tolist()
+        for mean, want in zip(means, expected, strict=True):
+            if math.isfinite(want):
+                assert struct.pack("<d", mean) == struct.pack("<d", want)
+        assert np.array(means).tobytes() == np.array(swapped).tobytes()
 
 
 class TestValidateTheory:
@@ -918,7 +1009,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, message",
         [
-            ("codec", "direct_quantization at 4 bits: mean squared error overflows to inf"),
+            (
+                "codec",
+                "direct_quantization: quantizer input variance sigma_x^2 + sigma_P^2"
+                " overflows to inf",
+            ),
             ("validate", "sigma_p_sq: mean squared error overflows to inf"),
             ("trace", None),
         ],
@@ -926,7 +1021,9 @@ class TestCli:
     def test_overflowing_squared_error_is_exit_1(
         self, tmp_path, capsys, either_path, command, message
     ):
-        # kappa_y(0) = 1e308 is finite, but the squared errors of x ~ 1e154 are not
+        # kappa_y(0) = 1e308 is finite, but the squared errors of x ~ 1e154 are not;
+        # the codec experiment stops before them, at its direct quantizer-input variance
+        # sigma_x^2 + sigma_P^2 = 2e308
         cfg = self.write(
             tmp_path, "ar_coeffs = 0.0\ninnovation_var = 1e308\nobs_noise_var = 0\n"
             "samples_per_trial = 2000\nquantizer_bits = 4,6"
@@ -1078,16 +1175,16 @@ class TestCli:
                 {"validate": {0, 2}},
                 {},
             ),
-            # codec: the open-loop std sqrt(iota + (1 + beta^2) sigma_xi^2) overflows, so
-            # its 1-bit step is inf; validate: the encoder's prediction-error recursion
-            # overflows, and its gain is NaN
+            # codec: the open-loop variance iota + (1 + beta^2) sigma_xi^2 overflows, and
+            # is named before a trace is drawn; validate: the encoder's prediction-error
+            # recursion overflows, and its gain is NaN
             (
                 "ar_coeffs = 1.8, -0.81\ninnovation_var = 1e150\nobs_noise_var = 1e308\n"
                 "quantizer_bits = 1\nsamples_per_trial = 300\n",
                 {"codec": {1}, "validate": {1}},
                 {
-                    "codec": "error: ar1_open_loop at 1 bits, trial 0: "
-                    "cannot quantize NaN or infinite values at sample 1\n",
+                    "codec": "error: ar1_open_loop: quantizer input variance "
+                    "iota + (1 + beta^2) sigma_xi^2 overflows to inf\n",
                     "validate": "error: varsigma_inf[bits=1]: "
                     "cannot quantize NaN or infinite values at sample 292\n",
                 },
